@@ -19,6 +19,7 @@ from .circuit import (
     diode_current,
     inject_noise,
     integrate,
+    integrate_lanes,
     kennedy_circuit,
     power_spectrum,
     snr_db,
@@ -43,6 +44,7 @@ from .experiment import (
     run_experiment,
     run_sweep,
     save_weight,
+    simulate_cases,
 )
 from .lwe import (
     Ciphertext,
@@ -73,6 +75,7 @@ from .pipeline import (
     nrmse,
     predict,
     run_case,
+    run_cases,
     sample_hold,
     train_readout,
 )

@@ -305,6 +305,141 @@ def integrate(
     return Trace(dt=dt, tap_names=(TAP_DIODE, TAP_INDUCTOR), channels=np.vstack([v_cd, v_l]))
 
 
+def integrate_lanes(
+    p: ChuaParams,
+    init: CircuitState,
+    levels: np.ndarray,
+    carrier: np.ndarray,
+    dt: float,
+    keep,
+    sink,
+) -> np.ndarray:
+    """Lockstep RK4 over independent lanes that share the circuit and carrier.
+
+    ``levels`` is (n_levels, n_lanes); each level is held for
+    len(carrier) // n_levels steps, and lane k is driven at step s by
+    levels[s // hold, k] * carrier[s]. At every step s with ``keep[s]`` true,
+    ``sink(s, v_cd, v_l)`` receives the two taps of all lanes before that
+    step; the arrays are reused, so the sink must copy them.
+
+    Every lane repeats the IEEE operations of ``integrate`` in the same order
+    (see the note on the diode's sign below), so each one matches the scalar
+    kernel bit for bit. Non-finite
+    states stay non-finite; instead of raising, the kernel returns a boolean
+    array marking the lanes that stayed finite to the end.
+    """
+    n_levels, n_lanes = levels.shape
+    n_steps = carrier.size
+    if n_levels == 0 or n_steps % n_levels != 0:
+        raise ConfigurationError("levels", "carrier length must be a whole number of levels")
+    hold = n_steps // n_levels
+
+    diode = p.diode
+    gi, gm, go = diode.g_inner, diode.g_mid, diode.g_outer
+    bi, bo = diode.bp_inner, diode.bp_outer
+    i_bi = gi * bi
+    i_bo = i_bi + gm * (bo - bi)
+    inv_l = 1.0 / p.l
+    inv_c2 = 1.0 / p.c2
+    inv_c1 = 1.0 / p.c1
+    inv_rc2 = 1.0 / (p.r_variable * p.c2)
+    inv_rc1 = 1.0 / (p.r_variable * p.c1)
+    rs = p.r_series
+    h = dt
+    hh = 0.5 * h
+    h6 = h / 6.0
+
+    # Each evaluation point is a (6, n_lanes) block: the state (v_c2, v_c1,
+    # i_l), then v_c2 - v_c1 and the outer and middle diode segments.
+    # Neighbouring rows pair up so that one ufunc call over two rows does the
+    # work of two scalar expressions; every element still sees the scalar
+    # operation sequence. Constants are 0-d arrays, which numpy applies
+    # faster than Python floats.
+    def rows(b):
+        return b[0], b[1], b[2], b[3], b[4], b[5], b[4:6], b[2:4], b[3:5]
+
+    def col(*values):
+        return np.repeat(np.array(values)[:, None], n_lanes, axis=1)
+
+    def const(x):
+        return np.array(x)
+
+    seg_g, seg_i = col(go, gm), col(i_bo, i_bi)
+    lhs_c, rhs_c = col(inv_c2, inv_rc1), col(inv_rc2, inv_c1)
+    bi, bo, gi, rs, inv_l, hh, h, h6, one, two = map(
+        const, (bi, bo, gi, rs, inv_l, hh, h, h6, 1.0, 2.0))
+    k = np.empty((4, 3, n_lanes))  # rates of (v_c2, v_c1, i_l) at the 4 stages
+    k1, k2, k3, k4, k23 = k[0], k[1], k[2], k[3], k[1:3]
+    acc, tmp = np.empty((3, n_lanes)), np.empty((3, n_lanes))
+    pair, pair2 = np.empty((2, n_lanes)), np.empty((2, n_lanes))
+    a, sign, t1, t2, u = (np.empty(n_lanes) for _ in range(5))
+    inner, mid = np.empty(n_lanes, dtype=bool), np.empty(n_lanes, dtype=bool)
+    add, sub, mul, le, copyto = np.add, np.subtract, np.multiply, np.less_equal, np.copyto
+
+    def rates(s, out):
+        v2, v1, il, dv, idio, seg, segs, lhs, rhs = s
+        # |v1| and a sign factor stand in for the scalar `v1 if v1 >= 0 else
+        # -v1` and `if v1 < 0: idio = -idio`; they differ only at v1 = -0.0,
+        # where both give a current of +0.0
+        np.abs(v1, a)
+        le(a, bi, inner)
+        le(a, bo, mid)
+        # outer and middle segments: i_b + g*(a - b)
+        sub(a, bo, idio)
+        sub(a, bi, seg)
+        mul(segs, seg_g, segs)
+        add(segs, seg_i, segs)
+        copyto(idio, seg, where=mid)
+        mul(a, gi, seg)
+        copyto(idio, seg, where=inner)
+        np.copysign(one, v1, sign)
+        mul(idio, sign, idio)
+        # il/c2 - (v2 - v1)/(r c2) and (v2 - v1)/(r c1) - i_d/c1
+        sub(v2, v1, dv)
+        mul(lhs, lhs_c, pair)
+        mul(rhs, rhs_c, pair2)
+        sub(pair, pair2, out[0])
+        # (-v2 - rs*il - u) / l
+        np.negative(v2, t1)
+        mul(il, rs, t2)
+        sub(t1, t2, t1)
+        sub(t1, u, t1)
+        mul(t1, inv_l, out[1])
+
+    y, ys = np.empty((6, n_lanes)), np.empty((6, n_lanes))
+    y[0], y[1], y[2] = init.v_c2, init.v_c1, init.i_l
+    state, stage = y[:3], ys[:3]
+    y_rows, ys_rows = rows(y), rows(ys)
+    out1, out2, out3, out4 = ((kk[0:2], kk[2]) for kk in (k1, k2, k3, k4))
+    with np.errstate(all="ignore"):
+        for i, c in enumerate(carrier.tolist()):
+            mul(levels[i // hold], c, u)
+            if keep[i]:
+                # v_l = v2 - rs*il - u
+                mul(y[2], rs, t1)
+                sub(y[0], t1, t1)
+                sub(t1, u, t1)
+                sink(i, y[1], t1)
+            rates(y_rows, out1)
+            mul(k1, hh, tmp)
+            add(state, tmp, stage)
+            rates(ys_rows, out2)
+            mul(k2, hh, tmp)
+            add(state, tmp, stage)
+            rates(ys_rows, out3)
+            mul(k3, h, tmp)
+            add(state, tmp, stage)
+            rates(ys_rows, out4)
+            # ((k1 + 2 k2) + 2 k3) + k4
+            mul(k23, two, k23)
+            add(k1, k2, acc)
+            add(acc, k3, acc)
+            add(acc, k4, acc)
+            mul(acc, h6, acc)
+            add(state, acc, state)
+    return np.isfinite(state).all(axis=0)
+
+
 def steady_state_extrema(
     samples: np.ndarray, transient_fraction: float = 0.5
 ) -> np.ndarray:
@@ -397,10 +532,17 @@ def bifurcation_scan(
         (vary, v, fixed, drive_frequency, drive_amplitude, tap, t_end, dt, transient_fraction)
         for v in values
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_scan_point, tasks))
-    return [_scan_point(t) for t in tasks]
+    return _map(_scan_point, tasks, jobs)
+
+
+def _map(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``jobs`` worker processes when
+    jobs > 1; results come back in the order of ``items``."""
+    items = list(items)
+    if jobs > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def power_spectrum(samples: np.ndarray, dt: float) -> tuple:

@@ -21,11 +21,21 @@ class ConfigurationError(ChuaRcError, ValueError):
 
 
 class IntegrationError(ChuaRcError, RuntimeError):
-    """The ODE solver produced a non-finite state."""
+    """The ODE solver produced a non-finite state.
 
-    def __init__(self, step_index: int, message: str = "non-finite state"):
+    ``case_index`` names the dataset case when the kernel ran one.
+    """
+
+    def __init__(self, step_index: int, message: str = "non-finite state",
+                 case_index: int | None = None):
         self.step_index = step_index
-        super().__init__(f"{message} at step {step_index}")
+        self.case_index = case_index
+        self._message = message
+        where = "" if case_index is None else f" in case {case_index}"
+        super().__init__(f"{message} at step {step_index}{where}")
+
+    def __reduce__(self):
+        return type(self), (self.step_index, self._message, self.case_index)
 
 
 class LayoutError(ChuaRcError, ValueError):

@@ -11,25 +11,33 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tasks
+from .circuit import _map
 from .config import ExperimentConfig, carrier_frequency, config_digest, seed_for
-from .errors import ChuaRcError, ConfigurationError
+from .errors import ChuaRcError, ConfigurationError, IntegrationError
 from .pipeline import (
     ReadoutWeight,
     hstack_cases,
     nmse,
     predict,
     run_case,
+    run_cases,
     train_readout,
 )
 
 ENV_JOBS = "CHUARC_JOBS"
+
+#: Narrowest lane group (cases, times coordinates for multi-input tasks) that
+#: runs the lockstep kernel. A lockstep step costs ~50 us of numpy call
+#: overhead however few lanes it has, against ~2.5 us per lane-step for the
+#: scalar loop, so narrower groups run faster case by case through run_case
+#: (measured break-even on a 2-vCPU VM: 17-20 lanes).
+LANE_CROSSOVER = 24
 
 
 def default_jobs() -> int:
@@ -66,23 +74,55 @@ def _effective_reservoir(cfg: ExperimentConfig, dataset: tasks.Dataset):
     )
 
 
-def _simulate_case(args):
-    reservoir, circuit, raw, multi_input = args
-    if multi_input:
-        parts = [run_case([coord], reservoir, circuit) for coord in raw]
-        return hstack_cases(parts)
-    return run_case(raw, reservoir, circuit)
+def _simulate_case(reservoir, circuit, raw, multi_input, index):
+    try:
+        if multi_input:
+            return hstack_cases([run_case([coord], reservoir, circuit) for coord in raw])
+        return run_case(raw, reservoir, circuit)
+    except IntegrationError as exc:
+        raise IntegrationError(exc.step_index, case_index=index) from None
 
 
-def simulate_cases(cfg: ExperimentConfig, dataset: tasks.Dataset, jobs: int = 1) -> list:
-    """Drive the kernel for every dataset case, in index order."""
+def _simulate_group(args):
+    reservoir, circuit, start, cases, multi_input, lockstep = args
+    if not lockstep:
+        return [_simulate_case(reservoir, circuit, raw, multi_input, index)
+                for index, raw in enumerate(cases, start)]
+    try:
+        return run_cases(cases, reservoir, circuit, per_coordinate=multi_input)
+    except IntegrationError as exc:
+        raise IntegrationError(exc.step_index, case_index=start + exc.case_index) from None
+
+
+def _simulate(reservoir, circuit, inputs, multi_input, jobs, group_size=None) -> list:
+    """Kernel runs for all inputs, in input order.
+
+    Contiguous groups of ``group_size`` cases (default: one group per
+    worker) each run as lanes of one lockstep kernel, or case by case when
+    the group is narrower than LANE_CROSSOVER lanes, its cases differ in
+    length, or the envelope detector is on.
+    """
+    size = max(1, group_size or -(-len(inputs) // jobs))
+    work = []
+    for start in range(0, len(inputs), size):
+        cases = inputs[start:start + size]
+        n_lanes = sum(len(raw) for raw in cases) if multi_input else len(cases)
+        lockstep = (n_lanes >= LANE_CROSSOVER and not reservoir.use_envelope
+                    and len({len(raw) for raw in cases}) == 1)
+        work.append((reservoir, circuit, start, cases, multi_input, lockstep))
+    return [sm for group in _map(_simulate_group, work, jobs) for sm in group]
+
+
+def simulate_cases(cfg: ExperimentConfig, dataset: tasks.Dataset, jobs: int = 1,
+                   group_size: int | None = None) -> list:
+    """Drive the kernel for every dataset case, in index order.
+
+    ``group_size`` sets the cases per lane group; results are identical for
+    any grouping and worker count. A diverging case raises IntegrationError
+    naming the case and the step.
+    """
     reservoir = _effective_reservoir(cfg, dataset)
-    work = [(reservoir, cfg.circuit, raw, dataset.multi_input) for raw in dataset.inputs]
-    if jobs > 1:
-        chunk = max(1, len(work) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_simulate_case, work, chunksize=chunk))
-    return [_simulate_case(w) for w in work]
+    return _simulate(reservoir, cfg.circuit, dataset.inputs, dataset.multi_input, jobs, group_size)
 
 
 def build_dataset(cfg: ExperimentConfig) -> tasks.Dataset:
@@ -228,12 +268,7 @@ def classification_surface(
     reservoir = replace(cfg.reservoir, value_max=value_max,
                         seed=seed_for(cfg.master_seed, "mask"))
     points = [[float(x), float(y)] for y in y_values for x in x_values]
-    work = [(reservoir, cfg.circuit, p, True) for p in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            states = list(pool.map(_simulate_case, work))
-    else:
-        states = [_simulate_case(w) for w in work]
+    states = _simulate(reservoir, cfg.circuit, points, True, jobs)
     classes = [tasks.classify(float(predict(weight, s)[0])) for s in states]
     return np.asarray(classes, dtype=int).reshape(len(y_values), len(x_values))
 

@@ -22,8 +22,16 @@ from .circuit import (
     DriveSignal,
     Trace,
     integrate,
+    integrate_lanes,
 )
-from .errors import ConfigurationError, InputDomainError, LayoutError, MetricError, NoSignalError
+from .errors import (
+    ConfigurationError,
+    InputDomainError,
+    IntegrationError,
+    LayoutError,
+    MetricError,
+    NoSignalError,
+)
 
 CARRIERS = ("square", "sine", "dc")
 
@@ -148,19 +156,20 @@ def modulate(envelope, cfg: ReservoirConfig) -> DriveSignal:
     env = np.asarray(envelope, dtype=float)
     if env.size == 0:
         raise ConfigurationError("envelope", "must be nonempty")
+    held = np.repeat(env, samples_per_envelope_point(env.size, cfg))
+    return DriveSignal(held * carrier_wave(held.size, cfg), cfg.sample_rate)
+
+
+def carrier_wave(n_samples: int, cfg: ReservoirConfig) -> np.ndarray:
+    """The configured unit carrier, sampled at cfg.sample_rate from t = 0."""
     if cfg.sample_rate < 2.0 * cfg.f_carrier:
         raise ConfigurationError("reservoir.sample_rate", "must be at least twice f_carrier")
-    duration = cfg.n_periods / cfg.f_carrier
-    spe = samples_per_envelope_point(env.size, cfg)
-    held = np.repeat(env, spe)
-    t = np.arange(held.size) / cfg.sample_rate
+    t = np.arange(n_samples) / cfg.sample_rate
     if cfg.carrier == "square":
-        carrier = np.where(np.sin(2.0 * math.pi * cfg.f_carrier * t) >= 0.0, 1.0, -1.0)
-    elif cfg.carrier == "sine":
-        carrier = np.sin(2.0 * math.pi * cfg.f_carrier * t)
-    else:  # dc
-        carrier = np.ones(held.size)
-    return DriveSignal(held * carrier, cfg.sample_rate)
+        return np.where(np.sin(2.0 * math.pi * cfg.f_carrier * t) >= 0.0, 1.0, -1.0)
+    if cfg.carrier == "sine":
+        return np.sin(2.0 * math.pi * cfg.f_carrier * t)
+    return np.ones(n_samples)  # dc
 
 
 def samples_per_envelope_point(n_envelope: int, cfg: ReservoirConfig) -> int:
@@ -225,8 +234,7 @@ def demultiplex(trace: Trace, n_values: int, n_mask: int, middle_fraction: float
             f"{n} samples do not divide into {n_slots} slots ({n_values} values x {n_mask} masks)"
         )
     spp = n // n_slots
-    n_keep = max(1, int(round(spp * middle_fraction)))
-    lo = (spp - n_keep) // 2
+    n_keep, lo = _slot_window(spp, middle_fraction)
     n_taps = len(trace.tap_names)
     out = np.empty((n_values * n_keep, n_taps * n_mask))
     for k in range(n_taps):
@@ -235,8 +243,20 @@ def demultiplex(trace: Trace, n_values: int, n_mask: int, middle_fraction: float
         out[:, k * n_mask:(k + 1) * n_mask] = blocks.transpose(0, 2, 1).reshape(
             n_values * n_keep, n_mask
         )
-    times = trace.times.reshape(n_values, n_mask, spp)[:, 0, lo:lo + n_keep].reshape(-1)
+    times = _row_times(trace.times, n_values, n_mask, spp, middle_fraction)
     return StateMatrix(values=out, n_mask=n_mask, n_taps=n_taps, row_times=times)
+
+
+def _slot_window(spp: int, middle_fraction: float) -> tuple:
+    """(n_keep, lo): the central middle_fraction of a slot of spp samples."""
+    n_keep = max(1, int(round(spp * middle_fraction)))
+    return n_keep, (spp - n_keep) // 2
+
+
+def _row_times(times, n_values: int, n_mask: int, spp: int, middle_fraction: float) -> np.ndarray:
+    """Times of the kept samples of each value's first mask slot."""
+    n_keep, lo = _slot_window(spp, middle_fraction)
+    return times.reshape(n_values, n_mask, spp)[:, 0, lo:lo + n_keep].reshape(-1)
 
 
 def align_trace(trace: Trace, threshold: float = 0.1) -> Trace:
@@ -327,6 +347,72 @@ def run_case(raw_values, cfg: ReservoirConfig, circuit: ChuaParams, kernel=None)
         upper = np.vstack([envelope_extract(ch, half_period)[0] for ch in trimmed.channels])
         trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=upper)
     return demultiplex(trimmed, len(raw), cfg.n_mask, cfg.middle_fraction)
+
+
+def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: bool = False) -> list:
+    """``run_case`` for a group of equal-length cases, as lanes of one lockstep
+    kernel run.
+
+    With ``per_coordinate`` each coordinate of a case drives its own lane and
+    the case's state matrix concatenates the coordinates' channels, as
+    ``hstack_cases`` does. Results match the per-case path bit for bit. The
+    drive is built step by step from the lane's message, the mask and the
+    shared carrier, and the kept taps go straight into one
+    (case, row, coordinate, channel) array, so each case's values are a view
+    of it. A diverging lane raises IntegrationError naming the lowest
+    failing case, with the step taken from a scalar rerun of that lane.
+    """
+    if cfg.use_envelope:
+        raise ConfigurationError("reservoir.use_envelope", "envelope detection runs through run_case")
+    cases = [list(raw) for raw in cases]
+    lanes = [[x] for raw in cases for x in raw] if per_coordinate else cases
+    if not cases or len({len(raw) for raw in cases}) != 1:
+        raise ConfigurationError("cases", "lockstep cases must be nonempty and of equal length")
+    if not cases[0]:
+        raise ConfigurationError("raw_values", "must be nonempty")
+    n_cases, n_lanes, n_values = len(cases), len(lanes), len(lanes[0])
+    n_coords = n_lanes // n_cases
+    n_mask = cfg.n_mask
+    dt = 1.0 / cfg.sample_rate
+
+    mask = make_mask(cfg)
+    messages = normalize(np.hstack([np.asarray(lanes, dtype=float), np.zeros((n_lanes, 1))]), cfg)
+    # levels[i*n_mask + j, lane] = message[lane, i] * mask[j], as multiplex builds it
+    levels = np.ascontiguousarray(
+        (messages[:, :, None] * mask.factors).reshape(n_lanes, -1).T
+    )
+    n_envelope = levels.shape[0] * cfg.theta
+    spp = cfg.theta * samples_per_envelope_point(n_envelope, cfg)
+    carrier = carrier_wave(levels.shape[0] * spp, cfg)
+
+    n_keep, lo = _slot_window(spp, cfg.middle_fraction)
+    n_real = n_values * n_mask * spp  # the dummy value's slots are not kept
+    steps = np.arange(carrier.size)
+    offset = steps % spp
+    keep = ((steps < n_real) & (offset >= lo) & (offset < lo + n_keep)).tolist()
+    out = np.empty((n_cases, n_values * n_keep, n_coords, 2 * n_mask))
+
+    def sink(step, v_cd, v_l):
+        slot, off = divmod(step, spp)
+        value, j = divmod(slot, n_mask)
+        row = out[:, value * n_keep + off - lo]
+        row[:, :, j] = v_cd.reshape(n_cases, n_coords)
+        row[:, :, n_mask + j] = v_l.reshape(n_cases, n_coords)
+
+    finite = integrate_lanes(circuit, DEFAULT_INITIAL_STATE, levels, carrier, dt, keep, sink)
+    if not finite.all():
+        lane = int(np.flatnonzero(~finite)[0])
+        case = lane // n_coords
+        try:
+            run_case(lanes[lane], cfg, circuit)
+        except IntegrationError as exc:
+            raise IntegrationError(exc.step_index, case_index=case) from None
+        raise AssertionError(f"lane {lane} diverged but its scalar rerun did not")
+
+    times = _row_times(np.arange(n_real) * dt, n_values, n_mask, spp, cfg.middle_fraction)
+    values = out.reshape(n_cases, n_values * n_keep, -1)
+    return [StateMatrix(values=v, n_mask=n_coords * n_mask, n_taps=2, row_times=times)
+            for v in values]
 
 
 @dataclass(frozen=True)
