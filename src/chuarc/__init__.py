@@ -19,7 +19,6 @@ from .circuit import (
     diode_current,
     inject_noise,
     integrate,
-    integrate_lanes,
     kennedy_circuit,
     power_spectrum,
     snr_db,
@@ -75,7 +74,6 @@ from .pipeline import (
     nrmse,
     predict,
     run_case,
-    run_cases,
     sample_hold,
     train_readout,
 )

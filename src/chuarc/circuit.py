@@ -379,8 +379,9 @@ def integrate_lanes(
     def rates(s, out):
         v2, v1, il, dv, idio, seg, segs, lhs, rhs = s
         # |v1| and a sign factor stand in for the scalar `v1 if v1 >= 0 else
-        # -v1` and `if v1 < 0: idio = -idio`; they differ only at v1 = -0.0,
-        # where both give a current of +0.0
+        # -v1` and `if v1 < 0: idio = -idio`. Only a differs, at v1 = -0.0:
+        # the scalar takes a = -0.0 and keeps the sign, this takes a = +0.0
+        # and negates, so gi*a is the same signed zero either way
         np.abs(v1, a)
         le(a, bi, inner)
         le(a, bo, mid)

@@ -36,7 +36,8 @@ ENV_JOBS = "CHUARC_JOBS"
 #: runs the lockstep kernel. A lockstep step costs ~50 us of numpy call
 #: overhead however few lanes it has, against ~2.5 us per lane-step for the
 #: scalar loop, so narrower groups run faster case by case through run_case
-#: (measured break-even on a 2-vCPU VM: 17-20 lanes).
+#: (measured break-even on a 2-vCPU VM: 17-20 lanes; 24 leaves a margin for
+#: host noise).
 LANE_CROSSOVER = 24
 
 
@@ -94,15 +95,15 @@ def _simulate_group(args):
         raise IntegrationError(exc.step_index, case_index=start + exc.case_index) from None
 
 
-def _simulate(reservoir, circuit, inputs, multi_input, jobs, group_size=None) -> list:
+def _simulate(reservoir, circuit, inputs, multi_input, jobs) -> list:
     """Kernel runs for all inputs, in input order.
 
-    Contiguous groups of ``group_size`` cases (default: one group per
-    worker) each run as lanes of one lockstep kernel, or case by case when
-    the group is narrower than LANE_CROSSOVER lanes, its cases differ in
-    length, or the envelope detector is on.
+    One contiguous group of cases per worker runs as lanes of one lockstep
+    kernel, or case by case when the group is narrower than LANE_CROSSOVER
+    lanes, its cases differ in length, or the envelope detector is on.
     """
-    size = max(1, group_size or -(-len(inputs) // jobs))
+    jobs = max(1, jobs)
+    size = max(1, -(-len(inputs) // jobs))
     work = []
     for start in range(0, len(inputs), size):
         cases = inputs[start:start + size]
@@ -113,16 +114,14 @@ def _simulate(reservoir, circuit, inputs, multi_input, jobs, group_size=None) ->
     return [sm for group in _map(_simulate_group, work, jobs) for sm in group]
 
 
-def simulate_cases(cfg: ExperimentConfig, dataset: tasks.Dataset, jobs: int = 1,
-                   group_size: int | None = None) -> list:
+def simulate_cases(cfg: ExperimentConfig, dataset: tasks.Dataset, jobs: int = 1) -> list:
     """Drive the kernel for every dataset case, in index order.
 
-    ``group_size`` sets the cases per lane group; results are identical for
-    any grouping and worker count. A diverging case raises IntegrationError
-    naming the case and the step.
+    Results are identical for any worker count. A diverging case raises
+    IntegrationError naming the case and the step.
     """
     reservoir = _effective_reservoir(cfg, dataset)
-    return _simulate(reservoir, cfg.circuit, dataset.inputs, dataset.multi_input, jobs, group_size)
+    return _simulate(reservoir, cfg.circuit, dataset.inputs, dataset.multi_input, jobs)
 
 
 def build_dataset(cfg: ExperimentConfig) -> tasks.Dataset:

@@ -99,6 +99,14 @@ def per_case_states(cfg, dataset):
     return [run_case(raw, reservoir, cfg.circuit) for raw in dataset.inputs]
 
 
+def assert_same_states(got, want, key):
+    assert len(got) == len(want), key
+    for a, b in zip(got, want):
+        assert np.array_equal(a.values, b.values), key
+        assert np.array_equal(a.row_times, b.row_times), key
+        assert (a.n_mask, a.n_taps) == (b.n_mask, b.n_taps), key
+
+
 class TestSimulateCases:
     def test_configs_cover_both_hold_regimes(self):
         spe = {}
@@ -111,23 +119,35 @@ class TestSimulateCases:
         assert spe["square"] > 1
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_any_grouping_and_worker_count_matches_run_case(self, name, monkeypatch):
+    def test_any_lane_grouping_matches_run_case(self, name):
         cfg = CONFIGS[name]
         dataset = experiment.build_dataset(cfg)
         want = per_case_states(cfg, dataset)
-        got = {("default", 1): experiment.simulate_cases(cfg, dataset, jobs=1)}
-        # every group, however narrow, takes the lockstep kernel
-        monkeypatch.setattr(experiment, "LANE_CROSSOVER", 1)
-        for group_size in (1, 7, dataset.n_cases):
+        reservoir = experiment._effective_reservoir(cfg, dataset)
+        for size in (1, 7, dataset.n_cases):
+            got = []
+            for start in range(0, dataset.n_cases, size):
+                got += run_cases(dataset.inputs[start:start + size], reservoir,
+                                 cfg.circuit, per_coordinate=dataset.multi_input)
+            assert_same_states(got, want, size)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_any_worker_count_matches_run_case(self, name, monkeypatch):
+        cfg = CONFIGS[name]
+        dataset = experiment.build_dataset(cfg)
+        want = per_case_states(cfg, dataset)
+        # the default crossover keeps these small groups scalar; 1 forces lockstep
+        for crossover in (experiment.LANE_CROSSOVER, 1):
+            monkeypatch.setattr(experiment, "LANE_CROSSOVER", crossover)
             for jobs in (1, 2):
-                got[group_size, jobs] = experiment.simulate_cases(
-                    cfg, dataset, jobs=jobs, group_size=group_size)
-        for key, states in got.items():
-            assert len(states) == len(want), key
-            for a, b in zip(states, want):
-                assert np.array_equal(a.values, b.values), key
-                assert np.array_equal(a.row_times, b.row_times), key
-                assert (a.n_mask, a.n_taps) == (b.n_mask, b.n_taps), key
+                got = experiment.simulate_cases(cfg, dataset, jobs=jobs)
+                assert_same_states(got, want, (crossover, jobs))
+
+    def test_zero_jobs_runs_in_process(self):
+        cfg = CONFIGS["square"]
+        dataset = experiment.build_dataset(cfg)
+        got = experiment.simulate_cases(cfg, dataset, jobs=0)
+        assert_same_states(got, per_case_states(cfg, dataset), 0)
 
     def test_case_values_are_contiguous_views_of_one_block(self):
         cfg = CONFIGS["circles"]
@@ -165,12 +185,22 @@ class TestDivergence:
         assert case > 0  # earlier cases stay finite
         for crossover in (1, experiment.LANE_CROSSOVER):
             monkeypatch.setattr(experiment, "LANE_CROSSOVER", crossover)
-            for group_size in (1, 5, None):
-                for jobs in (1, 2):
-                    with pytest.raises(IntegrationError) as err:
-                        experiment.simulate_cases(cfg, dataset, jobs=jobs, group_size=group_size)
-                    assert (err.value.case_index, err.value.step_index) == (case, step)
-                    assert f"at step {step} in case {case}" in str(err.value)
+            for jobs in (1, 2):
+                with pytest.raises(IntegrationError) as err:
+                    experiment.simulate_cases(cfg, dataset, jobs=jobs)
+                assert (err.value.case_index, err.value.step_index) == (case, step)
+                assert f"at step {step} in case {case}" in str(err.value)
+
+    def test_lane_group_names_its_lowest_failing_case(self):
+        cfg = diverging_config()
+        dataset = experiment.build_dataset(cfg)
+        case, step = self.first_scalar_failure(cfg, dataset)
+        reservoir = experiment._effective_reservoir(cfg, dataset)
+        for size in (1, 5, dataset.n_cases):
+            start = case // size * size
+            with pytest.raises(IntegrationError) as err:
+                run_cases(dataset.inputs[start:start + size], reservoir, cfg.circuit)
+            assert (err.value.case_index, err.value.step_index) == (case - start, step)
 
     def test_failure_manifest_carries_the_message(self, tmp_path, monkeypatch):
         import json
