@@ -9,6 +9,7 @@ capacitor voltage ("v_cd") and the inductor terminal voltage ("v_l").
 from __future__ import annotations
 
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -284,25 +285,32 @@ def integrate(
             (v2 - v1) * inv_rc1 - idio * inv_c1,
         )
 
+    hh = 0.5 * h
+    h6 = h / 6.0
+    isfinite = math.isfinite
     il, v2, v1 = init.i_l, init.v_c2, init.v_c1
-    v_cd = np.empty(n_steps + 1)
-    v_l = np.empty(n_steps + 1)
+    # array('d') appends cost what list appends do and keep 8 bytes per
+    # sample instead of a float object; numpy item stores cost more
+    v_cd, v_l = array("d"), array("d")
+    tap_cd, tap_l = v_cd.append, v_l.append
+    # a, b, d: rates of (i_l, v_c2, v_c1) at the four RK4 stages
     for i in range(n_steps):
         u = vin[i]
-        v_cd[i] = v1
-        v_l[i] = v2 - rs * il - u
-        k1 = rates(il, v2, v1, u)
-        k2 = rates(il + 0.5 * h * k1[0], v2 + 0.5 * h * k1[1], v1 + 0.5 * h * k1[2], u)
-        k3 = rates(il + 0.5 * h * k2[0], v2 + 0.5 * h * k2[1], v1 + 0.5 * h * k2[2], u)
-        k4 = rates(il + h * k3[0], v2 + h * k3[1], v1 + h * k3[2], u)
-        il += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v2 += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        v1 += h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if not (math.isfinite(il) and math.isfinite(v2) and math.isfinite(v1)):
+        tap_cd(v1)
+        tap_l(v2 - rs * il - u)
+        a1, b1, d1 = rates(il, v2, v1, u)
+        a2, b2, d2 = rates(il + hh * a1, v2 + hh * b1, v1 + hh * d1, u)
+        a3, b3, d3 = rates(il + hh * a2, v2 + hh * b2, v1 + hh * d2, u)
+        a4, b4, d4 = rates(il + h * a3, v2 + h * b3, v1 + h * d3, u)
+        il += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        v2 += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        v1 += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        if not (isfinite(il) and isfinite(v2) and isfinite(v1)):
             raise IntegrationError(i)
-    v_cd[n_steps] = v1
-    v_l[n_steps] = v2 - rs * il - vin[n_steps]
-    return Trace(dt=dt, tap_names=(TAP_DIODE, TAP_INDUCTOR), channels=np.vstack([v_cd, v_l]))
+    tap_cd(v1)
+    tap_l(v2 - rs * il - vin[n_steps])
+    channels = np.vstack([np.frombuffer(v_cd), np.frombuffer(v_l)])
+    return Trace(dt=dt, tap_names=(TAP_DIODE, TAP_INDUCTOR), channels=channels)
 
 
 def integrate_lanes(
@@ -589,39 +597,38 @@ def snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
     return 10.0 * math.log10(signal_power / noise_power)
 
 
+def _write_csv(path, header, row_format: str, columns, config_digest: str | None = None) -> None:
+    """Stream a CSV artefact: an optional `# config_digest=` line, the header,
+    then ``row_format % row`` for each row of the float ``columns``.
+
+    Columns are converted to Python floats once, so `%r` gives full
+    round-trip precision; rows are written as they are formatted.
+    """
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    with open(path, "w") as fh:
+        if config_digest:
+            fh.write(f"# config_digest={config_digest}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(row_format.__mod__, zip(*columns)))
+
+
 def trace_to_csv(trace: Trace, path, config_digest: str | None = None) -> None:
     """Write a trace as CSV (`t,<tap1>,<tap2>`).
 
     Times carry 13 significant digits; voltages use full round-trip
     precision.
     """
-    with open(path, "w") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("t," + ",".join(trace.tap_names) + "\n")
-        times = trace.times
-        cols = trace.channels
-        for i in range(trace.n_samples):
-            fh.write(f"{times[i]:.12e},"
-                     + ",".join(repr(float(c)) for c in cols[:, i]) + "\n")
+    row = "%.12e" + ",%r" * len(trace.tap_names) + "\n"
+    _write_csv(path, ("t", *trace.tap_names), row, (trace.times, *trace.channels), config_digest)
 
 
 def bifurcation_to_csv(points: list, path, config_digest: str | None = None) -> None:
     """Write scan results as `param,extremum_value` rows (failed points skipped)."""
-    with open(path, "w") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("param,extremum_value\n")
-        for pt in points:
-            for e in pt.extrema:
-                fh.write(f"{repr(pt.value)},{repr(float(e))}\n")
+    params = [pt.value for pt in points for _ in pt.extrema]
+    extrema = [e for pt in points for e in pt.extrema.tolist()]
+    _write_csv(path, ("param", "extremum_value"), "%r,%r\n", (params, extrema), config_digest)
 
 
 def spectrum_to_csv(freqs: np.ndarray, mags: np.ndarray, path, config_digest: str | None = None) -> None:
     """Write a spectrum as `freq_hz,magnitude` rows."""
-    with open(path, "w") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("freq_hz,magnitude\n")
-        for f, m in zip(freqs, mags):
-            fh.write(f"{repr(float(f))},{repr(float(m))}\n")
+    _write_csv(path, ("freq_hz", "magnitude"), "%r,%r\n", (freqs, mags), config_digest)

@@ -83,15 +83,10 @@ def _cmd_bifurcate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
-    header, rows, _ = plots._read_csv(args.trace)
-    if args.tap not in header:
-        raise ConfigurationError("tap", f"{args.tap} not in trace columns {header}")
-    if len(rows) < 2:
+    _, table, _ = plots._read_csv(args.trace, ["t", args.tap], finite=True)
+    if len(table) < 2:
         raise ConfigurationError("trace", "need at least 2 samples")
-    idx = header.index(args.tap)
-    t0, t1 = float(rows[0][0]), float(rows[1][0])
-    samples = [float(r[idx]) for r in rows]
-    freqs, mags = circ.power_spectrum(samples, t1 - t0)
+    freqs, mags = circ.power_spectrum(table[:, 1], float(table[1, 0] - table[0, 0]))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "spectrum.csv"

@@ -8,7 +8,10 @@ No numeric transformation beyond axis scaling.
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -17,36 +20,64 @@ MARGIN = 60
 PLOT_W, PLOT_H = WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN
 
 
-def _read_csv(path):
+def _read_header(fh, path):
+    """Skip comment and blank lines up to the header; returns (header, digest)."""
     digest = None
+    for line in iter(fh.readline, ""):
+        if line.startswith("#"):
+            if "config_digest=" in line:
+                digest = line.split("config_digest=", 1)[1].strip()
+        elif line.strip():
+            return line.rstrip("\n").split(","), digest
+    raise ConfigurationError("csv", f"{path}: no header row")
+
+
+def _read_csv(path, columns=None, finite=False):
+    """Parse a CSV artefact into (header, float table, config digest).
+
+    The table holds the named ``columns`` (all when None), in that order, with
+    one row per data row. A missing column, an empty or non-numeric cell, a
+    short row, no data rows or, with ``finite``, a NaN or infinity raises
+    ConfigurationError naming the file.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    rows = []
-    header = None
-    for ln in lines:
-        if ln.startswith("#"):
-            if "config_digest=" in ln:
-                digest = ln.split("config_digest=", 1)[1].strip()
-            continue
-        if header is None:
-            header = ln.split(",")
-        else:
-            rows.append(ln.split(","))
-    if header is None:
-        raise ConfigurationError("csv", f"{path} has no header row")
-    return header, rows, digest
+        header, digest = _read_header(fh, path)
+        names = header if columns is None else columns
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise ConfigurationError("csv", f"{path}: no column {missing[0]!r} in {header}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2,
+                                   usecols=[header.index(c) for c in names])
+            except ValueError as exc:
+                raise ConfigurationError("csv", f"{path}: {exc}") from None
+    if table.shape[0] == 0:
+        raise ConfigurationError("csv", f"{path}: no data rows")
+    if finite and not np.isfinite(table).all():
+        raise ConfigurationError("csv", f"{path}: non-finite value in columns {names}")
+    return header, table, digest
 
 
 def _scale(values, lo_px, hi_px):
-    vmin, vmax = min(values), max(values)
+    """Pixel positions of ``values`` on [lo_px, hi_px] (an array), with the
+    data range as min() and max() pick it.
+
+    For a list, NaN and signed zeros pick the range in list order. An array
+    must be NaN-free (line plots reject non-finite data); its first minimum
+    and maximum are what min() and max() return for it.
+    """
+    if isinstance(values, np.ndarray):
+        vmin, vmax = values[values.argmin()].item(), values[values.argmax()].item()
+    else:
+        vmin, vmax = min(values), max(values)
     if vmax == vmin:
         vmax = vmin + 1.0
     span = vmax - vmin
-
-    def to_px(v):
-        return lo_px + (v - vmin) / span * (hi_px - lo_px)
-
-    return to_px, vmin, vmax
+    with np.errstate(all="ignore"):
+        px = lo_px + (np.asarray(values, dtype=float) - vmin) / span * (hi_px - lo_px)
+    return px, vmin, vmax
 
 
 def _svg_header(title, digest):
@@ -75,24 +106,24 @@ def _axes(x_label, y_label, xmin, xmax, ymin, ymax):
 
 
 def _scatter_svg(xs, ys, x_label, y_label, title, digest):
-    to_x, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
-    to_y, ymin, ymax = _scale(ys, HEIGHT - MARGIN, MARGIN)
-    dots = "".join(
-        f'<circle cx="{to_x(x):.2f}" cy="{to_y(y):.2f}" r="1.4" fill="steelblue"/>'
-        for x, y in zip(xs, ys)
-    )
+    px, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
+    py, ymin, ymax = _scale(ys, HEIGHT - MARGIN, MARGIN)
+    dots = "".join(map('<circle cx="{:.2f}" cy="{:.2f}" r="1.4" fill="steelblue"/>'.format,
+                       px.tolist(), py.tolist()))
     return (_svg_header(title, digest) + _axes(x_label, y_label, xmin, xmax, ymin, ymax)
             + dots + "</svg>")
 
 
 def _line_svg(xs, series, x_label, y_label, title, digest):
-    to_x, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
-    flat = [v for ys in series.values() for v in ys]
-    to_y, ymin, ymax = _scale(flat, HEIGHT - MARGIN, MARGIN)
+    px, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
+    x_text = list(map("{:.2f}".format, px.tolist()))  # shared by every series
+    py, ymin, ymax = _scale(np.concatenate(list(series.values())), HEIGHT - MARGIN, MARGIN)
     colors = ("steelblue", "firebrick", "seagreen", "darkorange")
     paths = []
+    start = 0
     for i, (name, ys) in enumerate(series.items()):
-        pts = " ".join(f"{to_x(x):.2f},{to_y(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(map("{},{:.2f}".format, x_text, py[start:start + len(ys)].tolist()))
+        start += len(ys)
         color = colors[i % len(colors)]
         paths.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
         paths.append(
@@ -145,12 +176,12 @@ def _histogram_svg(values, x_label, title, digest, n_bins=20):
     for v in values:
         idx = min(n_bins - 1, int((v - vmin) / width))
         counts[idx] += 1
-    to_x, *_ = _scale(edges, MARGIN, WIDTH - MARGIN)
+    ex = _scale(edges, MARGIN, WIDTH - MARGIN)[0].tolist()
     peak = max(counts) or 1
     bars = []
     for i, c in enumerate(counts):
-        x0 = to_x(edges[i])
-        x1 = to_x(edges[i + 1])
+        x0 = ex[i]
+        x1 = ex[i + 1]
         h = PLOT_H * c / peak
         bars.append(
             f'<rect x="{x0:.2f}" y="{HEIGHT-MARGIN-h:.2f}" width="{x1-x0:.2f}" '
@@ -166,6 +197,30 @@ def _histogram_svg(values, x_label, title, digest, n_bins=20):
     return (header + _axes(x_label, "count", vmin, vmax, 0, peak) + "".join(bars) + "</svg>")
 
 
+#: Columns each plot kind reads (None: all, the first being time).
+_KIND_COLUMNS = {
+    "bifurcation": ["param", "extremum_value"],
+    "spectrum": ["freq_hz", "magnitude"],
+    "sweep": ["r_ohms", "v_center", "mean_nmse"],
+    "histogram": ["nmse"],
+    "trace": None,
+}
+
+
+def _detect_kind(header):
+    if header == ["param", "extremum_value"]:
+        return "bifurcation"
+    if header == ["freq_hz", "magnitude"]:
+        return "spectrum"
+    if header[-3:] == ["r_ohms", "v_center", "mean_nmse"]:
+        return "sweep"
+    if "nmse" in header:
+        return "histogram"
+    if header and header[0] == "t":
+        return "trace"
+    raise ConfigurationError("csv", f"unrecognised schema {header}")
+
+
 def render_plot(csv_path, out_path, kind: str | None = None) -> str:
     """Render a recognised CSV artifact to SVG; returns the detected kind.
 
@@ -174,43 +229,29 @@ def render_plot(csv_path, out_path, kind: str | None = None) -> str:
     (`[n_mask,]r_ohms,v_center,mean_nmse`), per-case histogram (any header
     with an `nmse` column), and multi-channel traces (`t,...`).
     """
-    header, rows, digest = _read_csv(csv_path)
-    cols = {name: i for i, name in enumerate(header)}
-
-    def col(name):
-        return [float(r[cols[name]]) for r in rows]
-
     if kind is None:
-        if header == ["param", "extremum_value"]:
-            kind = "bifurcation"
-        elif header == ["freq_hz", "magnitude"]:
-            kind = "spectrum"
-        elif header[-3:] == ["r_ohms", "v_center", "mean_nmse"]:
-            kind = "sweep"
-        elif "nmse" in cols:
-            kind = "histogram"
-        elif header and header[0] == "t":
-            kind = "trace"
-        else:
-            raise ConfigurationError("csv", f"unrecognised schema {header}")
+        with open(csv_path) as fh:
+            header, _ = _read_header(fh, csv_path)
+        kind = _detect_kind(header)
+    if kind not in _KIND_COLUMNS:
+        raise ConfigurationError("kind", f"unknown plot kind {kind}")
+    lines = kind in ("spectrum", "trace")
+    header, table, digest = _read_csv(csv_path, _KIND_COLUMNS[kind], finite=lines)
+    # line plots scale whole columns as arrays; the other kinds take lists,
+    # so their min/max and NaN handling follow Python's
+    cols = list(table.T) if lines else table.T.tolist()
 
     if kind == "bifurcation":
-        svg = _scatter_svg(col("param"), col("extremum_value"),
-                           "parameter", "extremum (V)", "bifurcation scan", digest)
+        svg = _scatter_svg(cols[0], cols[1], "parameter", "extremum (V)", "bifurcation scan", digest)
     elif kind == "spectrum":
-        svg = _line_svg(col("freq_hz"), {"magnitude": col("magnitude")},
+        svg = _line_svg(cols[0], {"magnitude": cols[1]},
                         "frequency (Hz)", "|X|", "power spectrum", digest)
     elif kind == "sweep":
-        svg = _heatmap_svg(col("r_ohms"), col("v_center"), col("mean_nmse"),
-                           "resistance (ohm)", "centre voltage (V)", "sweep mean NMSE", digest)
+        svg = _heatmap_svg(*cols, "resistance (ohm)", "centre voltage (V)", "sweep mean NMSE", digest)
     elif kind == "histogram":
-        svg = _histogram_svg(col("nmse"), "NMSE", "validation NMSE distribution", digest)
-    elif kind == "trace":
-        xs = col("t")
-        series = {name: col(name) for name in header[1:]}
-        svg = _line_svg(xs, series, "time (s)", "volts", "trace", digest)
+        svg = _histogram_svg(cols[0], "NMSE", "validation NMSE distribution", digest)
     else:
-        raise ConfigurationError("kind", f"unknown plot kind {kind}")
+        svg = _line_svg(cols[0], dict(zip(header[1:], cols[1:])), "time (s)", "volts", "trace", digest)
 
     Path(out_path).write_text(svg)
     return kind

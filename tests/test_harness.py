@@ -304,6 +304,57 @@ class TestPlots:
             render_plot(csv, tmp_path / "odd.svg")
 
 
+MALFORMED_TRACES = {
+    "header_only": "# config_digest=ab\nt,v_cd,v_l\n",
+    "non_numeric": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,abc,0.1\n2e-06,0.15,0.05\n",
+    "ragged": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06\n2e-06,0.15,0.05\n",
+    "nan": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,nan,0.1\n2e-06,0.15,0.05\n",
+    "inf": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,-inf,0.05\n",
+}
+
+
+class TestMalformedCsv:
+    """A malformed trace or spectrum CSV is a validation error (exit 1) that
+    names the file, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+    def test_plot(self, tmp_path, capsys, case):
+        csv = tmp_path / "trace.csv"
+        csv.write_text(MALFORMED_TRACES[case])
+        assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "t.svg")]) == 1
+        assert f"csv: {csv}:" in capsys.readouterr().err
+        assert not (tmp_path / "t.svg").exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+    def test_spectrum(self, tmp_path, capsys, case):
+        csv = tmp_path / "trace.csv"
+        csv.write_text(MALFORMED_TRACES[case])
+        assert main(["spectrum", "--trace", str(csv), "--tap", "v_cd",
+                     "--out", str(tmp_path), "--profile", "desk"]) == 1
+        assert f"csv: {csv}:" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("case", ["nan", "inf"])
+    def test_plot_spectrum_csv_non_finite(self, tmp_path, capsys, case):
+        csv = tmp_path / "spectrum.csv"
+        csv.write_text(f"freq_hz,magnitude\n0.0,1.0\n100.0,{case}\n")
+        assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "s.svg")]) == 1
+        assert f"csv: {csv}:" in capsys.readouterr().err
+
+    def test_missing_tap(self, tmp_path, capsys):
+        csv = tmp_path / "trace.csv"
+        csv.write_text("t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n")
+        assert main(["spectrum", "--trace", str(csv), "--tap", "v_x",
+                     "--out", str(tmp_path), "--profile", "desk"]) == 1
+        assert "'v_x'" in capsys.readouterr().err
+
+    def test_histogram_ignores_text_columns(self, tmp_path):
+        # only the nmse column is parsed; a bad cell elsewhere is not read
+        csv = tmp_path / "cases.csv"
+        csv.write_text("case,split,target_0,estimate_0,nmse\n0,val,x,1.0,0.5\n1,train,1.0,1.1,0.25\n")
+        assert render_plot(csv, tmp_path / "h.svg") == "histogram"
+
+
 class TestCli:
     def test_show_config(self, capsys):
         assert main(["show-config", "--profile", "desk"]) == 0
