@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -549,6 +548,9 @@ def _map(fn, items, jobs: int) -> list:
     jobs > 1; results come back in the order of ``items``."""
     items = list(items)
     if jobs > 1 and len(items) > 1:
+        # imported here: it pulls in multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

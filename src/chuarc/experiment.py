@@ -209,10 +209,22 @@ def run_experiment(
 
 
 def _write_case_csv(path, dataset, states, weight, report, digest):
-    """All cases with estimates; metrics derive from the split == val rows."""
+    """All cases with estimates; metrics derive from the split == val rows.
+
+    Validation rows reuse the report's estimates and scores; train cases are
+    predicted here and scored with one nmse call.
+    """
     n_out = report.targets.shape[1]
-    val_set = set(int(i) for i in report.val_idx)
-    val_scores = {int(i): report.per_case_nmse[k] for k, i in enumerate(report.val_idx)}
+    teachers = [np.atleast_1d(np.asarray(t, dtype=float)) for t in dataset.teachers]
+    val_idx = report.val_idx.tolist()
+    val_set = set(val_idx)
+    estimates = dict(zip(val_idx, report.estimates))
+    scores = dict(zip(val_idx, report.per_case_nmse.tolist()))
+    train_idx = [i for i in range(len(states)) if i not in val_set]
+    train_est = [predict(weight, states[i]) for i in train_idx]
+    train_scores = nmse(train_est, [teachers[i] for i in train_idx]).scores
+    estimates.update(zip(train_idx, train_est))
+    scores.update(zip(train_idx, train_scores.tolist()))
     with open(path, "w") as fh:
         fh.write(f"# config_digest={digest}\n")
         header = ["case", "split"]
@@ -220,17 +232,11 @@ def _write_case_csv(path, dataset, states, weight, report, digest):
         header += [f"estimate_{j}" for j in range(n_out)]
         header.append("nmse")
         fh.write(",".join(header) + "\n")
-        for i, sm in enumerate(states):
-            est = predict(weight, sm)
-            teacher = np.atleast_1d(np.asarray(dataset.teachers[i], dtype=float))
-            split = "val" if i in val_set else "train"
-            score = val_scores.get(i)
-            if score is None:
-                score = nmse([est], [teacher]).scores[0]
-            row = [str(i), split]
-            row += [repr(float(t)) for t in teacher]
-            row += [repr(float(e)) for e in est]
-            row.append(repr(float(score)))
+        for i in range(len(states)):
+            row = [str(i), "val" if i in val_set else "train"]
+            row += [repr(float(t)) for t in teachers[i]]
+            row += [repr(float(e)) for e in estimates[i]]
+            row.append(repr(scores[i]))
             fh.write(",".join(row) + "\n")
 
 

@@ -60,6 +60,24 @@ def _read_csv(path, columns=None, finite=False):
     return header, table, digest
 
 
+class _Unscalable(ValueError):
+    """A data range with no finite, nonzero span: it has no pixel scale."""
+
+
+def _span(vmin, vmax, parts=1):
+    """(vmax, (vmax - vmin) / parts), vmax widened by 1.0 when it equals vmin.
+
+    Raises _Unscalable when that step is not finite or is zero (a range such
+    as [-1e308, 1e308], or a constant 1e20 that the widening cannot move).
+    """
+    if vmax == vmin:
+        vmax = vmin + 1.0
+    step = (vmax - vmin) / parts
+    if not 0.0 < step < math.inf:
+        raise _Unscalable(f"data range [{vmin!r}, {vmax!r}] cannot be scaled")
+    return vmax, step
+
+
 def _scale(values, lo_px, hi_px):
     """Pixel positions of ``values`` on [lo_px, hi_px] (an array), with the
     data range as min() and max() pick it.
@@ -72,12 +90,65 @@ def _scale(values, lo_px, hi_px):
         vmin, vmax = values[values.argmin()].item(), values[values.argmax()].item()
     else:
         vmin, vmax = min(values), max(values)
-    if vmax == vmin:
-        vmax = vmin + 1.0
-    span = vmax - vmin
+    vmax, span = _span(vmin, vmax)
     with np.errstate(all="ignore"):
         px = lo_px + (np.asarray(values, dtype=float) - vmin) / span * (hi_px - lo_px)
     return px, vmin, vmax
+
+
+def _fixed2(values):
+    """The text of ``"{:.2f}".format(v)`` for each v of a float array in
+    [0, 2**40), as a uint8 matrix of right-aligned cells and the mask of the
+    characters to keep (leading zeros are dropped).
+
+    v is M * 2**-k exactly, with M the 53-bit mantissa from frexp, so 100*v
+    rounds half to even in int64 arithmetic: q = (100*M) >> k, with the
+    remainder compared against 2**(k-1). That is the rounding str.format
+    applies to the exact binary value (0.125 -> "0.12", 0.375 -> "0.38").
+    """
+    v = np.asarray(values, dtype=float)
+    if (np.signbit(v) | ~(v < 2.0**40)).any():  # also -0.0, which formats as "-0.00"
+        raise ValueError("fixed-point text needs values in [0, 2**40)")
+    mant, exp = np.frexp(v)
+    # k >= 62 leaves 100*M < 2**60 below half a unit: it rounds to 0 there too
+    k = np.minimum(53 - exp.astype(np.int64), 62)
+    scaled = (mant * 2.0**53).astype(np.int64) * 100
+    one = np.int64(1)
+    q = scaled >> k
+    rem = scaled & ((one << k) - 1)
+    half = one << (k - 1)
+    q += (rem > half) | ((rem == half) & (q & 1 == 1))
+    whole, cents = np.divmod(q, 100)
+    width = len(str(int(whole.max(initial=0))))
+    cells = np.empty((v.size, width + 3), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    rest = whole
+    for j in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        cells[:, j] = digit + 48
+        if j < width - 1:
+            keep[:, j] = whole >= 10 ** (width - 1 - j)
+    cells[:, width] = ord(".")
+    cells[:, width + 1] = cents // 10 + 48
+    cells[:, width + 2] = cents % 10 + 48
+    return cells, keep
+
+
+def _rows_text(pieces, *columns):
+    """``"".join(pieces[0] + c0 + pieces[1] + c1 + ... + pieces[-1])`` over
+    the rows of ``columns``, each a ``_fixed2`` (cells, keep) pair."""
+    n = columns[0][0].shape[0]
+    chars, keep = [], []
+    for i, text in enumerate(pieces):
+        if text:
+            lit = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+            chars.append(np.broadcast_to(lit, (n, lit.size)))
+            keep.append(np.broadcast_to(True, (n, lit.size)))
+        if i < len(columns):
+            chars.append(columns[i][0])
+            keep.append(columns[i][1])
+    chars, keep = np.concatenate(chars, axis=1), np.concatenate(keep, axis=1)
+    return chars[keep].tobytes().decode("ascii")
 
 
 def _svg_header(title, digest):
@@ -108,21 +179,21 @@ def _axes(x_label, y_label, xmin, xmax, ymin, ymax):
 def _scatter_svg(xs, ys, x_label, y_label, title, digest):
     px, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
     py, ymin, ymax = _scale(ys, HEIGHT - MARGIN, MARGIN)
-    dots = "".join(map('<circle cx="{:.2f}" cy="{:.2f}" r="1.4" fill="steelblue"/>'.format,
-                       px.tolist(), py.tolist()))
+    dots = _rows_text(('<circle cx="', '" cy="', '" r="1.4" fill="steelblue"/>'),
+                      _fixed2(px), _fixed2(py))
     return (_svg_header(title, digest) + _axes(x_label, y_label, xmin, xmax, ymin, ymax)
             + dots + "</svg>")
 
 
 def _line_svg(xs, series, x_label, y_label, title, digest):
     px, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
-    x_text = list(map("{:.2f}".format, px.tolist()))  # shared by every series
+    x_text = _fixed2(px)  # shared by every series
     py, ymin, ymax = _scale(np.concatenate(list(series.values())), HEIGHT - MARGIN, MARGIN)
     colors = ("steelblue", "firebrick", "seagreen", "darkorange")
     paths = []
     start = 0
     for i, (name, ys) in enumerate(series.items()):
-        pts = " ".join(map("{},{:.2f}".format, x_text, py[start:start + len(ys)].tolist()))
+        pts = _rows_text(("", ",", " "), x_text, _fixed2(py[start:start + len(ys)]))[:-1]
         start += len(ys)
         color = colors[i % len(colors)]
         paths.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
@@ -167,10 +238,8 @@ def _heatmap_svg(xs, ys, values, x_label, y_label, title, digest):
 
 
 def _histogram_svg(values, x_label, title, digest, n_bins=20):
-    vmin, vmax = min(values), max(values)
-    if vmax == vmin:
-        vmax = vmin + 1.0
-    width = (vmax - vmin) / n_bins
+    vmin = min(values)
+    vmax, width = _span(vmin, max(values), n_bins)
     edges = [vmin + i * width for i in range(n_bins + 1)]
     counts = [0] * n_bins
     for v in values:
@@ -235,23 +304,30 @@ def render_plot(csv_path, out_path, kind: str | None = None) -> str:
         kind = _detect_kind(header)
     if kind not in _KIND_COLUMNS:
         raise ConfigurationError("kind", f"unknown plot kind {kind}")
-    lines = kind in ("spectrum", "trace")
-    header, table, digest = _read_csv(csv_path, _KIND_COLUMNS[kind], finite=lines)
+    # every kind but the sweep heatmap, which draws failed (NaN) cells grey,
+    # needs finite data to scale
+    header, table, digest = _read_csv(csv_path, _KIND_COLUMNS[kind], finite=kind != "sweep")
     # line plots scale whole columns as arrays; the other kinds take lists,
-    # so their min/max and NaN handling follow Python's
-    cols = list(table.T) if lines else table.T.tolist()
+    # so their min/max follow Python's
+    cols = list(table.T) if kind in ("spectrum", "trace") else table.T.tolist()
 
-    if kind == "bifurcation":
-        svg = _scatter_svg(cols[0], cols[1], "parameter", "extremum (V)", "bifurcation scan", digest)
-    elif kind == "spectrum":
-        svg = _line_svg(cols[0], {"magnitude": cols[1]},
-                        "frequency (Hz)", "|X|", "power spectrum", digest)
-    elif kind == "sweep":
-        svg = _heatmap_svg(*cols, "resistance (ohm)", "centre voltage (V)", "sweep mean NMSE", digest)
-    elif kind == "histogram":
-        svg = _histogram_svg(cols[0], "NMSE", "validation NMSE distribution", digest)
-    else:
-        svg = _line_svg(cols[0], dict(zip(header[1:], cols[1:])), "time (s)", "volts", "trace", digest)
+    try:
+        if kind == "bifurcation":
+            svg = _scatter_svg(cols[0], cols[1], "parameter", "extremum (V)",
+                               "bifurcation scan", digest)
+        elif kind == "spectrum":
+            svg = _line_svg(cols[0], {"magnitude": cols[1]},
+                            "frequency (Hz)", "|X|", "power spectrum", digest)
+        elif kind == "sweep":
+            svg = _heatmap_svg(*cols, "resistance (ohm)", "centre voltage (V)",
+                               "sweep mean NMSE", digest)
+        elif kind == "histogram":
+            svg = _histogram_svg(cols[0], "NMSE", "validation NMSE distribution", digest)
+        else:
+            svg = _line_svg(cols[0], dict(zip(header[1:], cols[1:])),
+                            "time (s)", "volts", "trace", digest)
+    except _Unscalable as exc:
+        raise ConfigurationError("csv", f"{csv_path}: {exc}") from None
 
     Path(out_path).write_text(svg)
     return kind

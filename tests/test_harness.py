@@ -2,11 +2,16 @@
 weight persistence, SVG rendering, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chuarc import experiment
 from chuarc.cli import main
 from chuarc.config import (
     ExperimentConfig,
@@ -26,8 +31,11 @@ from chuarc.experiment import (
     save_weight,
     sweep_to_csv,
 )
-from chuarc.pipeline import predict, train_readout
+from chuarc.pipeline import nmse, predict, train_readout
 from chuarc.plots import render_plot
+
+#: where the chuarc under test is imported from, for subprocesses
+SRC = str(Path(experiment.__file__).resolve().parents[1])
 
 
 def tiny_config(tmp_path, kind="polynomial", **overrides) -> ExperimentConfig:
@@ -84,6 +92,25 @@ class TestConfig:
         assert cfg.n_cases == 9 and cfg.profile == "desk"
 
 
+def _reference_case_csv(path, dataset, states, weight, report, digest):
+    """cases.csv as written case by case: predict and score every case alone."""
+    val_scores = dict(zip(report.val_idx.tolist(), report.per_case_nmse.tolist()))
+    n_out = report.targets.shape[1]
+    lines = [f"# config_digest={digest}",
+             ",".join(["case", "split"] + [f"target_{j}" for j in range(n_out)]
+                      + [f"estimate_{j}" for j in range(n_out)] + ["nmse"])]
+    for i, sm in enumerate(states):
+        est = predict(weight, sm)
+        teacher = np.atleast_1d(np.asarray(dataset.teachers[i], dtype=float))
+        score = val_scores.get(i)
+        if score is None:
+            score = nmse([est], [teacher]).scores[0]
+        lines.append(",".join([str(i), "val" if i in val_scores else "train"]
+                              + [repr(float(t)) for t in teacher]
+                              + [repr(float(e)) for e in est] + [repr(float(score))]))
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestExperiment:
     def test_report_mean_matches_csv(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -107,6 +134,40 @@ class TestExperiment:
         run_experiment(cfg_b, jobs=1)
         assert (tmp_path / "a" / "cases.csv").read_bytes() == (tmp_path / "b" / "cases.csv").read_bytes()
         assert (tmp_path / "a" / "weight.json").read_bytes() == (tmp_path / "b" / "weight.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["polynomial", "lwe-encrypt"])
+    def test_case_csv_matches_per_case_reference(self, tmp_path, monkeypatch, kind):
+        # the writer reuses the report's validation rows; the reference
+        # predicts and scores every case on its own
+        captured = []
+        real = experiment._write_case_csv
+
+        def capture(path, *args):
+            captured.append(args)
+            real(path, *args)
+
+        monkeypatch.setattr(experiment, "_write_case_csv", capture)
+        run_experiment(tiny_config(tmp_path, kind), jobs=1)
+        reference = tmp_path / "reference.csv"
+        _reference_case_csv(reference, *captured[0])
+        assert (tmp_path / "out" / "cases.csv").read_bytes() == reference.read_bytes()
+
+    def test_case_csv_predicts_each_case_once(self, tmp_path, monkeypatch):
+        calls = {"predict": 0, "nmse": 0}
+        for name in calls:
+            real = getattr(experiment, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(experiment, name, counted)
+        cfg = tiny_config(tmp_path)
+        report = run_experiment(cfg, jobs=1, write_artifacts=False)
+        assert calls == {"predict": report.val_idx.size, "nmse": 1}
+        calls.update(predict=0, nmse=0)
+        run_experiment(cfg, jobs=1)
+        assert calls == {"predict": cfg.n_cases, "nmse": 2}
 
     def test_different_seed_changes_results(self, tmp_path):
         r1 = run_experiment(tiny_config(tmp_path, out_dir=str(tmp_path / "s1")), jobs=1)
@@ -312,6 +373,15 @@ MALFORMED_TRACES = {
     "inf": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,-inf,0.05\n",
 }
 
+#: Finite data whose range has no pixel scale.
+UNSCALABLE = {
+    # the span overflows to inf
+    "wide_trace": "t,v_cd\n0.0,-1e308\n1e-06,1e308\n",
+    # vmin + 1.0 == vmin: the widened span is still zero
+    "constant_trace": "t,v_cd\n0.0,1e20\n1e-06,1e20\n",
+    "constant_histogram": "case,split,nmse\n0,val,1e20\n1,val,1e20\n",
+}
+
 
 class TestMalformedCsv:
     """A malformed trace or spectrum CSV is a validation error (exit 1) that
@@ -354,8 +424,39 @@ class TestMalformedCsv:
         csv.write_text("case,split,target_0,estimate_0,nmse\n0,val,x,1.0,0.5\n1,train,1.0,1.1,0.25\n")
         assert render_plot(csv, tmp_path / "h.svg") == "histogram"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_plot_histogram_non_finite(self, tmp_path, capsys, value):
+        csv = tmp_path / "cases.csv"
+        csv.write_text(f"case,split,target_0,estimate_0,nmse\n0,val,1.0,1.1,0.5\n1,val,1.0,1.2,{value}\n")
+        assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "h.svg")]) == 1
+        assert f"csv: {csv}:" in capsys.readouterr().err
+        assert not (tmp_path / "h.svg").exists()
+
+    def test_plot_bifurcation_nan_extremum(self, tmp_path, capsys):
+        csv = tmp_path / "bifurcation.csv"
+        csv.write_text("param,extremum_value\n1600.0,0.5\n1700.0,nan\n")
+        assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "b.svg")]) == 1
+        assert f"csv: {csv}:" in capsys.readouterr().err
+        assert not (tmp_path / "b.svg").exists()
+
+    @pytest.mark.parametrize("case", sorted(UNSCALABLE))
+    def test_plot_unscalable_range(self, tmp_path, capsys, case):
+        csv = tmp_path / f"{case}.csv"
+        csv.write_text(UNSCALABLE[case])
+        assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "u.svg")]) == 1
+        err = capsys.readouterr().err
+        assert f"csv: {csv}:" in err and "cannot be scaled" in err
+        assert not (tmp_path / "u.svg").exists()
+
 
 class TestCli:
+    def test_import_starts_no_pool_machinery(self):
+        code = ("import sys, chuarc.cli; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+        assert out.strip() == "[]"
+
     def test_show_config(self, capsys):
         assert main(["show-config", "--profile", "desk"]) == 0
         out = capsys.readouterr().out
