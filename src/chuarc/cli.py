@@ -83,7 +83,7 @@ def _cmd_bifurcate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
-    _, table, _ = plots._read_csv(args.trace, ["t", args.tap], finite=True)
+    _, table, _ = plots._read_csv(args.trace, ["t", args.tap])
     if len(table) < 2:
         raise ConfigurationError("trace", "need at least 2 samples")
     freqs, mags = circ.power_spectrum(table[:, 1], float(table[1, 0] - table[0, 0]))

@@ -34,11 +34,11 @@ ENV_JOBS = "CHUARC_JOBS"
 
 #: Narrowest lane group (cases, times coordinates for multi-input tasks) that
 #: runs the lockstep kernel. A lockstep step costs ~50 us of numpy call
-#: overhead however few lanes it has, against ~2.5 us per lane-step for the
+#: overhead however few lanes it has, against ~2 us per lane-step for the
 #: scalar loop, so narrower groups run faster case by case through run_case
-#: (measured break-even on a 2-vCPU VM: 17-20 lanes; 24 leaves a margin for
-#: host noise).
-LANE_CROSSOVER = 24
+#: (measured break-even on desk groups on a 2-vCPU VM: 24-32 lanes; 32 leaves
+#: a margin for host noise).
+LANE_CROSSOVER = 32
 
 
 def default_jobs() -> int:

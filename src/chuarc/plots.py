@@ -32,13 +32,13 @@ def _read_header(fh, path):
     raise ConfigurationError("csv", f"{path}: no header row")
 
 
-def _read_csv(path, columns=None, finite=False):
+def _read_csv(path, columns=None, nan_column=None):
     """Parse a CSV artefact into (header, float table, config digest).
 
     The table holds the named ``columns`` (all when None), in that order, with
     one row per data row. A missing column, an empty or non-numeric cell, a
-    short row, no data rows or, with ``finite``, a NaN or infinity raises
-    ConfigurationError naming the file.
+    short row, no data rows, or a NaN or infinity (other than a NaN in
+    ``nan_column``) raises ConfigurationError naming the file.
     """
     with open(path) as fh:
         header, digest = _read_header(fh, path)
@@ -55,8 +55,13 @@ def _read_csv(path, columns=None, finite=False):
                 raise ConfigurationError("csv", f"{path}: {exc}") from None
     if table.shape[0] == 0:
         raise ConfigurationError("csv", f"{path}: no data rows")
-    if finite and not np.isfinite(table).all():
-        raise ConfigurationError("csv", f"{path}: non-finite value in columns {names}")
+    finite = np.isfinite(table)
+    if nan_column is not None:
+        j = names.index(nan_column)
+        finite[:, j] |= np.isnan(table[:, j])
+    if not finite.all():
+        column = names[finite.all(axis=0).argmin()]
+        raise ConfigurationError("csv", f"{path}: non-finite value in column {column!r}")
     return header, table, digest
 
 
@@ -266,11 +271,12 @@ def _histogram_svg(values, x_label, title, digest, n_bins=20):
     return (header + _axes(x_label, "count", vmin, vmax, 0, peak) + "".join(bars) + "</svg>")
 
 
-#: Columns each plot kind reads (None: all, the first being time).
+#: Columns each plot kind reads (None: all; a trace's first is time, a
+#: sweep's last three are r_ohms, v_center, mean_nmse after an optional n_mask).
 _KIND_COLUMNS = {
     "bifurcation": ["param", "extremum_value"],
     "spectrum": ["freq_hz", "magnitude"],
-    "sweep": ["r_ohms", "v_center", "mean_nmse"],
+    "sweep": None,
     "histogram": ["nmse"],
     "trace": None,
 }
@@ -304,9 +310,10 @@ def render_plot(csv_path, out_path, kind: str | None = None) -> str:
         kind = _detect_kind(header)
     if kind not in _KIND_COLUMNS:
         raise ConfigurationError("kind", f"unknown plot kind {kind}")
-    # every kind but the sweep heatmap, which draws failed (NaN) cells grey,
-    # needs finite data to scale
-    header, table, digest = _read_csv(csv_path, _KIND_COLUMNS[kind], finite=kind != "sweep")
+    # plots need finite data to scale; only a failed sweep cell has a NaN
+    # mean_nmse, which the heatmap draws grey
+    header, table, digest = _read_csv(csv_path, _KIND_COLUMNS[kind],
+                                      nan_column="mean_nmse" if kind == "sweep" else None)
     # line plots scale whole columns as arrays; the other kinds take lists,
     # so their min/max follow Python's
     cols = list(table.T) if kind in ("spectrum", "trace") else table.T.tolist()
@@ -319,7 +326,7 @@ def render_plot(csv_path, out_path, kind: str | None = None) -> str:
             svg = _line_svg(cols[0], {"magnitude": cols[1]},
                             "frequency (Hz)", "|X|", "power spectrum", digest)
         elif kind == "sweep":
-            svg = _heatmap_svg(*cols, "resistance (ohm)", "centre voltage (V)",
+            svg = _heatmap_svg(*cols[-3:], "resistance (ohm)", "centre voltage (V)",
                                "sweep mean NMSE", digest)
         elif kind == "histogram":
             svg = _histogram_svg(cols[0], "NMSE", "validation NMSE distribution", digest)

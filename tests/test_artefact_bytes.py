@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from chuarc import plots
 from chuarc.circuit import (
     DEFAULT_INITIAL_STATE,
+    ChuaParams,
+    CircuitState,
     DriveSignal,
     bifurcation_scan,
     bifurcation_to_csv,
@@ -29,6 +31,7 @@ from chuarc.circuit import (
     kennedy_circuit,
 )
 from chuarc.cli import main
+from chuarc.errors import IntegrationError
 from chuarc.experiment import SweepCell, sweep_to_csv
 
 FFT_NUMPY = "2.4.6"
@@ -44,6 +47,8 @@ GOLDEN = {
     "cases.svg": "64a7227429145a354e12790eb354fb6957f2bd9e72b0448e76a8f5ad1c67f27f",
     "integrate.undriven": "f0d5f2e26f47fb4610072085b03f4720f038e909e6e29eaa48a7f22c8b99199e",
     "integrate.driven": "c6b85f97d04345d1b7a5cef890c8d49c287b703ac2875aa9db408a5e1f9a7b3e",
+    # recorded from the kernel that called one rates() helper per RK4 stage
+    "integrate.overflowing_sum": "1c87b83d205e6bcb9a1901f5f3a69b8e242f6a0ecd7737de04a4493a0d189cbc",
 }
 
 
@@ -151,6 +156,24 @@ def test_integrate_fails_at_the_same_step():
     assert err.value.step_index == 229
 
 
+def test_integrate_fails_at_the_same_step_without_series_resistance():
+    # r_series = 0: rs*il is 0*inf = nan once il overflows
+    p = ChuaParams(r_variable=1800.0, c1=1e-10, c2=100e-9, l=18e-3, r_series=0.0)
+    with pytest.raises(IntegrationError) as err:
+        integrate(p, DEFAULT_INITIAL_STATE, None, 1e-3, 1e-6)
+    assert err.value.step_index == 227
+
+
+def test_integrate_keeps_a_finite_state_whose_sum_overflows():
+    # v_c2 + v_c1 = 2e308 overflows at every step while each state stays
+    # finite: the kernel's cheap finiteness guard must not raise on it
+    p = ChuaParams(r_variable=1e3, c1=1.0, c2=1.0, l=100.0, r_series=0.0)
+    trace = integrate(p, CircuitState(i_l=0.0, v_c2=1e308, v_c1=1e308), None, 1e-6, 1e-9)
+    assert trace.n_samples == 1001 and np.isfinite(trace.channels).all()
+    channels = np.ascontiguousarray(trace.channels).view(np.int64).tobytes()
+    assert sha256(channels) == GOLDEN["integrate.overflowing_sum"]
+
+
 def _bits(x: float) -> int:
     return struct.unpack("<q", struct.pack("<d", x))[0]
 
@@ -193,3 +216,71 @@ def test_scale_matches_the_scalar_expression(values):
         px, lo, hi = plots._scale(given_values, plots.MARGIN, 660)
         assert [_bits(x) for x in px.tolist()] == expected
         assert (_bits(lo), _bits(hi)) == (_bits(vmin), _bits(vmax))
+
+
+def closure_integrate(p, init, vin, dt):
+    """The kernel as it was before its stages were written out: one rates()
+    closure per RK4 stage. Returns the two taps, or the failing step."""
+    d = p.diode
+    gi, gm, go, bi, bo = d.g_inner, d.g_mid, d.g_outer, d.bp_inner, d.bp_outer
+    i_bi = gi * bi
+    i_bo = i_bi + gm * (bo - bi)
+    inv_l, inv_c2, inv_c1 = 1.0 / p.l, 1.0 / p.c2, 1.0 / p.c1
+    inv_rc2, inv_rc1 = 1.0 / (p.r_variable * p.c2), 1.0 / (p.r_variable * p.c1)
+    rs, h = p.r_series, dt
+
+    def rates(il, v2, v1, u):
+        a = v1 if v1 >= 0.0 else -v1
+        if a <= bi:
+            idio = gi * a
+        elif a <= bo:
+            idio = i_bi + gm * (a - bi)
+        else:
+            idio = i_bo + go * (a - bo)
+        if v1 < 0.0:
+            idio = -idio
+        return ((-v2 - rs * il - u) * inv_l, il * inv_c2 - (v2 - v1) * inv_rc2,
+                (v2 - v1) * inv_rc1 - idio * inv_c1)
+
+    hh, h6 = 0.5 * h, h / 6.0
+    il, v2, v1 = init.i_l, init.v_c2, init.v_c1
+    taps = []
+    for i, u in enumerate(vin[:-1]):
+        taps.append((v1, v2 - rs * il - u))
+        a1, b1, d1 = rates(il, v2, v1, u)
+        a2, b2, d2 = rates(il + hh * a1, v2 + hh * b1, v1 + hh * d1, u)
+        a3, b3, d3 = rates(il + hh * a2, v2 + hh * b2, v1 + hh * d2, u)
+        a4, b4, d4 = rates(il + h * a3, v2 + h * b3, v1 + h * d3, u)
+        il += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        v2 += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        v1 += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        if not (math.isfinite(il) and math.isfinite(v2) and math.isfinite(v1)):
+            return i
+    taps.append((v1, v2 - rs * il - vin[-1]))
+    return np.ascontiguousarray(np.array(taps).T)
+
+
+_volts = st.one_of(st.sampled_from([0.0, -0.0, 1.0833, -1.0833, 7.5454, -7.5454]),
+                   st.floats(-12.0, 12.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(init=st.tuples(st.floats(-2e-3, 2e-3), _volts, _volts),
+       r=st.floats(1000.0, 2500.0), c1=st.sampled_from([1e-11, 1e-10, 1e-9, 1e-8]),
+       r_series=st.sampled_from([0.0, 17.0]), seed=st.integers(0, 2**16))
+def test_integrate_matches_the_closure_kernel(init, r, c1, r_series, seed):
+    """Bit for bit, on the taps and on the failing step, across diode segments,
+    signed zeros, drives and diverging circuits."""
+    p = ChuaParams(r_variable=r, c1=c1, c2=100e-9, l=18e-3, r_series=r_series)
+    state = CircuitState(*init)
+    levels = np.random.default_rng(seed).uniform(-2.0, 2.0, 30)
+    drive = DriveSignal(levels, 1e5)
+    # the kernel holds each 10 us drive sample for ten 1 us steps, the last one twice
+    want = closure_integrate(p, state, np.repeat(levels, 10).tolist() + [levels[-1]], 1e-6)
+    try:
+        got = integrate(p, state, drive, 300e-6, 1e-6).channels
+    except IntegrationError as err:
+        assert err.step_index == want
+    else:
+        assert not isinstance(want, int)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -439,6 +439,22 @@ class TestMalformedCsv:
         assert f"csv: {csv}:" in capsys.readouterr().err
         assert not (tmp_path / "b.svg").exists()
 
+    @pytest.mark.parametrize("column, value", [
+        ("n_mask", "nan"), ("r_ohms", "nan"), ("r_ohms", "inf"), ("v_center", "inf"),
+        ("v_center", "-inf"), ("mean_nmse", "inf"), ("mean_nmse", "-inf"),
+    ])
+    def test_plot_sweep_non_finite(self, tmp_path, capsys, column, value):
+        # a NaN mean_nmse (a failed cell, drawn grey) is the only non-finite
+        # value a sweep CSV may hold
+        row = {"n_mask": "10", "r_ohms": "1700.0", "v_center": "0.6", "mean_nmse": "0.2", column: value}
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("n_mask,r_ohms,v_center,mean_nmse\n10,1600.0,0.4,0.1\n10,1600.0,0.6,nan\n"
+                       + ",".join(row.values()) + "\n")
+        assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "s.svg")]) == 1
+        err = capsys.readouterr().err
+        assert f"csv: {csv}:" in err and repr(column) in err
+        assert not (tmp_path / "s.svg").exists()
+
     @pytest.mark.parametrize("case", sorted(UNSCALABLE))
     def test_plot_unscalable_range(self, tmp_path, capsys, case):
         csv = tmp_path / f"{case}.csv"
