@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cells import e12_cells, repr_cells, write_csv
 from .errors import ConfigurationError, IntegrationError
 
 TAP_DIODE = "v_cd"
@@ -664,130 +665,23 @@ def snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
     return 10.0 * math.log10(signal_power / noise_power)
 
 
-#: Rows built per batch, which bounds the Python strings and floats alive at
-#: once; on a 200k-row trace, 2048-16384 rows gave the same peak RSS and about
-#: the same speed, and 65536 rows were slower.
-_CSV_CHUNK = 1 << 12
-
-
-def _write_csv(path, header, columns, config_digest: str | None = None, text=None) -> None:
-    """Stream a CSV artefact: an optional `# config_digest=` line, the header,
-    then one comma-separated row per row of the float ``columns``.
-
-    Cells are the repr of the values, which round-trips exactly, or for the
-    first column the strings ``text`` renders from it when given. Rows are
-    built _CSV_CHUNK at a time: each column's cells go into one list of cells
-    and separators by a slice assignment, which is joined once, so no Python
-    code runs per row; each chunk is written as it is built.
-    """
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    stride = 2 * len(columns)  # a cell and the "," or newline after it
-    with open(path, "w") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write(",".join(header) + "\n")
-        for start in range(0, columns[0].size, _CSV_CHUNK):
-            chunk = [c[start:start + _CSV_CHUNK] for c in columns]
-            cells = ([","] * (stride - 1) + ["\n"]) * chunk[0].size
-            for j, c in enumerate(chunk):
-                cells[2 * j::stride] = text(c) if j == 0 and text else map(repr, c.tolist())
-            fh.write("".join(cells))
-
-
-#: 10**k for k = 0..22, every one an exact double
-_POW10 = np.array([float(10**k) for k in range(23)])
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitting factor for doubles
-
-
-def _two_product(a, b):
-    """(hi, lo) with hi = fl(a*b) and hi + lo == a*b exactly (Dekker, 1971).
-
-    Plain ufunc calls, so no step is fused into an FMA; exact while no
-    product overflows or underflows.
-    """
-    hi = a * b
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _SPLIT * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _e12_text(values) -> list:
-    """``["%.12e" % x for x in values]`` for a float array, computed in numpy.
-
-    For 10**e <= x < 10**(e+1), the 13 digits are x*10**k rounded half to
-    even, k = 12 - e (a carry to 10**13 moves to the next exponent). When
-    0 <= k <= 22, that is 1e-10 <= x < 1e13, 10**k is an
-    exact double, so x*10**k is exactly hi + lo (_two_product) and the
-    rounding follows from floor(hi), hi's fraction and the sign of lo. The
-    log10 estimate of e is checked against the exact product and corrected
-    once. Values outside that domain (zero, negatives, -0.0, NaN, infinities,
-    subnormals and the rest below 1e-10 or from 1e13 up) are formatted by
-    Python.
-    """
-    x = np.asarray(values, dtype=float)
-    # a coarse bound first (False for NaN too), so no product below overflows
-    ok = (1e-11 < x) & (x < 1e14)
-    v = np.where(ok, x, 1.0)
-    k = 12 - np.floor(np.log10(v)).astype(np.int64)
-    for _ in range(2):
-        kc = np.clip(k, 0, 22)
-        hi, lo = _two_product(v, _POW10[kc])
-        below = (hi < 1e12) | ((hi == 1e12) & (lo < 0.0))
-        above = (hi > 1e13) | ((hi == 1e13) & (lo >= 0.0))
-        out = below | above
-        if not out.any():
-            break
-        k = kc + below - above
-    ok &= ~out
-    f = np.floor(hi)
-    frac = hi - f
-    n = f.astype(np.int64)
-    n += (frac > 0.5) | ((frac == 0.5) & ((lo > 0.0) | ((lo == 0.0) & (n & 1 == 1))))
-    n[~ok] = 10**12  # any 13 digits: Python formats these
-    e = 12 - kc
-    wrap = n == 10**13  # rounded up to 10.000000000000e(e)
-    n[wrap] = 10**12
-    e += wrap
-    # one text row per value: d.dddddddddddde+XX and a newline to split on
-    cells = np.empty((x.size, 19), dtype=np.uint8)
-    for j in range(13, 1, -1):
-        n, digit = np.divmod(n, 10)
-        cells[:, j] = digit + 48
-    cells[:, 0] = n + 48
-    cells[:, 1] = ord(".")
-    cells[:, 14] = ord("e")
-    cells[:, 15] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    cells[:, 16] = e // 10 + 48
-    cells[:, 17] = e % 10 + 48
-    cells[:, 18] = ord("\n")
-    text = cells.tobytes().decode("ascii").splitlines()
-    for i in np.flatnonzero(~ok).tolist():
-        text[i] = "%.12e" % x[i].item()
-    return text
-
-
 def trace_to_csv(trace: Trace, path, config_digest: str | None = None) -> None:
     """Write a trace as CSV (`t,<tap1>,<tap2>`).
 
-    Times carry 13 significant digits (`%.12e`, rendered by _e12_text);
-    voltages use full round-trip precision.
+    Times carry 13 significant digits (`%.12e`); voltages are written as
+    their repr, which round-trips exactly.
     """
-    _write_csv(path, ("t", *trace.tap_names), (trace.times, *trace.channels), config_digest,
-               text=_e12_text)
+    write_csv(path, ("t", *trace.tap_names), (trace.times, *trace.channels), config_digest,
+              render=(e12_cells,) + (repr_cells,) * len(trace.tap_names))
 
 
 def bifurcation_to_csv(points: list, path, config_digest: str | None = None) -> None:
     """Write scan results as `param,extremum_value` rows (failed points skipped)."""
     params = [pt.value for pt in points for _ in pt.extrema]
     extrema = [e for pt in points for e in pt.extrema.tolist()]
-    _write_csv(path, ("param", "extremum_value"), (params, extrema), config_digest)
+    write_csv(path, ("param", "extremum_value"), (params, extrema), config_digest)
 
 
 def spectrum_to_csv(freqs: np.ndarray, mags: np.ndarray, path, config_digest: str | None = None) -> None:
     """Write a spectrum as `freq_hz,magnitude` rows."""
-    _write_csv(path, ("freq_hz", "magnitude"), (freqs, mags), config_digest)
+    write_csv(path, ("freq_hz", "magnitude"), (freqs, mags), config_digest)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import lwe as lwe_mod
@@ -94,43 +94,131 @@ def default_config(profile: str = "full", task_kind: str = "polynomial") -> Expe
     )
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigurationError(name, "must be a JSON object")
+def _number(value, path: str) -> float:
+    """A finite float from a JSON number or a numeric string."""
+    if not isinstance(value, (int, float, str)) or isinstance(value, bool):
+        raise ConfigurationError(path, f"must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except (ValueError, OverflowError):
+        raise ConfigurationError(path, f"must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigurationError(path, f"must be finite, got {value!r}")
+    return x
+
+
+def _integer(value, path: str) -> int:
+    """An int from a JSON number or numeric string with an integral value."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    x = _number(value, path)
+    if not x.is_integer():
+        raise ConfigurationError(path, f"must be an integer, got {value!r}")
+    return int(x)
+
+
+def _pair(value, path: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigurationError(path, f"must be a list of two numbers, got {value!r}")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(path, f"must be true or false, got {value!r}")
     return value
+
+
+def _text(value, path: str) -> str:
+    return str(value)
+
+
+#: The keys of each config section and the parser of each field; None
+#: marks a key parse_config reads itself. Any other key is an error.
+_SCHEMA = {
+    "": {"profile": None, "circuit": None, "reservoir": None, "task": None, "lwe": None,
+         "n_cases": _integer, "val_fraction": _number, "master_seed": _integer,
+         "out_dir": _text},
+    "circuit": {**dict.fromkeys(("r_variable", "c1", "c2", "l", "r_series"), _number),
+                "diode": None},
+    "circuit.diode": dict.fromkeys(("g_inner", "g_mid", "g_outer", "bp_inner", "bp_outer"),
+                                   _number),
+    "reservoir": {"v_min": _number, "v_max": _number, "value_max": _number, "n_mask": _integer,
+                  "mask_deviation": _number, "theta": _integer, "carrier": _text,
+                  "f_carrier": _number, "n_periods": _integer, "sample_rate": _number,
+                  "middle_fraction": _number, "use_envelope": _flag, "seed": _integer},
+    "task": {"kind": _text, "x_range": _pair, "modulo_base": _number, "poly_mod_base": _number,
+             "pair_max": _integer, "inner_radius": _number, "outer_radii": _pair},
+    "lwe": {**dict.fromkeys(("q", "n", "m", "n_samples", "s"), _integer), "error_mode": None},
+    "lwe.error_mode": {"kind": None, "lo": _integer, "hi": _integer, "alpha": _number},
+}
+
+
+def _dotted(path: str, name) -> str:
+    return f"{path}.{name}" if path else str(name)
+
+
+def _section(raw: dict, path: str) -> dict:
+    """The object at dotted ``path`` ({} when absent; ``raw`` itself for the
+    top level) from its parent ``raw``, checked to hold only the keys that
+    section takes."""
+    value = raw.get(path.rsplit(".", 1)[-1], {}) if path else raw
+    if not isinstance(value, dict):
+        raise ConfigurationError(path or "<config>", "must be a JSON object")
+    for key in value:
+        if key not in _SCHEMA[path]:
+            raise ConfigurationError(_dotted(path, key), f"unknown key; {path or 'the top level'}"
+                                     f" takes {', '.join(_SCHEMA[path])}")
+    return value
+
+
+def _fields(section: dict, path: str, defaults=None) -> dict:
+    """The fields of section ``path`` that have a parser, parsed from
+    ``section``; an absent field takes the attribute of ``defaults``, or is
+    left out when there are none."""
+    return {name: parse(section[name], _dotted(path, name)) if name in section
+            else getattr(defaults, name) for name, parse in _SCHEMA[path].items()
+            if parse and (name in section or defaults is not None)}
 
 
 def _parse_circuit(d: dict, defaults: ChuaParams) -> ChuaParams:
     diode = defaults.diode
     if "diode" in d:
-        dd = d["diode"]
+        fields = _fields(_section(d, "circuit.diode"), "circuit.diode", diode)
         try:
-            diode = DiodePwl(
-                g_inner=float(dd.get("g_inner", diode.g_inner)),
-                g_mid=float(dd.get("g_mid", diode.g_mid)),
-                g_outer=float(dd.get("g_outer", diode.g_outer)),
-                bp_inner=float(dd.get("bp_inner", diode.bp_inner)),
-                bp_outer=float(dd.get("bp_outer", diode.bp_outer)),
-            )
+            diode = DiodePwl(**fields)
         except ConfigurationError as exc:
             raise ConfigurationError(f"circuit.{exc.field}", str(exc)) from None
-    return ChuaParams(
-        r_variable=float(d.get("r_variable", defaults.r_variable)),
-        c1=float(d.get("c1", defaults.c1)),
-        c2=float(d.get("c2", defaults.c2)),
-        l=float(d.get("l", defaults.l)),
-        r_series=float(d.get("r_series", defaults.r_series)),
-        diode=diode,
-    )
+    return ChuaParams(diode=diode, **_fields(d, "circuit", defaults))
+
+
+def _parse_lwe(raw: dict) -> lwe_mod.LweParams:
+    d = _section(raw, "lwe")
+    params = _fields(d, "lwe")
+    if "error_mode" in d:
+        mode = _section(d, "lwe.error_mode")
+        kind = mode.get("kind", "uniform")
+        if kind not in ("uniform", "gaussian"):
+            raise ConfigurationError("lwe.error_mode.kind", f"must be uniform or gaussian, got {kind!r}")
+        if kind == "gaussian" and "alpha" not in mode:
+            raise ConfigurationError("lwe.error_mode.alpha", "required for gaussian errors")
+        params["error_mode"] = {"kind": kind, **_fields(mode, "lwe.error_mode")}
+    return lwe_mod.params_from_dict(params)
 
 
 def parse_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path, JSON text, or a dict.
 
     Missing fields fall back to the profile defaults (an empty object gives
-    the full bench setup). Invariant violations raise ConfigurationError
-    naming the offending field path.
+    the full bench setup). An unknown key, a value of the wrong type, a
+    non-finite number, a non-integral value for an integer field, and any
+    invariant violation raise ConfigurationError naming the offending field
+    path.
     """
     if isinstance(source, dict):
         raw = source
@@ -147,58 +235,31 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigurationError("<config>", f"malformed JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError("<config>", "top level must be a JSON object")
+    _section(raw, "")
 
     profile = raw.get("profile", "full")
-    task_kind = _section(raw, "task").get("kind", "polynomial")
+    task_raw = _section(raw, "task")
+    task_kind = task_raw.get("kind", "polynomial")
+    if not isinstance(task_kind, str):
+        raise ConfigurationError("task.kind", f"must be a string, got {task_kind!r}")
     base = default_config(profile=profile, task_kind=task_kind)
 
     circuit = _parse_circuit(_section(raw, "circuit"), base.circuit)
-
-    res_raw = _section(raw, "reservoir")
-    res_defaults = base.reservoir
     # carrier frequency follows the circuit unless pinned explicitly
-    f_carrier = res_raw.get("f_carrier", carrier_frequency(circuit.r_variable, circuit.c1))
-    reservoir = ReservoirConfig(
-        v_min=float(res_raw.get("v_min", res_defaults.v_min)),
-        v_max=float(res_raw.get("v_max", res_defaults.v_max)),
-        value_max=float(res_raw.get("value_max", res_defaults.value_max)),
-        n_mask=int(res_raw.get("n_mask", res_defaults.n_mask)),
-        mask_deviation=float(res_raw.get("mask_deviation", res_defaults.mask_deviation)),
-        theta=int(res_raw.get("theta", res_defaults.theta)),
-        carrier=str(res_raw.get("carrier", res_defaults.carrier)),
-        f_carrier=float(f_carrier),
-        n_periods=int(res_raw.get("n_periods", res_defaults.n_periods)),
-        sample_rate=float(res_raw.get("sample_rate", res_defaults.sample_rate)),
-        middle_fraction=float(res_raw.get("middle_fraction", res_defaults.middle_fraction)),
-        use_envelope=bool(res_raw.get("use_envelope", res_defaults.use_envelope)),
-        seed=int(res_raw.get("seed", res_defaults.seed)),
-    )
-
-    task_raw = _section(raw, "task")
-    task = TaskSpec(
-        kind=task_raw.get("kind", "polynomial"),
-        x_range=tuple(task_raw.get("x_range", (0.1, 3.0))),
-        modulo_base=float(task_raw.get("modulo_base", 1.3)),
-        poly_mod_base=float(task_raw.get("poly_mod_base", 50.0)),
-        pair_max=int(task_raw.get("pair_max", 40)),
-        inner_radius=float(task_raw.get("inner_radius", 1.0)),
-        outer_radii=tuple(task_raw.get("outer_radii", (1.5, 2.5))),
-    )
-
+    reservoir = replace(base.reservoir, f_carrier=carrier_frequency(circuit.r_variable, circuit.c1))
+    reservoir = ReservoirConfig(**_fields(_section(raw, "reservoir"), "reservoir", reservoir))
+    task = TaskSpec(**_fields(task_raw, "task", TaskSpec(kind=task_kind)))
     lwe_params = None
     if task.kind.startswith("lwe") or "lwe" in raw:
-        lwe_params = lwe_mod.params_from_dict(raw.get("lwe", {}))
+        lwe_params = _parse_lwe(raw)
 
     return ExperimentConfig(
         circuit=circuit,
         reservoir=reservoir,
         task=task,
         lwe=lwe_params,
-        n_cases=int(raw.get("n_cases", base.n_cases)),
-        val_fraction=float(raw.get("val_fraction", base.val_fraction)),
-        master_seed=int(raw.get("master_seed", 0)),
-        out_dir=str(raw.get("out_dir", "out")),
         profile=profile,
+        **_fields(raw, "", base),
     )
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tasks
+from .cells import repr_cells, text_cells, write_csv
 from .circuit import _map
 from .config import ExperimentConfig, carrier_frequency, config_digest, seed_for
 from .errors import ChuaRcError, ConfigurationError, IntegrationError
@@ -355,14 +356,15 @@ def run_sweep(cfg: ExperimentConfig, grid: SweepGrid, jobs: int | None = None,
 
 def sweep_to_csv(cells, path, digest: str | None = None) -> None:
     """`r_ohms,v_center,mean_nmse` rows (an n_mask column is prefixed when swept)."""
-    with_mask = any(c.n_mask is not None for c in cells)
-    with open(path, "w") as fh:
-        if digest:
-            fh.write(f"# config_digest={digest}\n")
-        fh.write(("n_mask," if with_mask else "") + "r_ohms,v_center,mean_nmse\n")
-        for c in cells:
-            prefix = f"{c.n_mask}," if with_mask else ""
-            fh.write(prefix + f"{repr(c.r_ohms)},{repr(c.v_center)},{repr(c.mean_nmse)}\n")
+    header = ["r_ohms", "v_center", "mean_nmse"]
+    columns = [[c.r_ohms for c in cells], [c.v_center for c in cells],
+               [c.mean_nmse for c in cells]]
+    render = [repr_cells] * 3
+    if any(c.n_mask is not None for c in cells):
+        header.insert(0, "n_mask")
+        columns.insert(0, [str(c.n_mask).encode("ascii") for c in cells])
+        render.insert(0, text_cells)
+    write_csv(path, header, columns, digest, render)
 
 
 def save_weight(weight: ReadoutWeight, path) -> None:

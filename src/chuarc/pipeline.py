@@ -555,15 +555,3 @@ def nrmse(estimates, targets) -> float:
         raise MetricError("target set has zero spread; NRMSE undefined")
     rmse = math.sqrt(float(np.mean((est - tgt) ** 2)))
     return rmse / sigma
-
-
-def state_matrix_to_csv(sm: StateMatrix, path, config_digest: str | None = None) -> None:
-    """Write a state matrix as CSV (`t,ch_0..ch_{Nx-1}`), full precision."""
-    with open(path, "w") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write("t," + ",".join(f"ch_{i}" for i in range(sm.n_channels)) + "\n")
-        for i in range(sm.n_rows):
-            fh.write(repr(float(sm.row_times[i])) + ","
-                     + ",".join(repr(float(v)) for v in sm.values[i]) + "\n")
-

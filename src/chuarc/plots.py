@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cells import fixed2_cells, join_rows
 from .errors import ConfigurationError
 
 WIDTH, HEIGHT = 720, 480
@@ -101,61 +102,6 @@ def _scale(values, lo_px, hi_px):
     return px, vmin, vmax
 
 
-def _fixed2(values):
-    """The text of ``"{:.2f}".format(v)`` for each v of a float array in
-    [0, 2**40), as a uint8 matrix of right-aligned cells and the mask of the
-    characters to keep (leading zeros are dropped).
-
-    v is M * 2**-k exactly, with M the 53-bit mantissa from frexp, so 100*v
-    rounds half to even in int64 arithmetic: q = (100*M) >> k, with the
-    remainder compared against 2**(k-1). That is the rounding str.format
-    applies to the exact binary value (0.125 -> "0.12", 0.375 -> "0.38").
-    """
-    v = np.asarray(values, dtype=float)
-    if (np.signbit(v) | ~(v < 2.0**40)).any():  # also -0.0, which formats as "-0.00"
-        raise ValueError("fixed-point text needs values in [0, 2**40)")
-    mant, exp = np.frexp(v)
-    # k >= 62 leaves 100*M < 2**60 below half a unit: it rounds to 0 there too
-    k = np.minimum(53 - exp.astype(np.int64), 62)
-    scaled = (mant * 2.0**53).astype(np.int64) * 100
-    one = np.int64(1)
-    q = scaled >> k
-    rem = scaled & ((one << k) - 1)
-    half = one << (k - 1)
-    q += (rem > half) | ((rem == half) & (q & 1 == 1))
-    whole, cents = np.divmod(q, 100)
-    width = len(str(int(whole.max(initial=0))))
-    cells = np.empty((v.size, width + 3), dtype=np.uint8)
-    keep = np.ones(cells.shape, dtype=bool)
-    rest = whole
-    for j in range(width - 1, -1, -1):
-        rest, digit = np.divmod(rest, 10)
-        cells[:, j] = digit + 48
-        if j < width - 1:
-            keep[:, j] = whole >= 10 ** (width - 1 - j)
-    cells[:, width] = ord(".")
-    cells[:, width + 1] = cents // 10 + 48
-    cells[:, width + 2] = cents % 10 + 48
-    return cells, keep
-
-
-def _rows_text(pieces, *columns):
-    """``"".join(pieces[0] + c0 + pieces[1] + c1 + ... + pieces[-1])`` over
-    the rows of ``columns``, each a ``_fixed2`` (cells, keep) pair."""
-    n = columns[0][0].shape[0]
-    chars, keep = [], []
-    for i, text in enumerate(pieces):
-        if text:
-            lit = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-            chars.append(np.broadcast_to(lit, (n, lit.size)))
-            keep.append(np.broadcast_to(True, (n, lit.size)))
-        if i < len(columns):
-            chars.append(columns[i][0])
-            keep.append(columns[i][1])
-    chars, keep = np.concatenate(chars, axis=1), np.concatenate(keep, axis=1)
-    return chars[keep].tobytes().decode("ascii")
-
-
 def _svg_header(title, digest):
     meta = f"<metadata>config_digest={digest or 'unknown'}</metadata>"
     return (
@@ -184,21 +130,22 @@ def _axes(x_label, y_label, xmin, xmax, ymin, ymax):
 def _scatter_svg(xs, ys, x_label, y_label, title, digest):
     px, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
     py, ymin, ymax = _scale(ys, HEIGHT - MARGIN, MARGIN)
-    dots = _rows_text(('<circle cx="', '" cy="', '" r="1.4" fill="steelblue"/>'),
-                      _fixed2(px), _fixed2(py))
+    dots = join_rows(('<circle cx="', '" cy="', '" r="1.4" fill="steelblue"/>'),
+                     (fixed2_cells(px), fixed2_cells(py))).decode("ascii")
     return (_svg_header(title, digest) + _axes(x_label, y_label, xmin, xmax, ymin, ymax)
             + dots + "</svg>")
 
 
 def _line_svg(xs, series, x_label, y_label, title, digest):
     px, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
-    x_text = _fixed2(px)  # shared by every series
+    x_text = fixed2_cells(px)  # shared by every series
     py, ymin, ymax = _scale(np.concatenate(list(series.values())), HEIGHT - MARGIN, MARGIN)
     colors = ("steelblue", "firebrick", "seagreen", "darkorange")
     paths = []
     start = 0
     for i, (name, ys) in enumerate(series.items()):
-        pts = _rows_text(("", ",", " "), x_text, _fixed2(py[start:start + len(ys)]))[:-1]
+        pts = join_rows(("", ",", " "), (x_text, fixed2_cells(py[start:start + len(ys)])))
+        pts = pts[:-1].decode("ascii")
         start += len(ys)
         color = colors[i % len(colors)]
         paths.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')

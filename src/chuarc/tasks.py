@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lwe
+from .cells import repr_cells, text_cells, write_csv
 from .errors import ConfigurationError, InputDomainError
 
 TASK_KINDS = (
@@ -265,21 +266,19 @@ def confusion_matrix(true_labels, predicted_labels, n_classes: int = 2) -> np.nd
 def dataset_to_csv(dataset: Dataset, path, config_digest: str | None = None) -> None:
     """Write a task dataset with per-kind headers."""
     kind = dataset.kind
-    with open(path, "w") as fh:
-        if config_digest:
-            fh.write(f"# config_digest={config_digest}\n")
-        if kind in ("polynomial", "modulo", "poly-mod"):
-            fh.write("x,y_teacher\n")
-            for inp, t in zip(dataset.inputs, dataset.teachers):
-                fh.write(f"{repr(inp[0])},{repr(float(t[0]))}\n")
-        elif kind in ("pair-sum", "pair-product", "pair-modlin"):
-            fh.write("x1,x2,sum,product,modlin\n")
-            for inp in dataset.inputs:
-                s, p, m = pair_teachers(inp[0], inp[1])
-                fh.write(f"{repr(inp[0])},{repr(inp[1])},{repr(s)},{repr(p)},{repr(m)}\n")
-        elif kind == "circles":
-            fh.write("x,y,class\n")
-            for inp, label in zip(dataset.inputs, dataset.labels):
-                fh.write(f"{repr(inp[0])},{repr(inp[1])},{label}\n")
-        else:
-            raise ConfigurationError("task.kind", f"no CSV schema for {kind} (use the JSON dataset)")
+    inputs = list(zip(*dataset.inputs))
+    render = None
+    if kind in ("polynomial", "modulo", "poly-mod"):
+        header = ("x", "y_teacher")
+        columns = (inputs[0], [t[0] for t in dataset.teachers])
+    elif kind in ("pair-sum", "pair-product", "pair-modlin"):
+        header = ("x1", "x2", "sum", "product", "modlin")
+        targets = zip(*(pair_teachers(inp[0], inp[1]) for inp in dataset.inputs))
+        columns = (inputs[0], inputs[1], *targets)
+    elif kind == "circles":
+        header = ("x", "y", "class")
+        columns = (inputs[0], inputs[1], [str(label).encode("ascii") for label in dataset.labels])
+        render = (repr_cells, repr_cells, text_cells)
+    else:
+        raise ConfigurationError("task.kind", f"no CSV schema for {kind} (use the JSON dataset)")
+    write_csv(path, header, columns, config_digest, render)

@@ -1,5 +1,5 @@
-"""Trace CSV text: the numpy ``%.12e`` formatter against Python's, and the
-chunked CSV writer against the row-by-row one it replaced."""
+"""CSV cell text: the numpy ``%.12e`` and ``repr`` formatters against
+Python's, and the chunked CSV writers against row-by-row references."""
 
 import math
 import random
@@ -10,12 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chuarc import circuit
+from chuarc import cells
 from chuarc.circuit import Trace, trace_to_csv
 
 
+def text(matrix):
+    """The text of each value of a cell matrix; 0 marks no character."""
+    return [bytes(col[col != 0]).decode("ascii") for col in matrix.T]
+
+
 def e12(values):
-    return circuit._e12_text(np.asarray(values, dtype=float))
+    return text(cells.e12_cells(np.asarray(values, dtype=float)))
 
 
 def python_e12(values):
@@ -123,9 +128,9 @@ def reference_trace_csv(trace, digest):
     return "".join(lines)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("chunk", sorted({1, 7, 4096, cells.CSV_CHUNK}))
 def test_trace_csv_matches_row_by_row_writer(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(circuit, "_CSV_CHUNK", chunk)
+    monkeypatch.setattr(cells, "CSV_CHUNK", chunk)
     rng = np.random.default_rng(5)
     channels = rng.normal(size=(2, 503)) * 10.0 ** rng.integers(-300, 300, size=(2, 503))
     channels[0, :3] = [-0.0, 0.0, 5e-324]

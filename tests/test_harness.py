@@ -2,6 +2,7 @@
 weight persistence, SVG rendering, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +91,37 @@ class TestConfig:
         path.write_text(json.dumps({"profile": "desk", "n_cases": 9}))
         cfg = parse_config(str(path))
         assert cfg.n_cases == 9 and cfg.profile == "desk"
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"reservoir": {"n_mask": "x"}}, "reservoir.n_mask"),
+        ({"circuit": {"c1": [1e-8]}}, "circuit.c1"),
+        ({"circuit": {"c1": "NaN"}}, "circuit.c1"),
+        ({"circuit": {"r_variable": "-inf"}}, "circuit.r_variable"),
+        ({"reservoir": {"sample_rate": math.inf}}, "reservoir.sample_rate"),
+        ({"val_fraction": math.nan}, "val_fraction"),
+        ({"reservoir": {"theta": 2.7}}, "reservoir.theta"),
+        ({"n_cases": "12.5"}, "n_cases"),
+        ({"master_seed": True}, "master_seed"),
+        ({"lwe": {"q": 7.5}}, "lwe.q"),
+        ({"task": {"x_range": [0.1, "inf"]}}, "task.x_range[1]"),
+        ({"reservoir": {"use_envelope": "yes"}}, "reservoir.use_envelope"),
+        ({"circuit": {"r_varaible": 1800.0}}, "circuit.r_varaible"),
+        ({"circuit": {"diode": {"g_iner": -1e-3}}}, "circuit.diode.g_iner"),
+        ({"reservoir": {"n_taps": 2}}, "reservoir.n_taps"),
+        ({"lwe": {"error_mode": {"kind": "gausian"}}}, "lwe.error_mode.kind"),
+        ({"lwe": {"error_mode": {"kind": "gaussian"}}}, "lwe.error_mode.alpha"),
+        ({"tsak": {"kind": "circles"}}, "tsak"),
+    ])
+    def test_bad_value_or_key_names_its_path(self, raw, field):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(raw)
+        assert err.value.field == field
+
+    def test_integral_numbers_and_numeric_strings_keep_their_digest(self):
+        plain = parse_config({"reservoir": {"n_mask": 8, "theta": 4}, "n_cases": 30})
+        loose = parse_config({"reservoir": {"n_mask": 8.0, "theta": "4"}, "n_cases": "30"})
+        assert config_digest(plain) == config_digest(loose)
+        assert loose.reservoir.n_mask == 8 and isinstance(loose.reservoir.n_mask, int)
 
 
 def _reference_case_csv(path, dataset, states, weight, report, digest):
@@ -517,6 +549,19 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"reservoir": {"v_min": 2.0, "v_max": 1.0}}))
         assert main(["show-config", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("raw, field", [
+        ('{"reservoir": {"n_mask": "x"}}', "reservoir.n_mask"),
+        ('{"circuit": {"c2": NaN}}', "circuit.c2"),
+        ('{"reservoir": {"theta": 2.7}}', "reservoir.theta"),
+        ('{"circuit": {"r_varaible": 1800}}', "circuit.r_varaible"),
+    ])
+    def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, raw, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(raw)
+        assert main(["train", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
 
     def test_spectrum_from_trace(self, tmp_path):
         assert main(["simulate", "--profile", "desk", "--out", str(tmp_path),

@@ -408,20 +408,6 @@ class TestRunCase:
         assert not np.array_equal(enveloped.values, plain.values)
 
 
-class TestStateMatrixCsv:
-    def test_header_and_round_trip_values(self, tmp_path):
-        from chuarc.pipeline import state_matrix_to_csv
-
-        sm = make_state(np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]))
-        path = tmp_path / "sm.csv"
-        state_matrix_to_csv(sm, path, config_digest="beef")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# config_digest=beef"
-        assert lines[1] == "t,ch_0,ch_1,ch_2,ch_3"
-        first = [float(x) for x in lines[2].split(",")[1:]]
-        assert first == [0.1, 0.2, 0.3, 0.4]
-
-
 class TestNmse:
     def test_exact_match_scores_zero(self):
         report = nmse([1.5], [1.5])

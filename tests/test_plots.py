@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chuarc import plots
+from chuarc import cells, plots
 
 LARGEST = math.nextafter(2.0**40, 0.0)
 
@@ -17,7 +17,7 @@ CIRCLE_FMT = '<circle cx="{:.2f}" cy="{:.2f}" r="1.4" fill="steelblue"/>'
 
 
 def fixed2_text(values, pieces=("", "|")):
-    return plots._rows_text(pieces, plots._fixed2(np.asarray(values, dtype=float)))
+    return cells.join_rows(pieces, (cells.fixed2_cells(np.asarray(values, dtype=float)),)).decode()
 
 
 def format_text(values, fmt="{:.2f}|"):
@@ -44,7 +44,7 @@ _pixels = st.one_of(
 @given(st.lists(st.tuples(_pixels, _pixels), min_size=1, max_size=40))
 def test_rows_text_matches_str_format(rows):
     xs, ys = (np.array(col) for col in zip(*rows))
-    text = plots._rows_text(CIRCLE, plots._fixed2(xs), plots._fixed2(ys))
+    text = cells.join_rows(CIRCLE, (cells.fixed2_cells(xs), cells.fixed2_cells(ys))).decode()
     assert text == "".join(CIRCLE_FMT.format(*row) for row in rows)
 
 
@@ -75,7 +75,7 @@ def test_log_uniform_values():
 @pytest.mark.parametrize("value", [-0.0, -1.0, math.nan, math.inf, 2.0**40])
 def test_out_of_domain_is_rejected(value):
     with pytest.raises(ValueError):
-        plots._fixed2(np.array([1.0, value]))
+        cells.fixed2_cells(np.array([1.0, value]))
 
 
 def _points(svg):
