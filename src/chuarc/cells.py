@@ -8,7 +8,8 @@ over n values at once. The text is the one Python gives: ``repr(x)``
 (fixed2_cells). Values outside a renderer's certified domain are formatted
 by Python, one call each. join_rows interleaves such matrices with literal
 separators and drops the 0s in one pass, so no Python object is made per
-cell; write_csv streams CSV artefacts that way.
+cell; write_rows streams that text to a file chunk by chunk, for the CSV
+artefacts (write_csv) and the SVG plots.
 """
 
 from __future__ import annotations
@@ -317,14 +318,25 @@ def join_rows(pieces, columns) -> bytes:
     return np.concatenate(rows).T.tobytes().translate(None, b"\0")
 
 
+def write_rows(fh, pieces, columns, render) -> None:
+    """Write ``join_rows(pieces, ...)`` of every row of ``columns`` (arrays of
+    one length) to the binary file ``fh``, CSV_CHUNK rows at a time.
+
+    ``render`` gives each column's renderer, a function from a slice of the
+    column to its cells, so no more than a chunk is rendered at once.
+    """
+    for start in range(0, columns[0].shape[0], CSV_CHUNK):
+        stop = start + CSV_CHUNK
+        fh.write(join_rows(pieces, [r(c[start:stop]) for r, c in zip(render, columns)]))
+
+
 def write_csv(path, header, columns, config_digest: str | None = None, render=None) -> None:
     """Stream a CSV artefact: an optional `# config_digest=` line, the header,
     then one comma-separated row per row of ``columns``.
 
-    ``render`` gives each column's renderer, a function from a slice of the
-    column to its cells; by default every column is a float array
-    written as repr_cells. A column of byte strings goes with text_cells.
-    Rows are rendered and written CSV_CHUNK at a time.
+    ``render`` gives each column's renderer (write_rows); by default every
+    column is a float array written as repr_cells. A column of byte strings
+    goes with text_cells.
     """
     columns = [np.asarray(c) for c in columns]
     render = render or (repr_cells,) * len(columns)
@@ -333,6 +345,4 @@ def write_csv(path, header, columns, config_digest: str | None = None, render=No
         if config_digest:
             fh.write(f"# config_digest={config_digest}\n".encode("ascii"))
         fh.write((",".join(header) + "\n").encode("ascii"))
-        for start in range(0, columns[0].shape[0], CSV_CHUNK):
-            stop = start + CSV_CHUNK
-            fh.write(join_rows(pieces, [r(c[start:stop]) for r, c in zip(render, columns)]))
+        write_rows(fh, pieces, columns, render)

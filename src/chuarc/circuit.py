@@ -8,6 +8,7 @@ capacitor voltage ("v_cd") and the inductor terminal voltage ("v_l").
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -210,14 +211,12 @@ def derivatives(state: CircuitState, p: ChuaParams, v_in: float = 0.0) -> tuple:
     return (d_il, d_v2, d_v1)
 
 
-def _drive_lookup(drive: DriveSignal | None, dt: float, n_steps: int) -> np.ndarray:
+def _drive_lookup(drive: DriveSignal, dt: float, n_steps: int) -> np.ndarray:
     """Zero-order-hold the drive onto the integration grid.
 
     dt must divide the drive sample interval (or be an exact multiple of it);
     past the end of the drive the last sample is held.
     """
-    if drive is None:
-        return np.zeros(n_steps + 1)
     ratio = drive.sample_rate * dt  # drive samples per integration step
     if ratio >= 1.0 - 1e-9:
         m = round(ratio)
@@ -253,8 +252,16 @@ def integrate(
     if dt <= 0.0:
         raise ConfigurationError("dt", "must be positive")
     n_steps = int(round(t_end / dt))
-    # plain Python floats keep the scalar RK4 loop fast
-    vin = _drive_lookup(drive, dt, n_steps).tolist()
+    if n_steps < 0:
+        raise ConfigurationError("t_end", "must not be negative")
+    if drive is None:
+        # one shared 0.0, not a list of n_steps + 1 float objects
+        vin, last = itertools.repeat(0.0, n_steps), 0.0
+    else:
+        # plain Python floats keep the scalar RK4 loop fast; the drive at
+        # the final tap is popped, since a slice of vin would copy it
+        vin = _drive_lookup(drive, dt, n_steps).tolist()
+        last = vin.pop()
 
     diode = p.diode
     gi, gm, go = diode.g_inner, diode.g_mid, diode.g_outer
@@ -276,7 +283,6 @@ def integrate(
     # sample instead of a float object; numpy item stores cost more
     v_cd, v_l = array("d"), array("d")
     tap_cd, tap_l = v_cd.append, v_l.append
-    last = vin.pop()  # drive at the final tap; a slice of vin would copy it
     # The four RK4 stages are written out, with no call per stage: stage j
     # takes the rates (a, b, d) of (i_l, v_c2, v_c1) at the point (x, y, z),
     # with w the diode current (negated from the segment at -v for v < 0, as
@@ -374,7 +380,12 @@ def integrate(
             raise IntegrationError(len(v_cd) - 1)
     tap_cd(v1)
     tap_l(v2 - rs * il - last)
-    channels = np.vstack([np.frombuffer(v_cd), np.frombuffer(v_l)])
+    # the v_l tap is appended to the v_cd buffer, which then becomes the
+    # (2, n) channel array without a copy: one tap is copied, never both
+    del tap_cd, tap_l
+    v_cd.extend(v_l)
+    del v_l
+    channels = np.frombuffer(v_cd).reshape(2, -1)
     return Trace(dt=dt, tap_names=(TAP_DIODE, TAP_INDUCTOR), channels=channels)
 
 

@@ -216,9 +216,9 @@ def parse_config(source) -> ExperimentConfig:
 
     Missing fields fall back to the profile defaults (an empty object gives
     the full bench setup). An unknown key, a value of the wrong type, a
-    non-finite number, a non-integral value for an integer field, and any
-    invariant violation raise ConfigurationError naming the offending field
-    path.
+    non-finite number, a non-integral value for an integer field, a
+    sample rate below twice the carrier frequency, and any invariant
+    violation raise ConfigurationError naming the offending field path.
     """
     if isinstance(source, dict):
         raw = source
@@ -248,6 +248,11 @@ def parse_config(source) -> ExperimentConfig:
     # carrier frequency follows the circuit unless pinned explicitly
     reservoir = replace(base.reservoir, f_carrier=carrier_frequency(circuit.r_variable, circuit.c1))
     reservoir = ReservoirConfig(**_fields(_section(raw, "reservoir"), "reservoir", reservoir))
+    # carrier_wave checks this again, for the per-resistance carrier of a sweep cell
+    if reservoir.sample_rate < 2.0 * reservoir.f_carrier:
+        raise ConfigurationError("reservoir.sample_rate",
+                                 f"must be at least twice f_carrier ({reservoir.f_carrier!r} Hz),"
+                                 f" got {reservoir.sample_rate!r}")
     task = TaskSpec(**_fields(task_raw, "task", TaskSpec(kind=task_kind)))
     lwe_params = None
     if task.kind.startswith("lwe") or "lwe" in raw:

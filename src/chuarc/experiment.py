@@ -215,30 +215,27 @@ def _write_case_csv(path, dataset, states, weight, report, digest):
     Validation rows reuse the report's estimates and scores; train cases are
     predicted here and scored with one nmse call.
     """
-    n_out = report.targets.shape[1]
-    teachers = [np.atleast_1d(np.asarray(t, dtype=float)) for t in dataset.teachers]
-    val_idx = report.val_idx.tolist()
-    val_set = set(val_idx)
-    estimates = dict(zip(val_idx, report.estimates))
-    scores = dict(zip(val_idx, report.per_case_nmse.tolist()))
-    train_idx = [i for i in range(len(states)) if i not in val_set]
-    train_est = [predict(weight, states[i]) for i in train_idx]
-    train_scores = nmse(train_est, [teachers[i] for i in train_idx]).scores
-    estimates.update(zip(train_idx, train_est))
-    scores.update(zip(train_idx, train_scores.tolist()))
-    with open(path, "w") as fh:
-        fh.write(f"# config_digest={digest}\n")
-        header = ["case", "split"]
-        header += [f"target_{j}" for j in range(n_out)]
-        header += [f"estimate_{j}" for j in range(n_out)]
-        header.append("nmse")
-        fh.write(",".join(header) + "\n")
-        for i in range(len(states)):
-            row = [str(i), "val" if i in val_set else "train"]
-            row += [repr(float(t)) for t in teachers[i]]
-            row += [repr(float(e)) for e in estimates[i]]
-            row.append(repr(scores[i]))
-            fh.write(",".join(row) + "\n")
+    n_cases, n_out = len(states), report.targets.shape[1]
+    teachers = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for t in dataset.teachers])
+    is_val = np.zeros(n_cases, dtype=bool)
+    is_val[report.val_idx] = True
+    estimates = np.empty((n_cases, n_out))
+    scores = np.empty(n_cases)
+    estimates[report.val_idx] = report.estimates
+    scores[report.val_idx] = report.per_case_nmse
+    train_idx = np.flatnonzero(~is_val)
+    if train_idx.size:
+        train_est = [predict(weight, states[i]) for i in train_idx]
+        estimates[train_idx] = train_est
+        scores[train_idx] = nmse(train_est, list(teachers[train_idx])).scores
+    header = ["case", "split"]
+    header += [f"target_{j}" for j in range(n_out)]
+    header += [f"estimate_{j}" for j in range(n_out)]
+    header.append("nmse")
+    columns = [np.arange(n_cases).astype(bytes), np.where(is_val, b"val", b"train"),
+               *teachers.T, *estimates.T, scores]
+    write_csv(path, header, columns, digest,
+              (text_cells, text_cells) + (repr_cells,) * (2 * n_out + 1))
 
 
 def _write_report_json(path, report: MetricsReport) -> None:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .cells import fixed2_cells, join_rows
+from .cells import fixed2_cells, write_rows
 from .errors import ConfigurationError
 
 WIDTH, HEIGHT = 720, 480
@@ -84,6 +85,25 @@ def _span(vmin, vmax, parts=1):
     return vmax, step
 
 
+def _first_range(columns):
+    """(vmin, vmax) over NaN-free arrays as min() and max() pick them from
+    their concatenation: the first minimum and the first maximum, so of
+    -0.0 and 0.0 the one that comes first."""
+    vmin = vmax = None
+    for values in columns:
+        lo, hi = values[values.argmin()].item(), values[values.argmax()].item()
+        if vmin is None or lo < vmin:
+            vmin = lo
+        if vmax is None or hi > vmax:
+            vmax = hi
+    return vmin, vmax
+
+
+def _pixels(values, vmin, span, lo_px, hi_px):
+    with np.errstate(all="ignore"):
+        return lo_px + (np.asarray(values, dtype=float) - vmin) / span * (hi_px - lo_px)
+
+
 def _scale(values, lo_px, hi_px):
     """Pixel positions of ``values`` on [lo_px, hi_px] (an array), with the
     data range as min() and max() pick it.
@@ -93,13 +113,33 @@ def _scale(values, lo_px, hi_px):
     and maximum are what min() and max() return for it.
     """
     if isinstance(values, np.ndarray):
-        vmin, vmax = values[values.argmin()].item(), values[values.argmax()].item()
+        vmin, vmax = _first_range([values])
     else:
         vmin, vmax = min(values), max(values)
     vmax, span = _span(vmin, vmax)
-    with np.errstate(all="ignore"):
-        px = lo_px + (np.asarray(values, dtype=float) - vmin) / span * (hi_px - lo_px)
-    return px, vmin, vmax
+    return _pixels(values, vmin, span, lo_px, hi_px), vmin, vmax
+
+
+def _axis(columns, lo_px, hi_px):
+    """(vmin, vmax, render) of one plot axis over NaN-free arrays: the range
+    _first_range picks, widened and checked by _span, and a renderer from a
+    slice of data to the cells of its pixel text, elementwise the bits
+    _scale gives for the whole column."""
+    vmin, vmax = _first_range(columns)
+    vmax, span = _span(vmin, vmax)
+    return vmin, vmax, lambda values: fixed2_cells(_pixels(values, vmin, span, lo_px, hi_px))
+
+
+@contextmanager
+def _output(path):
+    """The binary file at ``path``, removed again if writing it fails."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _svg_header(title, digest):
@@ -127,34 +167,39 @@ def _axes(x_label, y_label, xmin, xmax, ymin, ymax):
     return "".join(parts)
 
 
-def _scatter_svg(xs, ys, x_label, y_label, title, digest):
-    px, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
-    py, ymin, ymax = _scale(ys, HEIGHT - MARGIN, MARGIN)
-    dots = join_rows(('<circle cx="', '" cy="', '" r="1.4" fill="steelblue"/>'),
-                     (fixed2_cells(px), fixed2_cells(py))).decode("ascii")
-    return (_svg_header(title, digest) + _axes(x_label, y_label, xmin, xmax, ymin, ymax)
-            + dots + "</svg>")
+def _scatter_svg(out_path, xs, ys, x_label, y_label, title, digest):
+    """Write the scatter plot of the NaN-free arrays ``xs``, ``ys``, one
+    chunk of points at a time."""
+    xmin, xmax, x_cells = _axis([xs], MARGIN, WIDTH - MARGIN)
+    ymin, ymax, y_cells = _axis([ys], HEIGHT - MARGIN, MARGIN)
+    with _output(out_path) as fh:
+        fh.write((_svg_header(title, digest)
+                  + _axes(x_label, y_label, xmin, xmax, ymin, ymax)).encode())
+        write_rows(fh, ('<circle cx="', '" cy="', '" r="1.4" fill="steelblue"/>'),
+                   (xs, ys), (x_cells, y_cells))
+        fh.write(b"</svg>")
 
 
-def _line_svg(xs, series, x_label, y_label, title, digest):
-    px, xmin, xmax = _scale(xs, MARGIN, WIDTH - MARGIN)
-    x_text = fixed2_cells(px)  # shared by every series
-    py, ymin, ymax = _scale(np.concatenate(list(series.values())), HEIGHT - MARGIN, MARGIN)
+def _line_svg(out_path, xs, series, x_label, y_label, title, digest):
+    """Write the line plot of each NaN-free array of ``series`` (name ->
+    ys) against ``xs``, one chunk of each polyline's points at a time; the
+    y axis spans every series."""
+    xmin, xmax, x_cells = _axis([xs], MARGIN, WIDTH - MARGIN)
+    ymin, ymax, y_cells = _axis(series.values(), HEIGHT - MARGIN, MARGIN)
     colors = ("steelblue", "firebrick", "seagreen", "darkorange")
-    paths = []
-    start = 0
-    for i, (name, ys) in enumerate(series.items()):
-        pts = join_rows(("", ",", " "), (x_text, fixed2_cells(py[start:start + len(ys)])))
-        pts = pts[:-1].decode("ascii")
-        start += len(ys)
-        color = colors[i % len(colors)]
-        paths.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
-        paths.append(
-            f'<text x="{WIDTH-MARGIN}" y="{MARGIN+14*(i+1)}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{name}</text>'
-        )
-    return (_svg_header(title, digest) + _axes(x_label, y_label, xmin, xmax, ymin, ymax)
-            + "".join(paths) + "</svg>")
+    with _output(out_path) as fh:
+        fh.write((_svg_header(title, digest)
+                  + _axes(x_label, y_label, xmin, xmax, ymin, ymax)).encode())
+        for i, (name, ys) in enumerate(series.items()):
+            color = colors[i % len(colors)]
+            fh.write(b'<polyline points="')
+            # points are space-separated: the last one goes without
+            write_rows(fh, ("", ",", " "), (xs[:-1], ys[:-1]), (x_cells, y_cells))
+            write_rows(fh, ("", ",", ""), (xs[-1:], ys[-1:]), (x_cells, y_cells))
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1"/>'
+                     f'<text x="{WIDTH-MARGIN}" y="{MARGIN+14*(i+1)}" text-anchor="end" '
+                     f'font-size="12" fill="{color}">{name}</text>'.encode())
+        fh.write(b"</svg>")
 
 
 def _heat_color(t):
@@ -167,7 +212,7 @@ def _heat_color(t):
     return f"rgb({r},{g},{b})"
 
 
-def _heatmap_svg(xs, ys, values, x_label, y_label, title, digest):
+def _heatmap_svg(out_path, xs, ys, values, x_label, y_label, title, digest):
     ux = sorted(set(xs))
     uy = sorted(set(ys))
     finite = [v for v in values if math.isfinite(v)]
@@ -184,12 +229,13 @@ def _heatmap_svg(xs, ys, values, x_label, y_label, title, digest):
         cx = MARGIN + ix * cw
         cy = HEIGHT - MARGIN - (iy + 1) * ch
         cells.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="{color}"/>')
-    return (_svg_header(title, digest)
-            + _axes(x_label, y_label, ux[0], ux[-1], uy[0], uy[-1])
-            + "".join(cells) + "</svg>")
+    with _output(out_path) as fh:
+        fh.write((_svg_header(title, digest)
+                  + _axes(x_label, y_label, ux[0], ux[-1], uy[0], uy[-1])
+                  + "".join(cells) + "</svg>").encode())
 
 
-def _histogram_svg(values, x_label, title, digest, n_bins=20):
+def _histogram_svg(out_path, values, x_label, title, digest, n_bins=20):
     vmin = min(values)
     vmax, width = _span(vmin, max(values), n_bins)
     edges = [vmin + i * width for i in range(n_bins + 1)]
@@ -215,7 +261,9 @@ def _histogram_svg(values, x_label, title, digest, n_bins=20):
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
         f'<text x="{WIDTH/2}" y="24" text-anchor="middle" font-size="16">{title}</text>'
     )
-    return (header + _axes(x_label, "count", vmin, vmax, 0, peak) + "".join(bars) + "</svg>")
+    with _output(out_path) as fh:
+        fh.write((header + _axes(x_label, "count", vmin, vmax, 0, peak)
+                  + "".join(bars) + "</svg>").encode())
 
 
 #: Columns each plot kind reads (None: all; a trace's first is time, a
@@ -261,27 +309,27 @@ def render_plot(csv_path, out_path, kind: str | None = None) -> str:
     # mean_nmse, which the heatmap draws grey
     header, table, digest = _read_csv(csv_path, _KIND_COLUMNS[kind],
                                       nan_column="mean_nmse" if kind == "sweep" else None)
-    # line plots scale whole columns as arrays; the other kinds take lists,
-    # so their min/max follow Python's
-    cols = list(table.T) if kind in ("spectrum", "trace") else table.T.tolist()
+    # line and scatter plots stream arrays; the heatmap and the histogram
+    # take lists, so their min/max follow Python's
+    cols = table.T.tolist() if kind in ("sweep", "histogram") else list(table.T)
 
     try:
         if kind == "bifurcation":
-            svg = _scatter_svg(cols[0], cols[1], "parameter", "extremum (V)",
-                               "bifurcation scan", digest)
+            _scatter_svg(out_path, cols[0], cols[1], "parameter", "extremum (V)",
+                         "bifurcation scan", digest)
         elif kind == "spectrum":
-            svg = _line_svg(cols[0], {"magnitude": cols[1]},
-                            "frequency (Hz)", "|X|", "power spectrum", digest)
+            _line_svg(out_path, cols[0], {"magnitude": cols[1]},
+                      "frequency (Hz)", "|X|", "power spectrum", digest)
         elif kind == "sweep":
-            svg = _heatmap_svg(*cols[-3:], "resistance (ohm)", "centre voltage (V)",
-                               "sweep mean NMSE", digest)
+            _heatmap_svg(out_path, *cols[-3:], "resistance (ohm)", "centre voltage (V)",
+                         "sweep mean NMSE", digest)
         elif kind == "histogram":
-            svg = _histogram_svg(cols[0], "NMSE", "validation NMSE distribution", digest)
+            _histogram_svg(out_path, cols[0], "NMSE", "validation NMSE distribution", digest)
         else:
-            svg = _line_svg(cols[0], dict(zip(header[1:], cols[1:])),
-                            "time (s)", "volts", "trace", digest)
+            if len(cols) < 2:
+                raise ConfigurationError("csv", f"{csv_path}: a trace needs a column besides t")
+            _line_svg(out_path, cols[0], dict(zip(header[1:], cols[1:])),
+                      "time (s)", "volts", "trace", digest)
     except _Unscalable as exc:
         raise ConfigurationError("csv", f"{csv_path}: {exc}") from None
-
-    Path(out_path).write_text(svg)
     return kind

@@ -273,7 +273,8 @@ def dataset_to_csv(dataset: Dataset, path, config_digest: str | None = None) -> 
         columns = (inputs[0], [t[0] for t in dataset.teachers])
     elif kind in ("pair-sum", "pair-product", "pair-modlin"):
         header = ("x1", "x2", "sum", "product", "modlin")
-        targets = zip(*(pair_teachers(inp[0], inp[1]) for inp in dataset.inputs))
+        pair_max = int(dataset.value_max)  # build_dataset's spec.pair_max
+        targets = zip(*(pair_teachers(inp[0], inp[1], pair_max) for inp in dataset.inputs))
         columns = (inputs[0], inputs[1], *targets)
     elif kind == "circles":
         header = ("x", "y", "class")

@@ -117,6 +117,41 @@ class TestConfig:
             parse_config(raw)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("raw", [
+        {"reservoir": {"sample_rate": 1e3}},
+        {"profile": "desk", "reservoir": {"sample_rate": 1e4}},
+        {"profile": "desk", "reservoir": {"f_carrier": 6e5}},
+        {"profile": "desk", "circuit": {"r_variable": 10.0}},  # the carrier follows R
+    ])
+    def test_sample_rate_below_twice_the_carrier_fails_at_parse_time(self, raw, tmp_path, capsys):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(raw)
+        assert err.value.field == "reservoir.sample_rate"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        for argv in (["show-config"], ["train", "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "reservoir.sample_rate" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_rate_of_exactly_twice_the_carrier_is_accepted(self):
+        cfg = parse_config({"reservoir": {"f_carrier": 500.0, "sample_rate": 1000.0}})
+        assert cfg.reservoir.sample_rate == 2.0 * cfg.reservoir.f_carrier
+
+    # recorded before the sample-rate check existed: a valid config keeps its digest
+    DIGESTS = {
+        ("desk", "circles"): "0ed60b5dc31be41d", ("desk", "polynomial"): "35a80142cc511f77",
+        ("desk", "pair-sum"): "26534bd09b0607ae", ("desk", "lwe-encrypt"): "1211299048541e37",
+        ("full", "circles"): "9e4a5c7f42f74cdd", ("full", "polynomial"): "58ca0353cd49581c",
+        ("full", "pair-modlin"): "25bffd9de1f64368", ("full", "lwe-decrypt"): "8a39c35e8019296a",
+    }
+
+    @pytest.mark.parametrize("profile, kind", sorted(DIGESTS))
+    def test_profile_digests_are_unchanged(self, profile, kind):
+        cfg = parse_config({"profile": profile, "task": {"kind": kind}})
+        assert config_digest(cfg) == self.DIGESTS[profile, kind]
+
     def test_integral_numbers_and_numeric_strings_keep_their_digest(self):
         plain = parse_config({"reservoir": {"n_mask": 8, "theta": 4}, "n_cases": 30})
         loose = parse_config({"reservoir": {"n_mask": 8.0, "theta": "4"}, "n_cases": "30"})
@@ -300,6 +335,16 @@ class TestSweep:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "r_ohms,v_center,mean_nmse"
         assert len(lines) == 3
+
+    def test_cell_below_the_sampling_limit_is_a_recorded_failure(self, tmp_path):
+        # parse_config checks the configured carrier; a sweep cell derives its
+        # own from R (at 10 ohm, 1.1 MHz against 1 MHz sampling), and
+        # carrier_wave fails that cell alone
+        cfg = tiny_config(tmp_path, n_cases=10)
+        grid = SweepGrid(resistances=(10.0, 1800.0), v_centers=(0.7,))
+        low, ok = run_sweep(cfg, grid, jobs=1)
+        assert "reservoir.sample_rate" in low.error and math.isnan(low.mean_nmse)
+        assert ok.error is None
 
     def test_cell_seeds_ignore_grid_shape(self, tmp_path):
         cfg = tiny_config(tmp_path, n_cases=10)

@@ -208,3 +208,17 @@ class TestDatasetCsv:
         ds = build_dataset(TaskSpec(kind="lwe-encrypt"), n_cases=4, seed=22)
         with pytest.raises(ConfigurationError):
             dataset_to_csv(ds, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("kind", ["pair-sum", "pair-product", "pair-modlin"])
+    def test_pair_columns_use_the_dataset_bound(self, tmp_path, kind):
+        # inputs reach 60 here, beyond pair_teachers' default bound of 40
+        from chuarc.tasks import dataset_to_csv
+
+        ds = build_dataset(TaskSpec(kind=kind, pair_max=60), n_cases=50, seed=1)
+        assert max(max(inp) for inp in ds.inputs) > 40
+        path = tmp_path / "p.csv"
+        dataset_to_csv(ds, path, "f00d")
+        rows = [f"{a!r},{b!r}," + ",".join(repr(v) for v in pair_teachers(a, b, 60))
+                for a, b in ds.inputs]
+        assert path.read_text() == "# config_digest=f00d\nx1,x2,sum,product,modlin\n" + "".join(
+            row + "\n" for row in rows)
