@@ -32,7 +32,6 @@ from .errors import (
     IntegrationError,
     LayoutError,
     MetricError,
-    NoSignalError,
 )
 from .experiment import (
     MetricsReport,
@@ -83,11 +82,9 @@ from .tasks import (
     build_dataset,
     classify,
     concentric_circles,
-    decision_surface,
     modulo_teacher,
     pair_teachers,
     polynomial_teacher,
-    split_dataset,
 )
 
 __version__ = "0.1.0"

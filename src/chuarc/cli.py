@@ -37,7 +37,7 @@ def _load_config(args):
         cfg = replace(cfg, master_seed=args.seed)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "n_cases", None):
+    if getattr(args, "n_cases", None) is not None:
         cfg = replace(cfg, n_cases=args.n_cases)
     return cfg
 
@@ -146,7 +146,7 @@ def _cmd_sweep(args) -> int:
         resistances=exp.axis_values(args.r_start, args.r_stop, args.r_step),
         v_centers=exp.axis_values(args.vc_start, args.vc_stop, args.vc_step),
         range_width=args.range_width,
-        n_masks=tuple(args.n_masks) if args.n_masks else None,
+        n_masks=None if args.n_masks is None else tuple(args.n_masks),
     )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -42,10 +42,6 @@ class LayoutError(ChuaRcError, ValueError):
     """Trace samples do not line up with the expected slot layout."""
 
 
-class NoSignalError(ChuaRcError, ValueError):
-    """An acquired trace never rises above the detection threshold."""
-
-
 class MetricError(ChuaRcError, ValueError):
     """A score is undefined for the given inputs (e.g. zero target spread)."""
 

@@ -21,25 +21,9 @@ from .cells import repr_cells, text_cells, write_csv
 from .circuit import _map
 from .config import ExperimentConfig, carrier_frequency, config_digest, seed_for
 from .errors import ChuaRcError, ConfigurationError, IntegrationError
-from .pipeline import (
-    ReadoutWeight,
-    hstack_cases,
-    nmse,
-    predict,
-    run_case,
-    run_cases,
-    train_readout,
-)
+from .pipeline import ReadoutWeight, nmse, predict, run_cases, train_readout
 
 ENV_JOBS = "CHUARC_JOBS"
-
-#: Narrowest lane group (cases, times coordinates for multi-input tasks) that
-#: runs the lockstep kernel. A lockstep step costs ~50 us of numpy call
-#: overhead however few lanes it has, against ~2 us per lane-step for the
-#: scalar loop, so narrower groups run faster case by case through run_case
-#: (measured break-even on desk groups on a 2-vCPU VM: 24-32 lanes; 32 leaves
-#: a margin for host noise).
-LANE_CROSSOVER = 32
 
 
 def default_jobs() -> int:
@@ -76,20 +60,8 @@ def _effective_reservoir(cfg: ExperimentConfig, dataset: tasks.Dataset):
     )
 
 
-def _simulate_case(reservoir, circuit, raw, multi_input, index):
-    try:
-        if multi_input:
-            return hstack_cases([run_case([coord], reservoir, circuit) for coord in raw])
-        return run_case(raw, reservoir, circuit)
-    except IntegrationError as exc:
-        raise IntegrationError(exc.step_index, case_index=index) from None
-
-
 def _simulate_group(args):
-    reservoir, circuit, start, cases, multi_input, lockstep = args
-    if not lockstep:
-        return [_simulate_case(reservoir, circuit, raw, multi_input, index)
-                for index, raw in enumerate(cases, start)]
+    reservoir, circuit, start, cases, multi_input = args
     try:
         return run_cases(cases, reservoir, circuit, per_coordinate=multi_input)
     except IntegrationError as exc:
@@ -97,21 +69,12 @@ def _simulate_group(args):
 
 
 def _simulate(reservoir, circuit, inputs, multi_input, jobs) -> list:
-    """Kernel runs for all inputs, in input order.
-
-    One contiguous group of cases per worker runs as lanes of one lockstep
-    kernel, or case by case when the group is narrower than LANE_CROSSOVER
-    lanes, its cases differ in length, or the envelope detector is on.
-    """
+    """Kernel runs for all inputs, in input order: one contiguous group of
+    cases per worker, each group one ``run_cases`` call."""
     jobs = max(1, jobs)
     size = max(1, -(-len(inputs) // jobs))
-    work = []
-    for start in range(0, len(inputs), size):
-        cases = inputs[start:start + size]
-        n_lanes = sum(len(raw) for raw in cases) if multi_input else len(cases)
-        lockstep = (n_lanes >= LANE_CROSSOVER and not reservoir.use_envelope
-                    and len({len(raw) for raw in cases}) == 1)
-        work.append((reservoir, circuit, start, cases, multi_input, lockstep))
+    work = [(reservoir, circuit, start, inputs[start:start + size], multi_input)
+            for start in range(0, len(inputs), size)]
     return [sm for group in _map(_simulate_group, work, jobs) for sm in group]
 
 
@@ -295,6 +258,8 @@ class SweepGrid:
                 raise ConfigurationError(f"sweep.{name}", "axis values must be monotone")
         if self.range_width <= 0.0:
             raise ConfigurationError("sweep.range_width", "must be positive")
+        if self.n_masks is not None and (not self.n_masks or min(self.n_masks) < 1):
+            raise ConfigurationError("sweep.n_masks", "must list at least one mask count, each >= 1")
 
     @property
     def cells(self) -> list:
@@ -333,7 +298,7 @@ def run_sweep(cfg: ExperimentConfig, grid: SweepGrid, jobs: int | None = None,
             v_min=vc - half,
             v_max=vc + half,
             f_carrier=carrier_frequency(r, cfg.circuit.c1),
-            **({"n_mask": nm} if nm else {}),
+            **({"n_mask": nm} if nm is not None else {}),
         )
         cell_cfg = replace(
             cfg,

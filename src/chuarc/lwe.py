@@ -101,11 +101,6 @@ def gaussian_sigma(alpha: float) -> float:
     return alpha / math.sqrt(2.0 * math.pi)
 
 
-def gaussian_density(x: float, sigma: float, mu: float = 0.0) -> float:
-    """Gaussian probability density."""
-    return math.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-
-
 def error_sample(mode, rng: np.random.Generator) -> int:
     """Draw one integer error from the configured distribution."""
     if isinstance(mode, GaussianErrors):
@@ -152,16 +147,6 @@ def decrypt_bit(ciphertext, s: int, q: int) -> tuple:
         u, v = ciphertext
     raw = int((v - u * s) % q)
     return raw, 1 if raw > q / 2.0 else 0
-
-
-def input_buffer_size(n_samples: int, n: int = 1) -> int:
-    """Pre-dummy input length: n_samples*n key samples, n_samples b values, one bit."""
-    return n_samples * n + n_samples + 1
-
-
-def build_input_buffer(case: LweTestCase) -> list:
-    """Raw reservoir input [a_samples, b_samples, phi, dummy 0]."""
-    return list(case.a_samples) + list(case.b_samples) + [case.phi, 0]
 
 
 def generate_testcases(params: LweParams, n_cases: int, rng: np.random.Generator,

@@ -30,7 +30,6 @@ from .errors import (
     IntegrationError,
     LayoutError,
     MetricError,
-    NoSignalError,
 )
 
 CARRIERS = ("square", "sine", "dc")
@@ -55,7 +54,6 @@ class ReservoirConfig:
     f_carrier: float = 5802.5
     n_periods: int = 5
     sample_rate: float = 1e8
-    n_taps: int = 2
     middle_fraction: float = 0.8
     use_envelope: bool = False
     seed: int = 0
@@ -79,14 +77,8 @@ class ReservoirConfig:
             raise ConfigurationError("reservoir.n_periods", "must be >= 1")
         if self.sample_rate <= 0.0:
             raise ConfigurationError("reservoir.sample_rate", "must be positive")
-        if self.n_taps != 2:
-            raise ConfigurationError("reservoir.n_taps", "exactly two physical taps are supported")
         if not 0.0 < self.middle_fraction <= 1.0:
             raise ConfigurationError("reservoir.middle_fraction", "must be in (0, 1]")
-
-    @property
-    def n_channels(self) -> int:
-        return self.n_mask * self.n_taps
 
 
 @dataclass(frozen=True)
@@ -131,11 +123,14 @@ def denormalize(volts, cfg: ReservoirConfig) -> np.ndarray:
 
 
 def multiplex(message, mask: Mask) -> np.ndarray:
-    """Repeat each message value across the mask block: out[i*n+j] = msg[i]*m[j]."""
+    """Repeat each message value across the mask block: out[i*n+j] = msg[i]*m[j].
+
+    A 2-D ``message`` holds one message per row and is multiplexed row by row.
+    """
     msg = np.asarray(message, dtype=float)
     if msg.size == 0:
         raise ConfigurationError("message", "must be nonempty")
-    return np.repeat(msg, len(mask)) * np.tile(mask.factors, msg.size)
+    return (msg[..., None] * mask.factors).reshape(*msg.shape[:-1], -1)
 
 
 def sample_hold(seq, theta: int) -> np.ndarray:
@@ -204,22 +199,6 @@ class StateMatrix:
         return self.values.shape[1]
 
 
-def hstack_cases(parts) -> StateMatrix:
-    """Column-concatenate state matrices from independent kernel runs
-    (multi-coordinate inputs)."""
-    if not parts:
-        raise ConfigurationError("parts", "must be nonempty")
-    rows = {p.n_rows for p in parts}
-    if len(rows) != 1:
-        raise LayoutError("all parts must share the row count")
-    return StateMatrix(
-        values=np.hstack([p.values for p in parts]),
-        n_mask=sum(p.n_mask for p in parts),
-        n_taps=parts[0].n_taps,
-        row_times=parts[0].row_times,
-    )
-
-
 def demultiplex(trace: Trace, n_values: int, n_mask: int, middle_fraction: float = 0.8) -> StateMatrix:
     """Regroup a trace into per-(tap, mask) channels.
 
@@ -257,22 +236,6 @@ def _row_times(times, n_values: int, n_mask: int, spp: int, middle_fraction: flo
     """Times of the kept samples of each value's first mask slot."""
     n_keep, lo = _slot_window(spp, middle_fraction)
     return times.reshape(n_values, n_mask, spp)[:, 0, lo:lo + n_keep].reshape(-1)
-
-
-def align_trace(trace: Trace, threshold: float = 0.1) -> Trace:
-    """Trim the leading prefix where the inductor tap stays below threshold.
-
-    Used when ingesting externally recorded traces; simulator output starts
-    at the signal and is returned unchanged.
-    """
-    level = np.abs(trace.channel(TAP_INDUCTOR))
-    above = np.nonzero(level >= threshold)[0]
-    if above.size == 0:
-        raise NoSignalError(f"no sample reaches the {threshold} V threshold")
-    start = int(above[0])
-    if start == 0:
-        return trace
-    return Trace(dt=trace.dt, tap_names=trace.tap_names, channels=trace.channels[:, start:])
 
 
 def envelope_extract(channel, window: int) -> tuple:
@@ -319,95 +282,93 @@ def _chua_kernel(drive: DriveSignal, circuit: ChuaParams, dt: float) -> Trace:
     return integrate(circuit, DEFAULT_INITIAL_STATE, drive, t_end, dt)
 
 
+#: Narrowest lane group (cases, times coordinates for multi-input tasks) that
+#: runs the lockstep kernel. A lockstep step costs ~50 us of numpy call
+#: overhead however few lanes it has, against ~2 us per lane-step for the
+#: scalar loop, so narrower groups run faster lane by lane (measured
+#: break-even on desk groups on a 2-vCPU VM: 24-32 lanes; 32 leaves a margin
+#: for host noise).
+LANE_CROSSOVER = 32
+
+
 def run_case(raw_values, cfg: ReservoirConfig, circuit: ChuaParams, kernel=None) -> StateMatrix:
-    """Full input pipeline for one case: normalise, multiplex, hold, modulate,
-    drive the kernel, then demultiplex (dummy-slot samples dropped).
+    """Full input pipeline for one case: ``run_cases`` with a single lane."""
+    return run_cases([raw_values], cfg, circuit, kernel=kernel)[0]
 
-    A trailing dummy value of 0 is appended before pre-processing so the end
-    of the real message survives acquisition trimming. Deterministic given
-    the config seed.
+
+def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: bool = False,
+              kernel=None) -> list:
+    """Normalise, multiplex, hold and modulate a group of equal-length cases,
+    drive the kernel, and demultiplex each case into its state matrix.
+
+    A trailing dummy value of 0 is appended to every lane's message so the
+    end of the real message survives acquisition trimming; its slots are
+    never kept. With ``per_coordinate`` each coordinate of a case drives its
+    own lane and the case's state matrix concatenates the coordinates'
+    channels. Lane k is driven at step s by levels[s // spp, k] * carrier[s],
+    and the kept taps fill one (case, row, coordinate, channel) array, so each
+    case's values are a view of it.
+
+    Groups of at least LANE_CROSSOVER lanes run as lanes of one lockstep
+    kernel; narrower groups, ``use_envelope`` runs and a ``kernel`` override
+    (``kernel(drive, circuit, dt) -> Trace``) run lane by lane through the
+    scalar kernel. Both give the same bits. A diverging lane raises
+    IntegrationError naming the lowest failing case and the step of its
+    scalar run.
     """
-    raw = list(raw_values)
-    if not raw:
-        raise ConfigurationError("raw_values", "must be nonempty")
-    kernel = kernel or _chua_kernel
-    mask = make_mask(cfg)
-    message = normalize(raw + [0.0], cfg)
-    envelope = sample_hold(multiplex(message, mask), cfg.theta)
-    drive = modulate(envelope, cfg)
-    dt = 1.0 / cfg.sample_rate
-    trace = kernel(drive, circuit, dt)
-
-    spe = samples_per_envelope_point(envelope.size, cfg)
-    spp = cfg.theta * spe  # samples per (value, mask) slot
-    n_real = len(raw) * cfg.n_mask * spp
-    trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=trace.channels[:, :n_real])
-    if cfg.use_envelope:
-        half_period = max(1, int(round(cfg.sample_rate / (2.0 * cfg.f_carrier))))
-        upper = np.vstack([envelope_extract(ch, half_period)[0] for ch in trimmed.channels])
-        trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=upper)
-    return demultiplex(trimmed, len(raw), cfg.n_mask, cfg.middle_fraction)
-
-
-def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: bool = False) -> list:
-    """``run_case`` for a group of equal-length cases, as lanes of one lockstep
-    kernel run.
-
-    With ``per_coordinate`` each coordinate of a case drives its own lane and
-    the case's state matrix concatenates the coordinates' channels, as
-    ``hstack_cases`` does. Results match the per-case path bit for bit. The
-    drive is built step by step from the lane's message, the mask and the
-    shared carrier, and the kept taps go straight into one
-    (case, row, coordinate, channel) array, so each case's values are a view
-    of it. A diverging lane raises IntegrationError naming the lowest
-    failing case, with the step taken from a scalar rerun of that lane.
-    """
-    if cfg.use_envelope:
-        raise ConfigurationError("reservoir.use_envelope", "envelope detection runs through run_case")
     cases = [list(raw) for raw in cases]
-    lanes = [[x] for raw in cases for x in raw] if per_coordinate else cases
     if not cases or len({len(raw) for raw in cases}) != 1:
-        raise ConfigurationError("cases", "lockstep cases must be nonempty and of equal length")
+        raise ConfigurationError("cases", "cases must be nonempty and of equal length")
     if not cases[0]:
         raise ConfigurationError("raw_values", "must be nonempty")
+    lanes = [[x] for raw in cases for x in raw] if per_coordinate else cases
     n_cases, n_lanes, n_values = len(cases), len(lanes), len(lanes[0])
     n_coords = n_lanes // n_cases
     n_mask = cfg.n_mask
     dt = 1.0 / cfg.sample_rate
 
-    mask = make_mask(cfg)
     messages = normalize(np.hstack([np.asarray(lanes, dtype=float), np.zeros((n_lanes, 1))]), cfg)
-    # levels[i*n_mask + j, lane] = message[lane, i] * mask[j], as multiplex builds it
-    levels = np.ascontiguousarray(
-        (messages[:, :, None] * mask.factors).reshape(n_lanes, -1).T
-    )
-    n_envelope = levels.shape[0] * cfg.theta
-    spp = cfg.theta * samples_per_envelope_point(n_envelope, cfg)
+    levels = np.ascontiguousarray(multiplex(messages, make_mask(cfg)).T)  # (slot, lane)
+    spp = cfg.theta * samples_per_envelope_point(levels.shape[0] * cfg.theta, cfg)
     carrier = carrier_wave(levels.shape[0] * spp, cfg)
-
     n_keep, lo = _slot_window(spp, cfg.middle_fraction)
     n_real = n_values * n_mask * spp  # the dummy value's slots are not kept
-    steps = np.arange(carrier.size)
-    offset = steps % spp
-    keep = ((steps < n_real) & (offset >= lo) & (offset < lo + n_keep)).tolist()
     out = np.empty((n_cases, n_values * n_keep, n_coords, 2 * n_mask))
 
-    def sink(step, v_cd, v_l):
-        slot, off = divmod(step, spp)
-        value, j = divmod(slot, n_mask)
-        row = out[:, value * n_keep + off - lo]
-        row[:, :, j] = v_cd.reshape(n_cases, n_coords)
-        row[:, :, n_mask + j] = v_l.reshape(n_cases, n_coords)
-
-    finite = integrate_lanes(circuit, DEFAULT_INITIAL_STATE, levels, carrier, dt, keep, sink)
-    if not finite.all():
-        lane = int(np.flatnonzero(~finite)[0])
-        case = lane // n_coords
+    def scalar(lane):
+        case, coord = divmod(lane, n_coords)
+        drive = DriveSignal(np.repeat(levels[:, lane], spp) * carrier, cfg.sample_rate)
         try:
-            run_case(lanes[lane], cfg, circuit)
+            trace = (kernel or _chua_kernel)(drive, circuit, dt)
         except IntegrationError as exc:
             raise IntegrationError(exc.step_index, case_index=case) from None
-        raise AssertionError(f"lane {lane} diverged but its scalar rerun did not")
+        channels = trace.channels[:, :n_real]
+        if cfg.use_envelope:
+            half_period = max(1, int(round(cfg.sample_rate / (2.0 * cfg.f_carrier))))
+            channels = np.vstack([envelope_extract(ch, half_period)[0] for ch in channels])
+        trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=channels)
+        out[case, :, coord] = demultiplex(trimmed, n_values, n_mask, cfg.middle_fraction).values
+
+    if kernel is not None or cfg.use_envelope or n_lanes < LANE_CROSSOVER:
+        for lane in range(n_lanes):
+            scalar(lane)
+    else:
+        steps = np.arange(carrier.size)
+        offset = steps % spp
+        keep = ((steps < n_real) & (offset >= lo) & (offset < lo + n_keep)).tolist()
+
+        def sink(step, v_cd, v_l):
+            slot, off = divmod(step, spp)
+            value, j = divmod(slot, n_mask)
+            row = out[:, value * n_keep + off - lo]
+            row[:, :, j] = v_cd.reshape(n_cases, n_coords)
+            row[:, :, n_mask + j] = v_l.reshape(n_cases, n_coords)
+
+        finite = integrate_lanes(circuit, DEFAULT_INITIAL_STATE, levels, carrier, dt, keep, sink)
+        if not finite.all():
+            lane = int(np.flatnonzero(~finite)[0])
+            scalar(lane)
+            raise AssertionError(f"lane {lane} diverged but its scalar rerun did not")
 
     times = _row_times(np.arange(n_real) * dt, n_values, n_mask, spp, cfg.middle_fraction)
     values = out.reshape(n_cases, n_values * n_keep, -1)

@@ -109,17 +109,6 @@ def classify(estimate: float) -> int:
     return int(np.argmin(np.abs(teachers - estimate)))
 
 
-def decision_surface(x_values, y_values, model) -> np.ndarray:
-    """Class grid over a regular mesh; ``model(x, y)`` returns the estimate."""
-    x_values = np.asarray(x_values, dtype=float)
-    y_values = np.asarray(y_values, dtype=float)
-    grid = np.empty((y_values.size, x_values.size), dtype=int)
-    for iy, y in enumerate(y_values):
-        for ix, x in enumerate(x_values):
-            grid[iy, ix] = classify(float(model(x, y)))
-    return grid
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Task inputs and teachers with a train/validation split.
@@ -173,17 +162,6 @@ def split_indices(n: int, val_fraction: float, seed: int) -> tuple:
     rng = np.random.default_rng([seed, 0x73706C69])
     order = rng.permutation(n)
     return np.sort(order[n_val:]), np.sort(order[:n_val])
-
-
-def split_dataset(dataset: Dataset, val_fraction: float, seed: int) -> Dataset:
-    """Return a copy of the dataset with a fresh train/validation split."""
-    train_idx, val_idx = split_indices(dataset.n_cases, val_fraction, seed)
-    return Dataset(
-        kind=dataset.kind, inputs=dataset.inputs, teachers=dataset.teachers,
-        value_max=dataset.value_max, train_idx=train_idx, val_idx=val_idx,
-        seed=seed, multi_input=dataset.multi_input, labels=dataset.labels,
-        meta=dataset.meta,
-    )
 
 
 def build_dataset(

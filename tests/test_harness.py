@@ -326,6 +326,12 @@ class TestSweep:
                          n_masks=(1, 10, 25, 40, 50))
         assert len(grid.cells) == 5
 
+    @pytest.mark.parametrize("n_masks", [(), (0,), (5, 0), (-1,)])
+    def test_mask_axis_rejects_empty_or_below_one(self, n_masks):
+        with pytest.raises(ConfigurationError) as err:
+            SweepGrid(resistances=(1800.0,), v_centers=(0.7,), n_masks=n_masks)
+        assert err.value.field == "sweep.n_masks"
+
     def test_small_sweep_runs_and_writes_csv(self, tmp_path):
         cfg = tiny_config(tmp_path, n_cases=10)
         grid = SweepGrid(resistances=(1700.0, 1800.0), v_centers=(0.7,), range_width=0.6)
@@ -629,6 +635,26 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["dataset", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["dataset", "train", "eval", "sweep"])
+    @pytest.mark.parametrize("n_cases", ["0", "-3"])
+    def test_n_cases_below_one_exits_1(self, tmp_path, capsys, command, n_cases):
+        out = tmp_path / "out"
+        argv = [command, "--n-cases", n_cases, "--out", str(out)]
+        if command == "eval":
+            argv += ["--weight", str(tmp_path / "weight.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_cases: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_masks", [[], ["0"], ["5", "0"]])
+    def test_sweep_bad_mask_axis_exits_1(self, tmp_path, capsys, n_masks):
+        out = tmp_path / "out"
+        assert main(["sweep", "--out", str(out), "--n-cases", "10", "--n-masks", *n_masks]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep.n_masks: ") and "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
 
     def test_jobs_env_var_default(self, monkeypatch):
         from chuarc.experiment import default_jobs

@@ -1,4 +1,5 @@
-"""Lockstep lane kernel: bit-for-bit agreement with the scalar kernel, for any
+"""Lockstep lane kernel and the one encoding path: bit-for-bit agreement with
+the scalar kernel and with the per-case pipeline chain, for either backend, any
 lane grouping and worker count, and failures that name the case."""
 
 import pickle
@@ -7,18 +8,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chuarc import experiment
+from chuarc import experiment, pipeline
 from chuarc.circuit import (
     DEFAULT_INITIAL_STATE,
     CircuitState,
     DriveSignal,
+    Trace,
     integrate,
     integrate_lanes,
     kennedy_circuit,
 )
 from chuarc.config import default_config
 from chuarc.errors import IntegrationError
-from chuarc.pipeline import hstack_cases, run_case, run_cases, samples_per_envelope_point
+from chuarc.pipeline import (
+    StateMatrix,
+    demultiplex,
+    envelope_extract,
+    make_mask,
+    modulate,
+    multiplex,
+    normalize,
+    run_case,
+    run_cases,
+    sample_hold,
+    samples_per_envelope_point,
+)
 
 
 def bits(x):
@@ -91,12 +105,36 @@ CONFIGS = {
 }
 
 
+def reference_state(raw, cfg, circuit):
+    """One case through the per-case chain, independent of run_cases:
+    normalise, multiplex, hold, modulate, integrate, trim, demultiplex."""
+    message = normalize(list(raw) + [0.0], cfg)
+    envelope = sample_hold(multiplex(message, make_mask(cfg)), cfg.theta)
+    drive = modulate(envelope, cfg)
+    dt = 1.0 / cfg.sample_rate
+    trace = integrate(circuit, DEFAULT_INITIAL_STATE, drive, drive.samples.size * dt, dt)
+    spp = cfg.theta * samples_per_envelope_point(envelope.size, cfg)
+    channels = trace.channels[:, :len(raw) * cfg.n_mask * spp]
+    if cfg.use_envelope:
+        half_period = max(1, int(round(cfg.sample_rate / (2.0 * cfg.f_carrier))))
+        channels = np.vstack([envelope_extract(ch, half_period)[0] for ch in channels])
+    trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=channels)
+    return demultiplex(trimmed, len(raw), cfg.n_mask, cfg.middle_fraction)
+
+
 def per_case_states(cfg, dataset):
+    """Reference states; multi-input cases run each coordinate alone and
+    concatenate the coordinates' channels."""
     reservoir = experiment._effective_reservoir(cfg, dataset)
-    if dataset.multi_input:
-        return [hstack_cases([run_case([c], reservoir, cfg.circuit) for c in raw])
-                for raw in dataset.inputs]
-    return [run_case(raw, reservoir, cfg.circuit) for raw in dataset.inputs]
+    if not dataset.multi_input:
+        return [reference_state(raw, reservoir, cfg.circuit) for raw in dataset.inputs]
+    states = []
+    for raw in dataset.inputs:
+        parts = [reference_state([c], reservoir, cfg.circuit) for c in raw]
+        states.append(StateMatrix(values=np.hstack([p.values for p in parts]),
+                                  n_mask=sum(p.n_mask for p in parts), n_taps=2,
+                                  row_times=parts[0].row_times))
+    return states
 
 
 def assert_same_states(got, want, key):
@@ -119,29 +157,45 @@ class TestSimulateCases:
         assert spe["square"] > 1
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_any_lane_grouping_matches_run_case(self, name):
+    def test_any_lane_grouping_matches_run_case(self, name, monkeypatch):
         cfg = CONFIGS[name]
         dataset = experiment.build_dataset(cfg)
         want = per_case_states(cfg, dataset)
         reservoir = experiment._effective_reservoir(cfg, dataset)
-        for size in (1, 7, dataset.n_cases):
-            got = []
-            for start in range(0, dataset.n_cases, size):
-                got += run_cases(dataset.inputs[start:start + size], reservoir,
-                                 cfg.circuit, per_coordinate=dataset.multi_input)
-            assert_same_states(got, want, size)
+        # the default crossover keeps these small groups scalar; 1 forces lockstep
+        for crossover in (pipeline.LANE_CROSSOVER, 1):
+            monkeypatch.setattr(pipeline, "LANE_CROSSOVER", crossover)
+            for size in (1, 7, dataset.n_cases):
+                got = []
+                for start in range(0, dataset.n_cases, size):
+                    got += run_cases(dataset.inputs[start:start + size], reservoir,
+                                     cfg.circuit, per_coordinate=dataset.multi_input)
+                assert_same_states(got, want, (crossover, size))
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_any_worker_count_matches_run_case(self, name, monkeypatch):
         cfg = CONFIGS[name]
         dataset = experiment.build_dataset(cfg)
         want = per_case_states(cfg, dataset)
-        # the default crossover keeps these small groups scalar; 1 forces lockstep
-        for crossover in (experiment.LANE_CROSSOVER, 1):
-            monkeypatch.setattr(experiment, "LANE_CROSSOVER", crossover)
+        width = sum(map(len, dataset.inputs)) if dataset.multi_input else dataset.n_cases
+        # lockstep, the default, and scalar for every group; pool workers are
+        # forked, so they see the patched crossover
+        for crossover in (1, pipeline.LANE_CROSSOVER, width + 1):
+            monkeypatch.setattr(pipeline, "LANE_CROSSOVER", crossover)
             for jobs in (1, 2):
                 got = experiment.simulate_cases(cfg, dataset, jobs=jobs)
                 assert_same_states(got, want, (crossover, jobs))
+
+    def test_envelope_group_matches_run_case(self):
+        # wide enough for lockstep, but the envelope detector runs lane by lane
+        base = dataset_config("polynomial", use_envelope=True)
+        cfg = replace(base, n_cases=pipeline.LANE_CROSSOVER)
+        dataset = experiment.build_dataset(cfg)
+        reservoir = experiment._effective_reservoir(cfg, dataset)
+        got = run_cases(dataset.inputs, reservoir, cfg.circuit)
+        want = [run_case(raw, reservoir, cfg.circuit) for raw in dataset.inputs]
+        assert_same_states(got, want, "run_case")
+        assert_same_states(got, per_case_states(cfg, dataset), "reference")
 
     def test_zero_jobs_runs_in_process(self):
         cfg = CONFIGS["square"]
@@ -173,7 +227,7 @@ class TestDivergence:
         reservoir = experiment._effective_reservoir(cfg, dataset)
         for index, raw in enumerate(dataset.inputs):
             try:
-                run_case(raw, reservoir, cfg.circuit)
+                reference_state(raw, reservoir, cfg.circuit)
             except IntegrationError as exc:
                 return index, exc.step_index
         raise AssertionError("no case diverged")
@@ -183,29 +237,52 @@ class TestDivergence:
         dataset = experiment.build_dataset(cfg)
         case, step = self.first_scalar_failure(cfg, dataset)
         assert case > 0  # earlier cases stay finite
-        for crossover in (1, experiment.LANE_CROSSOVER):
-            monkeypatch.setattr(experiment, "LANE_CROSSOVER", crossover)
+        for crossover in (1, pipeline.LANE_CROSSOVER):
+            monkeypatch.setattr(pipeline, "LANE_CROSSOVER", crossover)
             for jobs in (1, 2):
                 with pytest.raises(IntegrationError) as err:
                     experiment.simulate_cases(cfg, dataset, jobs=jobs)
                 assert (err.value.case_index, err.value.step_index) == (case, step)
                 assert f"at step {step} in case {case}" in str(err.value)
 
-    def test_lane_group_names_its_lowest_failing_case(self):
+    def test_lane_group_names_its_lowest_failing_case(self, monkeypatch):
         cfg = diverging_config()
         dataset = experiment.build_dataset(cfg)
         case, step = self.first_scalar_failure(cfg, dataset)
         reservoir = experiment._effective_reservoir(cfg, dataset)
-        for size in (1, 5, dataset.n_cases):
-            start = case // size * size
+        for crossover in (1, pipeline.LANE_CROSSOVER):
+            monkeypatch.setattr(pipeline, "LANE_CROSSOVER", crossover)
+            for size in (1, 5, dataset.n_cases):
+                start = case // size * size
+                with pytest.raises(IntegrationError) as err:
+                    run_cases(dataset.inputs[start:start + size], reservoir, cfg.circuit)
+                assert (err.value.case_index, err.value.step_index) == (case - start, step)
+
+    def test_multi_input_group_names_the_case_not_the_lane(self, monkeypatch):
+        base = diverging_config()
+        cfg = replace(base, task=replace(base.task, kind="circles"))
+        dataset = experiment.build_dataset(cfg)
+        reservoir = experiment._effective_reservoir(cfg, dataset)
+        inputs = dataset.inputs[1:]
+        failures = []
+        for case, raw in enumerate(inputs):
+            for coord, value in enumerate(raw):
+                try:
+                    reference_state([value], reservoir, cfg.circuit)
+                except IntegrationError as exc:
+                    failures.append((case, coord, exc.step_index))
+        case, coord, step = failures[0]
+        assert coord == 1  # the failing lane, 2 * case + 1, is not the case index
+        for crossover in (1, pipeline.LANE_CROSSOVER):
+            monkeypatch.setattr(pipeline, "LANE_CROSSOVER", crossover)
             with pytest.raises(IntegrationError) as err:
-                run_cases(dataset.inputs[start:start + size], reservoir, cfg.circuit)
-            assert (err.value.case_index, err.value.step_index) == (case - start, step)
+                run_cases(inputs, reservoir, cfg.circuit, per_coordinate=True)
+            assert (err.value.case_index, err.value.step_index) == (case, step)
 
     def test_failure_manifest_carries_the_message(self, tmp_path, monkeypatch):
         import json
 
-        monkeypatch.setattr(experiment, "LANE_CROSSOVER", 1)
+        monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
         cfg = replace(diverging_config(), out_dir=str(tmp_path))
         with pytest.raises(IntegrationError) as err:
             experiment.run_experiment(cfg, jobs=1)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from chuarc import lwe
 from chuarc.errors import ConfigurationError, GenerationError
 from chuarc.lwe import (
     Ciphertext,
@@ -14,29 +15,24 @@ from chuarc.lwe import (
     LweParams,
     PublicKey,
     UniformErrors,
-    build_input_buffer,
     decrypt_bit,
     encrypt_bit,
     encrypt_sums,
     error_sample,
-    gaussian_density,
     gaussian_sigma,
     generate_testcases,
-    input_buffer_size,
     keygen,
     load_dataset,
     multibit_decrypt,
     multibit_encrypt,
     save_dataset,
 )
+from chuarc.tasks import TaskSpec, build_dataset
 
 
 class TestErrorDistribution:
     def test_sigma_for_unit_alpha(self):
         assert round(gaussian_sigma(1.0), 6) == 0.398942
-
-    def test_density_peak_for_unit_sigma(self):
-        assert round(gaussian_density(0.0, sigma=1.0), 6) == 0.398942
 
     def test_uniform_support_and_frequencies(self):
         rng = np.random.default_rng(21)
@@ -132,18 +128,34 @@ class TestDecrypt:
         assert decrypt_bit(ct, s=11, q=29) == (16, 1)
 
 
+def encrypt_inputs(n_cases, seed, params):
+    return build_dataset(TaskSpec(kind="lwe-encrypt"), n_cases=n_cases, seed=seed,
+                         val_fraction=0.5, lwe_params=params)
+
+
 class TestInputBuffer:
-    def test_worked_case_layout(self):
+    """lwe-encrypt inputs are [a_samples, b_samples, phi]; the pipeline appends
+    the trailing dummy 0 itself."""
+
+    def test_worked_case_layout(self, monkeypatch):
         cases = _table_candidate_cases()
-        assert build_input_buffer(cases[0]) == [4, 2, 6, 0, 6, 2, 5, 5, 0, 6, 0, 0]
+        monkeypatch.setattr(lwe, "generate_testcases", lambda params, n, rng: cases)
+        ds = encrypt_inputs(2, 0, LweParams())
+        assert ds.inputs == [[4, 2, 6, 0, 6, 2, 5, 5, 0, 6, 0], [4, 2, 6, 0, 6, 2, 5, 5, 0, 6, 1]]
+        assert ds.teachers == [[float(c.u), float(c.v)] for c in cases]
 
     def test_length_with_five_samples(self):
-        cases = _table_candidate_cases()
-        assert len(build_input_buffer(cases[0])) == 12
+        params = LweParams()
+        ds = encrypt_inputs(40, 34, params)
+        for raw, teacher in zip(ds.inputs, ds.teachers):
+            assert len(raw) == 11
+            a, b, phi = raw[:5], raw[5:10], raw[10]
+            assert list(encrypt_sums(a, b, phi, params.q)) == teacher
 
     def test_sizing_formula(self):
-        assert input_buffer_size(n_samples=5, n=1) == 11
-        assert input_buffer_size(n_samples=10, n=5) == 61
+        for n_samples in (1, 3, 5):
+            ds = encrypt_inputs(10, 35, LweParams(n_samples=n_samples))
+            assert all(len(raw) == 2 * n_samples + 1 for raw in ds.inputs)
 
 
 def _table_candidate_cases():

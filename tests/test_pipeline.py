@@ -14,14 +14,12 @@ from chuarc.errors import (
     InputDomainError,
     LayoutError,
     MetricError,
-    NoSignalError,
 )
 from chuarc.pipeline import (
     Mask,
     ReservoirConfig,
     StateMatrix,
     _passthrough_kernel,
-    align_trace,
     demultiplex,
     denormalize,
     envelope_extract,
@@ -212,28 +210,6 @@ class TestDemultiplex:
                    channels=np.vstack([ramp, ramp]))
         sm = demultiplex(tr, n_values=1, n_mask=1, middle_fraction=0.4)
         assert np.array_equal(sm.values[:, 0], [3.0, 4.0, 5.0, 6.0])
-
-
-class TestAlignTrace:
-    def _trace(self, inductor):
-        inductor = np.asarray(inductor, dtype=float)
-        return Trace(dt=1e-6, tap_names=(TAP_DIODE, TAP_INDUCTOR),
-                     channels=np.vstack([np.ones_like(inductor), inductor]))
-
-    def test_leading_quiet_prefix_removed_exactly(self):
-        sig = np.concatenate([np.full(100, 0.01), np.full(50, 0.5)])
-        trimmed = align_trace(self._trace(sig))
-        assert trimmed.n_samples == 50
-        assert np.all(trimmed.channel(TAP_INDUCTOR) == 0.5)
-
-    def test_already_aligned_unchanged(self):
-        sig = np.full(30, 0.4)
-        trimmed = align_trace(self._trace(sig))
-        assert trimmed.n_samples == 30
-
-    def test_all_quiet_raises(self):
-        with pytest.raises(NoSignalError):
-            align_trace(self._trace(np.zeros(40)))
 
 
 class TestEnvelope:

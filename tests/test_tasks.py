@@ -14,12 +14,10 @@ from chuarc.tasks import (
     classify,
     concentric_circles,
     confusion_matrix,
-    decision_surface,
     modulo_teacher,
     pair_teachers,
     poly_mod_teacher,
     polynomial_teacher,
-    split_dataset,
     split_indices,
 )
 
@@ -109,13 +107,6 @@ class TestClassify:
         assert classify(1.4) == 0
         assert classify(-1.0) == 0  # far below both anchors resolves to class 0
 
-    def test_decision_surface_size(self):
-        xs = np.linspace(-2.5, 2.5, 40)
-        ys = np.linspace(-2.5, 2.5, 40)
-        grid = decision_surface(xs, ys, lambda x, y: 2.0 if x * x + y * y < 1.0 else 1.0)
-        assert grid.size == 1600
-        assert grid[20, 20] == 1 and grid[0, 0] == 0
-
     def test_confusion_matrix_row_sums(self):
         true = [0, 0, 1, 1, 1]
         pred = [0, 1, 1, 1, 0]
@@ -145,12 +136,6 @@ class TestSplit:
     def test_degenerate_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
             split_indices(100, 0.0001, seed=13)
-
-    def test_resplit_dataset(self):
-        ds = build_dataset(TaskSpec(kind="polynomial"), n_cases=40, seed=14)
-        again = split_dataset(ds, 0.25, seed=99)
-        assert again.val_idx.size == 10
-        assert not set(again.val_idx) & set(again.train_idx)
 
 
 class TestBuildDataset:
