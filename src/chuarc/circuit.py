@@ -44,9 +44,9 @@ class DiodePwl:
 
     def __post_init__(self):
         if not (self.g_inner < self.g_mid < 0.0 < self.g_outer):
-            raise ConfigurationError("diode", "slopes must satisfy g_inner < g_mid < 0 < g_outer")
+            raise ConfigurationError("circuit.diode", "slopes must satisfy g_inner < g_mid < 0 < g_outer")
         if not (0.0 < self.bp_inner < self.bp_outer):
-            raise ConfigurationError("diode", "breakpoints must satisfy 0 < bp_inner < bp_outer")
+            raise ConfigurationError("circuit.diode", "breakpoints must satisfy 0 < bp_inner < bp_outer")
 
     @classmethod
     def from_nic_branches(cls, branches=NIC_BRANCHES, esat: float = DEFAULT_ESAT) -> "DiodePwl":

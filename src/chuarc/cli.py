@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,28 +17,23 @@ from . import circuit as circ
 from . import experiment as exp
 from . import lwe as lwe_mod
 from . import plots, tasks
-from .config import config_digest, default_config, parse_config, seed_for, serialize_config
+from .config import PROFILES, config_digest, parse_config, read_config, seed_for, serialize_config
 from .errors import ChuaRcError, ConfigurationError, InputDomainError
 from .pipeline import nmse, predict
 
 
 def _load_config(args):
-    if args.config:
-        cfg = parse_config(args.config)
-    else:
-        kind = getattr(args, "task", None) or "polynomial"
-        cfg = default_config(profile=args.profile, task_kind=kind)
-    if getattr(args, "task", None):
-        cfg = replace(cfg, task=replace(cfg.task, kind=args.task))
-        if args.task.startswith("lwe") and cfg.lwe is None:
-            cfg = replace(cfg, lwe=lwe_mod.LweParams())
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "n_cases", None) is not None:
-        cfg = replace(cfg, n_cases=args.n_cases)
-    return cfg
+    """The config file's object (or {}) with the given flags on top, parsed
+    once. Without a file, the profile defaults to desk."""
+    raw = read_config(args.config) if args.config else {}
+    flags = {"profile": args.profile or (None if args.config else "desk"),
+             "master_seed": args.seed, "out_dir": args.out,
+             "n_cases": getattr(args, "n_cases", None)}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    task = getattr(args, "task", None)
+    if task and isinstance(raw.get("task", {}), dict):
+        raw["task"] = {**raw.get("task", {}), "kind": task}
+    return parse_config(raw)
 
 
 def _cmd_simulate(args) -> int:
@@ -103,7 +97,7 @@ def _cmd_dataset(args) -> int:
         # same stream the experiment harness uses for this master seed
         seed = seed_for(cfg.master_seed, "dataset")
         rng = np.random.default_rng([seed, 0x6C7765])
-        params = cfg.lwe or lwe_mod.LweParams()
+        params = cfg.lwe
         pk = lwe_mod.keygen(params, rng)
         cases = lwe_mod.generate_testcases(params, cfg.n_cases, rng, pk=pk)
         path = out / "lwe_cases.json"
@@ -179,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_jobs=True):
         p.add_argument("--config", help="JSON config file (missing fields take defaults)")
-        p.add_argument("--profile", default="desk", choices=("full", "desk"))
+        p.add_argument("--profile", default=None, choices=tuple(PROFILES),
+                       help="profile whose defaults fill absent fields (default: the"
+                            " file's profile, full if it names none; desk without --config)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
         if with_jobs:

@@ -6,6 +6,10 @@ The "desk" profile trades fidelity for runtime: 1 MHz sampling, a shorter
 hold factor, fewer cases, and a slightly lower resistance where the
 piecewise-linear diode model shows the same rich dynamics the reference
 op-amp model shows near 1.92 kOhm.
+
+One codec reads and writes every section. It walks ``dataclasses.fields``
+of the config dataclasses, picks each leaf parser from the field's type,
+and fills an absent field from the profile's defaults.
 """
 
 from __future__ import annotations
@@ -13,16 +17,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
 
 from . import lwe as lwe_mod
-from .circuit import ChuaParams, DiodePwl
+from .circuit import ChuaParams, kennedy_circuit
 from .errors import ConfigurationError
 from .pipeline import ReservoirConfig
 from .tasks import TaskSpec
 
-PROFILES = ("full", "desk")
+#: What each profile sets over the dataclass defaults and the Kennedy
+#: circuit: (r_variable, sample_rate, theta, n_cases).
+PROFILES = {"full": (1920.0, 1e8, 10, 2900), "desk": (1800.0, 1e6, 4, 320)}
 
 
 def carrier_frequency(r_variable: float, c1: float, omega: float = 0.7) -> float:
@@ -39,14 +48,14 @@ class ExperimentConfig:
     task: TaskSpec
     lwe: lwe_mod.LweParams | None
     n_cases: int
-    val_fraction: float
-    master_seed: int
-    out_dir: str
+    val_fraction: float = 0.2
+    master_seed: int = 0
+    out_dir: str = "out"
     profile: str = "full"
 
     def __post_init__(self):
         if self.profile not in PROFILES:
-            raise ConfigurationError("profile", f"must be one of {PROFILES}")
+            raise ConfigurationError("profile", f"must be one of {tuple(PROFILES)}")
         if self.n_cases < 1:
             raise ConfigurationError("n_cases", "need at least 1 case")
         if not 0.0 < self.val_fraction < 1.0:
@@ -54,42 +63,18 @@ class ExperimentConfig:
 
 
 def default_config(profile: str = "full", task_kind: str = "polynomial") -> ExperimentConfig:
-    """Built-in defaults; see the module docstring for the two profiles."""
-    if profile == "desk":
-        r_variable = 1800.0
-        sample_rate = 1e6
-        theta = 4
-        n_cases = 320
-    else:
-        r_variable = 1920.0
-        sample_rate = 1e8
-        theta = 10
-        n_cases = 2900
-    c1 = 10e-9
-    circuit = ChuaParams(r_variable=r_variable, c1=c1, c2=100e-9, l=18e-3, r_series=17.0)
-    reservoir = ReservoirConfig(
-        v_min=0.4,
-        v_max=1.0,
-        value_max=6.0,
-        n_mask=50,
-        mask_deviation=0.01,
-        theta=theta,
-        carrier="square",
-        f_carrier=carrier_frequency(r_variable, c1),
-        n_periods=5,
-        sample_rate=sample_rate,
-        middle_fraction=0.8,
-        seed=0,
-    )
+    """Built-in defaults: the dataclass defaults and the Kennedy circuit,
+    with what the profile sets on top (see the module docstring)."""
+    # an unknown profile takes the full values; ExperimentConfig rejects it
+    r_variable, sample_rate, theta, n_cases = PROFILES.get(profile, PROFILES["full"])
+    circuit = kennedy_circuit(r_variable)
     return ExperimentConfig(
         circuit=circuit,
-        reservoir=reservoir,
+        reservoir=ReservoirConfig(theta=theta, sample_rate=sample_rate,
+                                  f_carrier=carrier_frequency(r_variable, circuit.c1)),
         task=TaskSpec(kind=task_kind),
         lwe=lwe_mod.LweParams() if task_kind.startswith("lwe") else None,
         n_cases=n_cases,
-        val_fraction=0.2,
-        master_seed=0,
-        out_dir="out",
         profile=profile,
     )
 
@@ -134,92 +119,78 @@ def _flag(value, path: str) -> bool:
     return value
 
 
-def _text(value, path: str) -> str:
-    return str(value)
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(path, f"must be a string, got {value!r}")
+    return value
 
 
-#: The keys of each config section and the parser of each field; None
-#: marks a key parse_config reads itself. Any other key is an error.
-_SCHEMA = {
-    "": {"profile": None, "circuit": None, "reservoir": None, "task": None, "lwe": None,
-         "n_cases": _integer, "val_fraction": _number, "master_seed": _integer,
-         "out_dir": _text},
-    "circuit": {**dict.fromkeys(("r_variable", "c1", "c2", "l", "r_series"), _number),
-                "diode": None},
-    "circuit.diode": dict.fromkeys(("g_inner", "g_mid", "g_outer", "bp_inner", "bp_outer"),
-                                   _number),
-    "reservoir": {"v_min": _number, "v_max": _number, "value_max": _number, "n_mask": _integer,
-                  "mask_deviation": _number, "theta": _integer, "carrier": _text,
-                  "f_carrier": _number, "n_periods": _integer, "sample_rate": _number,
-                  "middle_fraction": _number, "use_envelope": _flag, "seed": _integer},
-    "task": {"kind": _text, "x_range": _pair, "modulo_base": _number, "poly_mod_base": _number,
-             "pair_max": _integer, "inner_radius": _number, "outer_radii": _pair},
-    "lwe": {**dict.fromkeys(("q", "n", "m", "n_samples", "s"), _integer), "error_mode": None},
-    "lwe.error_mode": {"kind": None, "lo": _integer, "hi": _integer, "alpha": _number},
-}
+#: The parser of each leaf field type; every other field is a JSON object.
+_LEAVES = {float: _number, int: _integer, bool: _flag, str: _string, tuple: _pair}
+
+
+@cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
 def _dotted(path: str, name) -> str:
     return f"{path}.{name}" if path else str(name)
 
 
-def _section(raw: dict, path: str) -> dict:
-    """The object at dotted ``path`` ({} when absent; ``raw`` itself for the
-    top level) from its parent ``raw``, checked to hold only the keys that
-    section takes."""
-    value = raw.get(path.rsplit(".", 1)[-1], {}) if path else raw
-    if not isinstance(value, dict):
+def _field_default(f, default):
+    """Field ``f`` of the instance ``default``, or its dataclass default when
+    ``default`` is None; MISSING when there is neither."""
+    if default is not None:
+        return getattr(default, f.name)
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return f.default
+
+
+def _decode(hint, raw, path: str, default):
+    """The value of type ``hint`` read from the JSON value ``raw`` at dotted
+    ``path``. A dataclass is read from an object that holds only its field
+    names; an absent field takes its value from ``default`` when that is an
+    instance, else its dataclass default. ``X | None`` reads an X. A union
+    of dataclasses is tagged: their ``kind`` field names the member, and an
+    absent ``kind`` keeps the kind of ``default``."""
+    if hint in _LEAVES:
+        return _LEAVES[hint](raw, path)
+    if not isinstance(raw, dict):
         raise ConfigurationError(path or "<config>", "must be a JSON object")
-    for key in value:
-        if key not in _SCHEMA[path]:
+    if isinstance(hint, types.UnionType):
+        members = [t for t in typing.get_args(hint) if t is not type(None)]
+        if len(members) > 1:
+            tags = {t.kind: t for t in members}
+            tag = _string(raw["kind"], f"{path}.kind") if "kind" in raw else default.kind
+            if tag not in tags:
+                raise ConfigurationError(f"{path}.kind", f"must be one of {tuple(tags)}, got {tag!r}")
+            members = [tags[tag]]
+        hint = members[0]
+    if not isinstance(default, hint):
+        default = None
+    names = [f.name for f in fields(hint)]
+    for key in raw:
+        if key not in names:
             raise ConfigurationError(_dotted(path, key), f"unknown key; {path or 'the top level'}"
-                                     f" takes {', '.join(_SCHEMA[path])}")
-    return value
+                                     f" takes {', '.join(names)}")
+    values = {}
+    for f in fields(hint):
+        if not f.init:
+            continue
+        at, fallback = _dotted(path, f.name), _field_default(f, default)
+        if f.name in raw:
+            values[f.name] = _decode(_field_types(hint)[f.name], raw[f.name], at, fallback)
+        elif fallback is MISSING:
+            raise ConfigurationError(at, "required")
+        else:
+            values[f.name] = fallback
+    return hint(**values)
 
 
-def _fields(section: dict, path: str, defaults=None) -> dict:
-    """The fields of section ``path`` that have a parser, parsed from
-    ``section``; an absent field takes the attribute of ``defaults``, or is
-    left out when there are none."""
-    return {name: parse(section[name], _dotted(path, name)) if name in section
-            else getattr(defaults, name) for name, parse in _SCHEMA[path].items()
-            if parse and (name in section or defaults is not None)}
-
-
-def _parse_circuit(d: dict, defaults: ChuaParams) -> ChuaParams:
-    diode = defaults.diode
-    if "diode" in d:
-        fields = _fields(_section(d, "circuit.diode"), "circuit.diode", diode)
-        try:
-            diode = DiodePwl(**fields)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"circuit.{exc.field}", str(exc)) from None
-    return ChuaParams(diode=diode, **_fields(d, "circuit", defaults))
-
-
-def _parse_lwe(raw: dict) -> lwe_mod.LweParams:
-    d = _section(raw, "lwe")
-    params = _fields(d, "lwe")
-    if "error_mode" in d:
-        mode = _section(d, "lwe.error_mode")
-        kind = mode.get("kind", "uniform")
-        if kind not in ("uniform", "gaussian"):
-            raise ConfigurationError("lwe.error_mode.kind", f"must be uniform or gaussian, got {kind!r}")
-        if kind == "gaussian" and "alpha" not in mode:
-            raise ConfigurationError("lwe.error_mode.alpha", "required for gaussian errors")
-        params["error_mode"] = {"kind": kind, **_fields(mode, "lwe.error_mode")}
-    return lwe_mod.params_from_dict(params)
-
-
-def parse_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON file path, JSON text, or a dict.
-
-    Missing fields fall back to the profile defaults (an empty object gives
-    the full bench setup). An unknown key, a value of the wrong type, a
-    non-finite number, a non-integral value for an integer field, a
-    sample rate below twice the carrier frequency, and any invariant
-    violation raise ConfigurationError naming the offending field path.
-    """
+def read_config(source) -> dict:
+    """The JSON object in ``source``: a file path, JSON text or a dict."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -235,89 +206,43 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigurationError("<config>", f"malformed JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError("<config>", "top level must be a JSON object")
-    _section(raw, "")
+    return raw
 
-    profile = raw.get("profile", "full")
-    task_raw = _section(raw, "task")
-    task_kind = task_raw.get("kind", "polynomial")
-    if not isinstance(task_kind, str):
-        raise ConfigurationError("task.kind", f"must be a string, got {task_kind!r}")
-    base = default_config(profile=profile, task_kind=task_kind)
 
-    circuit = _parse_circuit(_section(raw, "circuit"), base.circuit)
-    # carrier frequency follows the circuit unless pinned explicitly
-    reservoir = replace(base.reservoir, f_carrier=carrier_frequency(circuit.r_variable, circuit.c1))
-    reservoir = ReservoirConfig(**_fields(_section(raw, "reservoir"), "reservoir", reservoir))
+def parse_config(source) -> ExperimentConfig:
+    """Build an ExperimentConfig from a JSON file path, JSON text, or a dict.
+
+    Missing fields fall back to the profile defaults (an empty object gives
+    the full bench setup). An unknown key, a value of the wrong type, a
+    non-finite number, a non-integral value for an integer field, a
+    sample rate below twice the carrier frequency, and any invariant
+    violation raise ConfigurationError naming the offending field path.
+    """
+    raw = read_config(source)
+    task = raw.get("task", {})
+    kind = task.get("kind", "polynomial") if isinstance(task, dict) else "polynomial"
+    base = default_config(_string(raw.get("profile", "full"), "profile"), _string(kind, "task.kind"))
+    cfg = _decode(ExperimentConfig, raw, "", base)
+    if "f_carrier" not in raw.get("reservoir", {}):
+        # the carrier frequency follows the circuit unless pinned explicitly
+        cfg = replace(cfg, reservoir=replace(
+            cfg.reservoir, f_carrier=carrier_frequency(cfg.circuit.r_variable, cfg.circuit.c1)))
     # carrier_wave checks this again, for the per-resistance carrier of a sweep cell
-    if reservoir.sample_rate < 2.0 * reservoir.f_carrier:
+    if cfg.reservoir.sample_rate < 2.0 * cfg.reservoir.f_carrier:
         raise ConfigurationError("reservoir.sample_rate",
-                                 f"must be at least twice f_carrier ({reservoir.f_carrier!r} Hz),"
-                                 f" got {reservoir.sample_rate!r}")
-    task = TaskSpec(**_fields(task_raw, "task", TaskSpec(kind=task_kind)))
-    lwe_params = None
-    if task.kind.startswith("lwe") or "lwe" in raw:
-        lwe_params = _parse_lwe(raw)
-
-    return ExperimentConfig(
-        circuit=circuit,
-        reservoir=reservoir,
-        task=task,
-        lwe=lwe_params,
-        profile=profile,
-        **_fields(raw, "", base),
-    )
+                                 f"must be at least twice f_carrier ({cfg.reservoir.f_carrier!r} Hz),"
+                                 f" got {cfg.reservoir.sample_rate!r}")
+    return cfg
 
 
-def serialize_config(cfg: ExperimentConfig) -> dict:
-    """Canonical dict form; parse_config(serialize_config(cfg)) is idempotent."""
-    d = {
-        "profile": cfg.profile,
-        "circuit": {
-            "r_variable": cfg.circuit.r_variable,
-            "c1": cfg.circuit.c1,
-            "c2": cfg.circuit.c2,
-            "l": cfg.circuit.l,
-            "r_series": cfg.circuit.r_series,
-            "diode": {
-                "g_inner": cfg.circuit.diode.g_inner,
-                "g_mid": cfg.circuit.diode.g_mid,
-                "g_outer": cfg.circuit.diode.g_outer,
-                "bp_inner": cfg.circuit.diode.bp_inner,
-                "bp_outer": cfg.circuit.diode.bp_outer,
-            },
-        },
-        "reservoir": {
-            "v_min": cfg.reservoir.v_min,
-            "v_max": cfg.reservoir.v_max,
-            "value_max": cfg.reservoir.value_max,
-            "n_mask": cfg.reservoir.n_mask,
-            "mask_deviation": cfg.reservoir.mask_deviation,
-            "theta": cfg.reservoir.theta,
-            "carrier": cfg.reservoir.carrier,
-            "f_carrier": cfg.reservoir.f_carrier,
-            "n_periods": cfg.reservoir.n_periods,
-            "sample_rate": cfg.reservoir.sample_rate,
-            "middle_fraction": cfg.reservoir.middle_fraction,
-            "use_envelope": cfg.reservoir.use_envelope,
-            "seed": cfg.reservoir.seed,
-        },
-        "task": {
-            "kind": cfg.task.kind,
-            "x_range": list(cfg.task.x_range),
-            "modulo_base": cfg.task.modulo_base,
-            "poly_mod_base": cfg.task.poly_mod_base,
-            "pair_max": cfg.task.pair_max,
-            "inner_radius": cfg.task.inner_radius,
-            "outer_radii": list(cfg.task.outer_radii),
-        },
-        "n_cases": cfg.n_cases,
-        "val_fraction": cfg.val_fraction,
-        "master_seed": cfg.master_seed,
-        "out_dir": cfg.out_dir,
-    }
-    if cfg.lwe is not None:
-        d["lwe"] = lwe_mod.params_to_dict(cfg.lwe)
-    return d
+def serialize_config(value):
+    """Canonical JSON form of a config or any value in it: a dataclass
+    becomes an object of its fields, with None fields left out, and a tuple
+    a list. parse_config(serialize_config(cfg)) == cfg."""
+    if is_dataclass(value):
+        return {f.name: serialize_config(getattr(value, f.name)) for f in fields(value)
+                if getattr(value, f.name) is not None}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

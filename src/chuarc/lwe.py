@@ -20,35 +20,39 @@ from .errors import ConfigurationError, GenerationError
 class GaussianErrors:
     """Rounded zero-mean gaussian error distribution, sigma = alpha/sqrt(2*pi)."""
 
+    kind: str = field(default="gaussian", init=False, repr=False)  # the config tag
     alpha: float
 
     def __post_init__(self):
         if not self.alpha > 0.0:
-            raise ConfigurationError("lwe.alpha", "must be a real value > 0")
+            raise ConfigurationError("lwe.error_mode.alpha", "must be a real value > 0")
 
 
 @dataclass(frozen=True)
 class UniformErrors:
     """Uniform integer errors on [lo, hi]."""
 
+    kind: str = field(default="uniform", init=False, repr=False)  # the config tag
     lo: int
     hi: int
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ConfigurationError("lwe.error_range", "lo must not exceed hi")
+            raise ConfigurationError("lwe.error_mode.lo", "lo must not exceed hi")
 
 
 @dataclass(frozen=True)
 class LweParams:
-    """Cryptosystem definition. Only the scalar case (n = 1) is supported."""
+    """Cryptosystem definition. Only the scalar case (n = 1) is supported.
+
+    The field order is the key order of the ``params`` in a key file."""
 
     q: int = 7
     n: int = 1
     m: int = 20
-    error_mode: object = field(default_factory=lambda: UniformErrors(0, 3))
     n_samples: int = 5
     s: int = 2
+    error_mode: UniformErrors | GaussianErrors = field(default_factory=lambda: UniformErrors(0, 3))
 
     def __post_init__(self):
         if self.q < 2:
@@ -215,32 +219,6 @@ def multibit_decrypt(ciphertexts, s: int, q: int) -> list:
     return [decrypt_bit(c, s, q)[1] for c in ciphertexts]
 
 
-def params_to_dict(params: LweParams) -> dict:
-    d = {"q": params.q, "n": params.n, "m": params.m,
-         "n_samples": params.n_samples, "s": params.s}
-    if isinstance(params.error_mode, GaussianErrors):
-        d["error_mode"] = {"kind": "gaussian", "alpha": params.error_mode.alpha}
-    else:
-        d["error_mode"] = {"kind": "uniform", "lo": params.error_mode.lo, "hi": params.error_mode.hi}
-    return d
-
-
-def params_from_dict(d: dict) -> LweParams:
-    mode = d.get("error_mode", {"kind": "uniform", "lo": 0, "hi": 3})
-    if mode.get("kind") == "gaussian":
-        error_mode = GaussianErrors(alpha=float(mode["alpha"]))
-    else:
-        error_mode = UniformErrors(lo=int(mode.get("lo", 0)), hi=int(mode.get("hi", 3)))
-    return LweParams(
-        q=int(d.get("q", 7)),
-        n=int(d.get("n", 1)),
-        m=int(d.get("m", 20)),
-        error_mode=error_mode,
-        n_samples=int(d.get("n_samples", 5)),
-        s=int(d.get("s", 2)),
-    )
-
-
 def save_dataset(cases, pk: PublicKey, seed: int, path) -> None:
     """Write test cases as a JSON array with the public key repeated per record."""
     rows = []
@@ -272,7 +250,7 @@ def load_dataset(path) -> list:
 
 def save_keypair(params: LweParams, pk: PublicKey, key_path, secret_path) -> None:
     """Key file holds the public data; the secret goes to a separate file."""
-    public = params_to_dict(params)
+    public = asdict(params)
     public.pop("s")
     with open(key_path, "w") as fh:
         json.dump({"params": public, "public_a": list(pk.a), "public_b": list(pk.b)}, fh, indent=1)

@@ -50,10 +50,13 @@ class TaskSpec:
             raise ConfigurationError("task.kind", f"must be one of {TASK_KINDS}")
         if self.x_range[0] >= self.x_range[1]:
             raise ConfigurationError("task.x_range", "must be an increasing interval")
-        if self.modulo_base <= 0.0 or self.poly_mod_base <= 0.0:
-            raise ConfigurationError("task.modulo_base", "modulo bases must be positive")
-        if not 0.0 < self.inner_radius < self.outer_radii[0] < self.outer_radii[1]:
-            raise ConfigurationError("task.radii", "inner disk must sit inside the outer annulus")
+        for name in ("modulo_base", "poly_mod_base"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigurationError(f"task.{name}", "modulo bases must be positive")
+        if not 0.0 < self.outer_radii[0] < self.outer_radii[1]:
+            raise ConfigurationError("task.outer_radii", "must be an increasing positive interval")
+        if not 0.0 < self.inner_radius < self.outer_radii[0]:
+            raise ConfigurationError("task.inner_radius", "inner disk must sit inside the outer annulus")
 
 
 def polynomial_teacher(x: float) -> float:

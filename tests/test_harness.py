@@ -1,6 +1,9 @@
 """Harness tests: config parsing and defaults, experiment runs, sweeps,
 weight persistence, SVG rendering, and the CLI."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chuarc import experiment
 from chuarc.cli import main
@@ -34,6 +39,7 @@ from chuarc.experiment import (
 )
 from chuarc.pipeline import nmse, predict, train_readout
 from chuarc.plots import render_plot
+from chuarc.tasks import TASK_KINDS
 
 #: where the chuarc under test is imported from, for subprocesses
 SRC = str(Path(experiment.__file__).resolve().parents[1])
@@ -44,6 +50,27 @@ def tiny_config(tmp_path, kind="polynomial", **overrides) -> ExperimentConfig:
     fields = dict(n_cases=24, out_dir=str(tmp_path / "out"), master_seed=5)
     fields.update(overrides)
     return replace(cfg, reservoir=replace(cfg.reservoir, n_mask=8, theta=2), **fields)
+
+
+@st.composite
+def _raw_configs(draw):
+    """A config object over any profile and task kind, with a pinned or
+    derived carrier and LWE parameters absent or with either error mode."""
+    raw = {"profile": draw(st.sampled_from(("full", "desk"))),
+           "task": {"kind": draw(st.sampled_from(TASK_KINDS))},
+           "circuit": {"r_variable": draw(st.floats(1000.0, 3000.0))},
+           "n_cases": draw(st.integers(1, 5000)),
+           "master_seed": draw(st.integers(0, 2**63))}
+    if draw(st.booleans()):
+        raw["reservoir"] = {"f_carrier": draw(st.floats(100.0, 2e4))}
+    errors = draw(st.sampled_from((None, "uniform", "gaussian")))
+    if errors == "uniform":
+        lo = draw(st.integers(-3, 3))
+        raw["lwe"] = {"q": 11, "error_mode": {"kind": "uniform", "lo": lo,
+                                              "hi": lo + draw(st.integers(0, 3))}}
+    elif errors == "gaussian":
+        raw["lwe"] = {"error_mode": {"kind": "gaussian", "alpha": draw(st.floats(0.1, 10.0))}}
+    return raw
 
 
 class TestConfig:
@@ -73,12 +100,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config(str(path))
 
-    def test_round_trip_is_idempotent(self):
-        cfg = parse_config({"profile": "desk", "task": {"kind": "modulo"},
-                            "n_cases": 77, "master_seed": 3})
+    @settings(max_examples=60, deadline=None)
+    @given(_raw_configs())
+    @example({"profile": "desk", "task": {"kind": "modulo"}, "n_cases": 77, "master_seed": 3})
+    def test_round_trip_keeps_config_and_digest(self, raw):
+        cfg = parse_config(raw)
         once = serialize_config(cfg)
-        twice = serialize_config(parse_config(once))
-        assert once == twice
+        again = parse_config(json.loads(json.dumps(once)))
+        assert again == cfg
+        assert serialize_config(again) == once
+        assert config_digest(again) == config_digest(cfg)
 
     def test_digest_stable_and_sensitive(self):
         a = parse_config({})
@@ -111,6 +142,14 @@ class TestConfig:
         ({"lwe": {"error_mode": {"kind": "gausian"}}}, "lwe.error_mode.kind"),
         ({"lwe": {"error_mode": {"kind": "gaussian"}}}, "lwe.error_mode.alpha"),
         ({"tsak": {"kind": "circles"}}, "tsak"),
+        ({"lwe": {"error_mode": {"kind": "uniform", "alpha": 1.0}}}, "lwe.error_mode.alpha"),
+        ({"lwe": {"error_mode": {"kind": "gaussian", "alpha": 1, "lo": 5}}}, "lwe.error_mode.lo"),
+        ({"task": {"inner_radius": 5}}, "task.inner_radius"),
+        ({"task": {"poly_mod_base": -1}}, "task.poly_mod_base"),
+        ({"lwe": {"error_mode": {"kind": "gaussian", "alpha": -1}}}, "lwe.error_mode.alpha"),
+        ({"lwe": {"error_mode": {"kind": "uniform", "lo": 3, "hi": 1}}}, "lwe.error_mode.lo"),
+        ({"out_dir": None}, "out_dir"),
+        ({"out_dir": ["x"]}, "out_dir"),
     ])
     def test_bad_value_or_key_names_its_path(self, raw, field):
         with pytest.raises(ConfigurationError) as err:
@@ -561,6 +600,81 @@ class TestCli:
         out = capsys.readouterr().out
         assert json.loads(out)["profile"] == "desk"
 
+    @pytest.mark.parametrize("file, flag, profile", [
+        (None, None, "desk"),
+        (None, "full", "full"),
+        ({"n_cases": 9}, None, "full"),
+        ({"n_cases": 9}, "desk", "desk"),
+        ({"profile": "desk", "n_cases": 9}, None, "desk"),
+        ({"profile": "desk", "n_cases": 9}, "full", "full"),
+    ])
+    def test_profile_flag_overrides_the_file(self, tmp_path, capsys, file, flag, profile):
+        argv = ["show-config"] + (["--profile", flag] if flag else [])
+        if file is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(file))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["profile"] == profile
+        assert shown["reservoir"]["sample_rate"] == {"full": 1e8, "desk": 1e6}[profile]
+        assert shown["n_cases"] == (9 if file else {"full": 2900, "desk": 320}[profile])
+
+    #: sha256 of the `show-config` output for the benchmark workload configs
+    #: and two flag-only resolutions, recorded before the dataclass codec
+    SHOW_CONFIG = {
+        ("desk-lwe", ()): "d6dc9068c57567e00676e20418665e2b5d2faaf984b387f10b0dec2d31b1f448",
+        ("full-poly", ()): "daf93c78ae75a54285d1a66f695534c9990d7d6cf1edbf4177d59549c9cb8e71",
+        ("tune", ()): "dc45201496dee12c651ac435171bec5e7b98f81f332ec32164d787db09029734",
+        ("trace", ()): "b6d81fa6f6e11867bb04c08a3a84992dbc2825526746e6d7688096921bfd70b3",
+        ("desk-lwe", ("--seed", "7", "--out", "runs/x")):
+            "fad92716f816e7b9683fce02766b7bebd2b900edae4fb254c7a4a6ff2f094f85",
+        ("full-poly", ("--seed", "7", "--out", "runs/x")):
+            "65f59cd56bd823eb171ff9fe566239188c76123730759ad0bae2efb139cd85e2",
+        ("tune", ("--seed", "7", "--out", "runs/x")):
+            "f9dc94efa0ec3bff22465ac5de5c5203a7ab84f48012d9e4560db602a9498353",
+        ("trace", ("--seed", "7", "--out", "runs/x")):
+            "35dd685d61f8b83a4cae25e70e7c67cdbea97bbba2dd517a35b8cd847b5948bd",
+        (None, ()): "b6d81fa6f6e11867bb04c08a3a84992dbc2825526746e6d7688096921bfd70b3",
+        (None, ("--profile", "full", "--task", "lwe-decrypt", "--seed", "3")):
+            "e3f9afdefca91405cdcbcb4e437fb7190ca2b705e06d419640ad7ada1a14de74",
+    }
+    WORKLOAD_CONFIGS = {
+        "desk-lwe": {"profile": "desk", "task": {"kind": "lwe-encrypt"}, "n_cases": 520},
+        "full-poly": {"profile": "full", "task": {"kind": "polynomial"}, "n_cases": 16},
+        "tune": {"profile": "desk", "task": {"kind": "circles"}, "n_cases": 40},
+        "trace": {"profile": "desk"},
+    }
+
+    @pytest.mark.parametrize("workload, flags", sorted(SHOW_CONFIG, key=str))
+    def test_show_config_bytes_are_pinned(self, tmp_path, workload, flags):
+        argv = ["show-config", *flags]
+        if workload:
+            path = tmp_path / f"{workload}.json"
+            path.write_text(json.dumps(self.WORKLOAD_CONFIGS[workload]))
+            argv += ["--config", str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == self.SHOW_CONFIG[workload, flags]
+
+    @pytest.mark.parametrize("config, digest", [
+        (None, "411836bddd0817ba79689691ef5768b9a133faaef1f871dbc283e00280670683"),
+        ({"profile": "desk", "task": {"kind": "lwe-decrypt"},
+          "lwe": {"q": 11, "m": 16, "s": 4, "error_mode": {"kind": "gaussian", "alpha": 1.5}}},
+         "35701ac5109fb7069d45fe1738380944628af2614c88c03b2b2482ab2046da45"),
+    ])
+    def test_lwe_key_bytes_are_pinned(self, tmp_path, config, digest):
+        argv = ["dataset", "--task", "lwe-encrypt", "--profile", "desk"]
+        if config:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            argv = ["dataset", "--config", str(path)]
+        assert main([*argv, "--n-cases", "6", "--out", str(tmp_path / "ds")]) == 0
+        key = (tmp_path / "ds" / "lwe_key.json").read_bytes()
+        assert hashlib.sha256(key).hexdigest() == digest
+
     def test_simulate_writes_trace(self, tmp_path):
         code = main(["simulate", "--profile", "desk", "--out", str(tmp_path),
                      "--t-end", "0.0002", "--dt", "1e-6"])
@@ -606,13 +720,17 @@ class TestCli:
         ('{"circuit": {"c2": NaN}}', "circuit.c2"),
         ('{"reservoir": {"theta": 2.7}}', "reservoir.theta"),
         ('{"circuit": {"r_varaible": 1800}}', "circuit.r_varaible"),
+        ('{"out_dir": null}', "out_dir"),
+        ('{"out_dir": ["x"]}', "out_dir"),
     ])
-    def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, raw, field):
+    def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch, raw, field):
+        monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.json"
         bad.write_text(raw)
         assert main(["train", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     def test_spectrum_from_trace(self, tmp_path):
         assert main(["simulate", "--profile", "desk", "--out", str(tmp_path),
