@@ -66,7 +66,6 @@ from .pipeline import (
     demultiplex,
     envelope_extract,
     make_mask,
-    modulate,
     multiplex,
     nmse,
     normalize,

@@ -128,8 +128,8 @@ def _cmd_eval(args) -> int:
     weight = exp.load_weight(args.weight, expected_digest=config_digest(cfg))
     dataset = exp.build_dataset(cfg)
     states = exp.simulate_cases(cfg, dataset, jobs=args.jobs)
-    estimates = [predict(weight, s) for s in states]
-    report = nmse(estimates, [np.atleast_1d(np.asarray(t, dtype=float)) for t in dataset.teachers])
+    report = nmse(predict(weight, states),
+                  [np.atleast_1d(np.asarray(t, dtype=float)) for t in dataset.teachers])
     print(f"eval {cfg.task.kind}: mean NMSE {report.mean:.6f}, median {report.median:.6f}")
     return 0
 

@@ -195,14 +195,19 @@ def read_config(source) -> dict:
         raw = source
     else:
         text = str(source)
+        from_file = False
         try:
             if Path(text).exists():
-                text = Path(text).read_text()
+                text, from_file = Path(text).read_text(), True
         except OSError:
             pass
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
+            # JSON text for a config starts with a bracket; anything else
+            # that is not a file is taken as a mistyped path
+            if not from_file and not text.lstrip().startswith(("{", "[")):
+                raise ConfigurationError("<config>", f"no such file: {text}") from None
             raise ConfigurationError("<config>", f"malformed JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError("<config>", "top level must be a JSON object")

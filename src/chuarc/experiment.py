@@ -139,10 +139,10 @@ def run_experiment(
         config_digest=digest,
     )
 
-    estimates = np.vstack([predict(weight, states[i]) for i in dataset.val_idx])
+    estimates = predict(weight, [states[i] for i in dataset.val_idx])
     targets = np.vstack([np.atleast_1d(np.asarray(dataset.teachers[i], dtype=float))
                          for i in dataset.val_idx])
-    report_scores = nmse(list(estimates), list(targets))
+    report_scores = nmse(estimates, targets)
 
     accuracy = None
     confusion = None
@@ -176,7 +176,7 @@ def _write_case_csv(path, dataset, states, weight, report, digest):
     """All cases with estimates; metrics derive from the split == val rows.
 
     Validation rows reuse the report's estimates and scores; train cases are
-    predicted here and scored with one nmse call.
+    predicted with one predict call and scored with one nmse call.
     """
     n_cases, n_out = len(states), report.targets.shape[1]
     teachers = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for t in dataset.teachers])
@@ -188,9 +188,9 @@ def _write_case_csv(path, dataset, states, weight, report, digest):
     scores[report.val_idx] = report.per_case_nmse
     train_idx = np.flatnonzero(~is_val)
     if train_idx.size:
-        train_est = [predict(weight, states[i]) for i in train_idx]
+        train_est = predict(weight, [states[i] for i in train_idx])
         estimates[train_idx] = train_est
-        scores[train_idx] = nmse(train_est, list(teachers[train_idx])).scores
+        scores[train_idx] = nmse(train_est, teachers[train_idx]).scores
     header = ["case", "split"]
     header += [f"target_{j}" for j in range(n_out)]
     header += [f"estimate_{j}" for j in range(n_out)]
@@ -235,7 +235,7 @@ def classification_surface(
                         seed=seed_for(cfg.master_seed, "mask"))
     points = [[float(x), float(y)] for y in y_values for x in x_values]
     states = _simulate(reservoir, cfg.circuit, points, True, jobs)
-    classes = [tasks.classify(float(predict(weight, s)[0])) for s in states]
+    classes = [tasks.classify(float(e[0])) for e in predict(weight, states)]
     return np.asarray(classes, dtype=int).reshape(len(y_values), len(x_values))
 
 

@@ -134,25 +134,11 @@ def multiplex(message, mask: Mask) -> np.ndarray:
 
 
 def sample_hold(seq, theta: int) -> np.ndarray:
-    """Repeat each envelope point theta times, order preserved."""
+    """Repeat each point theta times, order preserved (an envelope point
+    theta times, or a slot level for its samples)."""
     if theta < 1:
         raise ConfigurationError("theta", "must be >= 1")
     return np.repeat(np.asarray(seq, dtype=float), theta)
-
-
-def modulate(envelope, cfg: ReservoirConfig) -> DriveSignal:
-    """Amplitude-modulate the envelope onto the configured carrier.
-
-    The nominal duration is n_periods/f_carrier; envelope points occupy
-    equal-duration slots, quantised to an integer number of samples per
-    point (at least one, so a dense envelope stretches the realised
-    duration).
-    """
-    env = np.asarray(envelope, dtype=float)
-    if env.size == 0:
-        raise ConfigurationError("envelope", "must be nonempty")
-    held = np.repeat(env, samples_per_envelope_point(env.size, cfg))
-    return DriveSignal(held * carrier_wave(held.size, cfg), cfg.sample_rate)
 
 
 def carrier_wave(n_samples: int, cfg: ReservoirConfig) -> np.ndarray:
@@ -301,20 +287,23 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     """Normalise, multiplex, hold and modulate a group of equal-length cases,
     drive the kernel, and demultiplex each case into its state matrix.
 
-    A trailing dummy value of 0 is appended to every lane's message so the
-    end of the real message survives acquisition trimming; its slots are
-    never kept. With ``per_coordinate`` each coordinate of a case drives its
-    own lane and the case's state matrix concatenates the coordinates'
-    channels. Lane k is driven at step s by levels[s // spp, k] * carrier[s],
-    and the kept taps fill one (case, row, coordinate, channel) array, so each
-    case's values are a view of it.
+    The slot length ``spp`` is set as if a trailing dummy value of 0 followed
+    every lane's message, but the dummy is never driven: every backend
+    integrates exactly the n_values * n_mask * spp steps of the real message.
+    With ``per_coordinate`` each coordinate of a case drives its own lane and
+    the case's state matrix concatenates the coordinates' channels. Lane k is
+    driven at step s by levels[s // spp, k] * carrier[s], and the kept taps
+    fill one (case, row, coordinate, channel) array, so each case's values are
+    a view of it.
 
     Groups of at least LANE_CROSSOVER lanes run as lanes of one lockstep
     kernel; narrower groups, ``use_envelope`` runs and a ``kernel`` override
-    (``kernel(drive, circuit, dt) -> Trace``) run lane by lane through the
-    scalar kernel. Both give the same bits. A diverging lane raises
-    IntegrationError naming the lowest failing case and the step of its
-    scalar run.
+    run lane by lane through the scalar kernel. Both give the same bits. A
+    ``kernel(drive, circuit, dt) -> Trace`` override receives the drive of the
+    real message only (n_values * n_mask * spp samples) and must return at
+    least that many samples per tap. A lane that turns non-finite within the
+    integrated steps raises IntegrationError naming the lowest failing case
+    and the step of its scalar run.
     """
     cases = [list(raw) for raw in cases]
     if not cases or len({len(raw) for raw in cases}) != 1:
@@ -327,17 +316,16 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     n_mask = cfg.n_mask
     dt = 1.0 / cfg.sample_rate
 
-    messages = normalize(np.hstack([np.asarray(lanes, dtype=float), np.zeros((n_lanes, 1))]), cfg)
-    levels = np.ascontiguousarray(multiplex(messages, make_mask(cfg)).T)  # (slot, lane)
-    spp = cfg.theta * samples_per_envelope_point(levels.shape[0] * cfg.theta, cfg)
-    carrier = carrier_wave(levels.shape[0] * spp, cfg)
+    levels = np.ascontiguousarray(multiplex(normalize(lanes, cfg), make_mask(cfg)).T)  # (slot, lane)
+    spp = cfg.theta * samples_per_envelope_point((n_values + 1) * n_mask * cfg.theta, cfg)
+    n_real = n_values * n_mask * spp
+    carrier = carrier_wave(n_real, cfg)
     n_keep, lo = _slot_window(spp, cfg.middle_fraction)
-    n_real = n_values * n_mask * spp  # the dummy value's slots are not kept
     out = np.empty((n_cases, n_values * n_keep, n_coords, 2 * n_mask))
 
     def scalar(lane):
         case, coord = divmod(lane, n_coords)
-        drive = DriveSignal(np.repeat(levels[:, lane], spp) * carrier, cfg.sample_rate)
+        drive = DriveSignal(sample_hold(levels[:, lane], spp) * carrier, cfg.sample_rate)
         try:
             trace = (kernel or _chua_kernel)(drive, circuit, dt)
         except IntegrationError as exc:
@@ -353,9 +341,8 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
         for lane in range(n_lanes):
             scalar(lane)
     else:
-        steps = np.arange(carrier.size)
-        offset = steps % spp
-        keep = ((steps < n_real) & (offset >= lo) & (offset < lo + n_keep)).tolist()
+        offset = np.arange(n_real) % spp
+        keep = ((offset >= lo) & (offset < lo + n_keep)).tolist()
 
         def sink(step, v_cd, v_l):
             slot, off = divmod(step, spp)
@@ -405,6 +392,37 @@ class ReadoutWeight:
         return self.matrix.shape[1] - (1 if self.bias else 0)
 
 
+#: Byte budget of the buffers the readout fills per block of cases: the rows
+#: of each case with the bias column, plus the caller's per-case arrays (the
+#: Grams in train_readout). A block always holds at least one case.
+READOUT_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(states, bias: bool, offset: float, case_bytes: int = 0):
+    """Consecutive equally shaped states as (start, rows) blocks.
+
+    ``rows`` is an (n, n_rows, bias + n_channels) view of one reused buffer:
+    per case and row, the constant 1 when ``bias`` (set once per buffer) and
+    then the channel values + offset, exactly the rows a lone case builds.
+    """
+    k = 1 if bias else 0
+    buf, start = None, 0
+    while start < len(states):
+        shape = states[start].values.shape
+        size = max(1, READOUT_BLOCK_BYTES // (8 * shape[0] * (k + shape[1]) + case_bytes))
+        stop = start + 1
+        while stop < min(len(states), start + size) and states[stop].values.shape == shape:
+            stop += 1
+        if buf is None or buf.shape != (size, shape[0], k + shape[1]):
+            buf = np.empty((size, shape[0], k + shape[1]))
+            buf[:, :, :k] = 1.0
+        rows = buf[:stop - start]
+        for j in range(stop - start):
+            np.add(states[start + j].values, offset, out=rows[j, :, k:])
+        yield start, rows
+        start = stop
+
+
 def train_readout(
     cases,
     bias: bool = True,
@@ -419,28 +437,33 @@ def train_readout(
     contributes p p^T to the Gram accumulator and teacher * p^T to the
     cross accumulator, in fixed case-then-row order. The weight solves
     (XX + lambda*I') W^T = YY^T by minimum-norm least squares, where I'
-    leaves the bias row/column unregularised.
+    leaves the bias row/column unregularised. The Grams of a block of cases
+    are formed in one call and added case by case, so the sums have the bits
+    of a case-by-case accumulation.
     """
     cases = list(cases)
     if not cases:
         raise ConfigurationError("cases", "at least one training case required")
-    n_ch = cases[0][0].n_channels
-    teacher0 = np.atleast_1d(np.asarray(cases[0][1], dtype=float))
-    n_out = teacher0.size
+    states = [sm for sm, _ in cases]
+    teachers = [np.atleast_1d(np.asarray(teacher, dtype=float)) for _, teacher in cases]
+    n_ch, n_out = states[0].n_channels, teachers[0].size
+    for sm, y in zip(states, teachers):
+        if sm.n_channels != n_ch:
+            raise ConfigurationError("cases", "all cases must share the channel count")
+        if y.size != n_out:
+            raise ConfigurationError("cases", "all teachers must share the output count")
     d = n_ch + (1 if bias else 0)
     xx = np.zeros((d, d))
     yy = np.zeros((n_out, d))
-    for sm, teacher in cases:
-        if sm.n_channels != n_ch:
-            raise ConfigurationError("cases", "all cases must share the channel count")
-        y = np.atleast_1d(np.asarray(teacher, dtype=float))
-        if y.size != n_out:
-            raise ConfigurationError("cases", "all teachers must share the output count")
-        p = sm.values + offset
-        if bias:
-            p = np.hstack([np.ones((p.shape[0], 1)), p])
-        xx += p.T @ p
-        yy += y[:, None] * p.sum(axis=0)[None, :]
+    grams = np.empty((0, d, d))
+    for start, rows in _row_blocks(states, bias, offset, 8 * d * d):
+        if len(grams) < len(rows):
+            grams = np.empty((len(rows), d, d))
+        gram = np.matmul(rows.transpose(0, 2, 1), rows, out=grams[:len(rows)])
+        sums = rows.sum(axis=1)
+        for j in range(len(rows)):
+            xx += gram[j]
+            yy += teachers[start + j][:, None] * sums[j][None, :]
     reg = ridge_lambda * np.eye(d)
     if bias:
         reg[0, 0] = 0.0
@@ -455,16 +478,25 @@ def train_readout(
     )
 
 
-def predict(w: ReadoutWeight, x: StateMatrix) -> np.ndarray:
-    """Case estimate: per-row readout outputs averaged over all rows."""
-    if x.n_channels != w.n_channels:
-        raise ConfigurationError(
-            "predict", f"state matrix has {x.n_channels} channels, weight expects {w.n_channels}"
-        )
-    p = x.values + w.offset
-    if w.bias:
-        p = np.hstack([np.ones((p.shape[0], 1)), p])
-    return (w.matrix @ p.T).mean(axis=1)
+def predict(w: ReadoutWeight, x) -> np.ndarray:
+    """Case estimates: per-row readout outputs averaged over each case's rows.
+
+    ``x`` is one StateMatrix, giving an (n_outputs,) estimate, or a sequence
+    of them, giving (n_cases, n_outputs). Each estimate has the bits of its
+    case predicted alone.
+    """
+    states = [x] if isinstance(x, StateMatrix) else list(x)
+    for sm in states:
+        if sm.n_channels != w.n_channels:
+            raise ConfigurationError(
+                "predict",
+                f"state matrix has {sm.n_channels} channels, weight expects {w.n_channels}",
+            )
+    estimates = np.empty((len(states), w.n_outputs))
+    for start, rows in _row_blocks(states, w.bias, w.offset):
+        outputs = np.matmul(w.matrix, rows.transpose(0, 2, 1))
+        estimates[start:start + len(rows)] = outputs.mean(axis=2)
+    return estimates[0] if isinstance(x, StateMatrix) else estimates
 
 
 @dataclass(frozen=True)
@@ -477,32 +509,43 @@ class NmseReport:
     zero_targets: np.ndarray  # indices where the score was forced to the cap
 
 
+def _per_case(values) -> np.ndarray:
+    """(n_cases, n_outputs) floats from per-case scalars or equal-length vectors."""
+    return np.atleast_2d(np.asarray(values, dtype=float).T).T
+
+
 def nmse(estimates, targets, cap: float = 1.0) -> NmseReport:
     """Normalised mean square error per case, clipped to ``cap``.
 
     Scalar cases score (est - target)^2 / target^2; vector cases sum the
     squared errors and normalise by n * sum(target^2). An exactly zero
-    target denominator scores ``cap`` and is flagged.
+    target denominator scores ``cap`` and is flagged. Each case scores from
+    its own row, with the bits of a case scored alone.
     """
     if len(estimates) != len(targets):
         raise MetricError("estimates and targets must have equal length")
-    scores = np.empty(len(targets))
-    flagged = []
-    for i, (e, t) in enumerate(zip(estimates, targets)):
-        ev = np.atleast_1d(np.asarray(e, dtype=float))
-        tv = np.atleast_1d(np.asarray(t, dtype=float))
-        denom = tv.size * float(np.sum(tv**2))
-        if denom == 0.0:
-            scores[i] = cap
-            flagged.append(i)
-            continue
-        scores[i] = min(cap, float(np.sum((ev - tv) ** 2)) / denom)
+    est, tgt = _per_case(estimates), _per_case(targets)
+    denom = tgt.shape[1] * np.sum(tgt**2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.sum((est - tgt) ** 2, axis=1) / denom
+    # a zero denominator or a tiny target gives an infinite or NaN ratio; like
+    # min(cap, ratio), `ratio < cap` is false for both, so they score the cap
+    scores = np.where(ratio < cap, ratio, float(cap))
     return NmseReport(
         scores=scores,
         mean=float(scores.mean()),
-        median=float(np.median(scores)),
-        zero_targets=np.asarray(flagged, dtype=int),
+        median=_median(scores),
+        zero_targets=np.flatnonzero(denom == 0.0),
     )
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a NaN-free 1-D array, bit for bit, without the import of
+    numpy.ma that np.median makes on its first call."""
+    if not x.size:
+        return math.nan
+    s, half = np.sort(x), x.size // 2
+    return float(s[half] if x.size % 2 else (s[half - 1] + s[half]) / 2.0)
 
 
 def nrmse(estimates, targets) -> float:

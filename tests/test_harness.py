@@ -37,7 +37,7 @@ from chuarc.experiment import (
     save_weight,
     sweep_to_csv,
 )
-from chuarc.pipeline import nmse, predict, train_readout
+from chuarc.pipeline import StateMatrix, nmse, predict, train_readout
 from chuarc.plots import render_plot
 from chuarc.tasks import TASK_KINDS
 
@@ -99,6 +99,19 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError):
             parse_config(str(path))
+
+    def test_missing_config_file_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "nosuch.json"
+        for argv in (["show-config"], ["train", "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--config", str(missing)]) == 1
+            err = capsys.readouterr().err
+            assert f"no such file: {missing}" in err
+            assert "malformed JSON" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        # text that opens like JSON is still reported as malformed JSON
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(' {"n_cases": 3')
+        assert err.value.field == "<config>" and "malformed JSON" in str(err.value)
 
     @settings(max_examples=60, deadline=None)
     @given(_raw_configs())
@@ -259,12 +272,17 @@ class TestExperiment:
         assert (tmp_path / "out" / "cases.csv").read_bytes() == reference.read_bytes()
 
     def test_case_csv_predicts_each_case_once(self, tmp_path, monkeypatch):
+        # predict takes one state matrix or a sequence of them: count the
+        # cases predicted, and the nmse calls
         calls = {"predict": 0, "nmse": 0}
         for name in calls:
             real = getattr(experiment, name)
 
             def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
+                if _name == "predict" and not isinstance(args[1], StateMatrix):
+                    calls[_name] += len(args[1])
+                else:
+                    calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(experiment, name, counted)

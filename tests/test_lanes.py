@@ -22,15 +22,14 @@ from chuarc.config import default_config
 from chuarc.errors import IntegrationError
 from chuarc.pipeline import (
     StateMatrix,
+    carrier_wave,
     demultiplex,
     envelope_extract,
     make_mask,
-    modulate,
     multiplex,
     normalize,
     run_case,
     run_cases,
-    sample_hold,
     samples_per_envelope_point,
 )
 
@@ -105,16 +104,26 @@ CONFIGS = {
 }
 
 
+def reference_drive(raw, cfg, with_dummy=False):
+    """Normalise, multiplex, hold each envelope point theta times and then for
+    its samples, and modulate the carrier, independent of run_cases. The slot
+    length counts a trailing dummy value of 0, which is driven only
+    ``with_dummy``."""
+    message = list(raw) + ([0.0] if with_dummy else [])
+    n_env = (len(raw) + 1) * cfg.n_mask * cfg.theta
+    envelope = np.repeat(multiplex(normalize(message, cfg), make_mask(cfg)), cfg.theta)
+    held = np.repeat(envelope, samples_per_envelope_point(n_env, cfg))
+    return DriveSignal(held * carrier_wave(held.size, cfg), cfg.sample_rate)
+
+
 def reference_state(raw, cfg, circuit):
-    """One case through the per-case chain, independent of run_cases:
-    normalise, multiplex, hold, modulate, integrate, trim, demultiplex."""
-    message = normalize(list(raw) + [0.0], cfg)
-    envelope = sample_hold(multiplex(message, make_mask(cfg)), cfg.theta)
-    drive = modulate(envelope, cfg)
+    """One case through the per-case chain: drive the real message alone,
+    integrate its steps, demultiplex."""
+    drive = reference_drive(raw, cfg)
     dt = 1.0 / cfg.sample_rate
-    trace = integrate(circuit, DEFAULT_INITIAL_STATE, drive, drive.samples.size * dt, dt)
-    spp = cfg.theta * samples_per_envelope_point(envelope.size, cfg)
-    channels = trace.channels[:, :len(raw) * cfg.n_mask * spp]
+    n_real = drive.samples.size
+    trace = integrate(circuit, DEFAULT_INITIAL_STATE, drive, n_real * dt, dt)
+    channels = trace.channels[:, :n_real]
     if cfg.use_envelope:
         half_period = max(1, int(round(cfg.sample_rate / (2.0 * cfg.f_carrier))))
         channels = np.vstack([envelope_extract(ch, half_period)[0] for ch in channels])
@@ -231,6 +240,35 @@ class TestDivergence:
             except IntegrationError as exc:
                 return index, exc.step_index
         raise AssertionError("no case diverged")
+
+    def test_only_the_real_message_can_diverge(self, monkeypatch):
+        # case 6 diverges only inside the dummy value's slots, which are never
+        # integrated: it passes, and case 7 is the first failure
+        cfg = diverging_config()
+        dataset = experiment.build_dataset(cfg)
+        reservoir = experiment._effective_reservoir(cfg, dataset)
+        assert self.first_scalar_failure(cfg, dataset) == (7, 347)
+        drive = reference_drive(dataset.inputs[6], reservoir, with_dummy=True)
+        n_real = reference_drive(dataset.inputs[6], reservoir).samples.size
+        dt = 1.0 / reservoir.sample_rate
+        with pytest.raises(IntegrationError) as err:
+            integrate(cfg.circuit, DEFAULT_INITIAL_STATE, drive, drive.samples.size * dt, dt)
+        assert err.value.step_index == 439 >= n_real
+        inputs = dataset.inputs[:7]
+        want = [reference_state(raw, reservoir, cfg.circuit) for raw in inputs]
+        for crossover in (1, pipeline.LANE_CROSSOVER):
+            monkeypatch.setattr(pipeline, "LANE_CROSSOVER", crossover)
+            for size in (1, 3, len(inputs)):
+                got = []
+                for start in range(0, len(inputs), size):
+                    got += run_cases(inputs[start:start + size], reservoir, cfg.circuit)
+                assert_same_states(got, want, (crossover, size))
+            for jobs in (1, 2):
+                got = experiment._simulate(reservoir, cfg.circuit, inputs, False, jobs)
+                assert_same_states(got, want, (crossover, jobs))
+                with pytest.raises(IntegrationError) as err:
+                    experiment._simulate(reservoir, cfg.circuit, dataset.inputs, False, jobs)
+                assert (err.value.case_index, err.value.step_index) == (7, 347)
 
     def test_error_names_the_first_failing_case_and_step(self, monkeypatch):
         cfg = diverging_config()

@@ -1,4 +1,4 @@
-"""Pipeline tests: normalisation, multiplexing algebra, modulation,
+"""Pipeline tests: normalisation, multiplexing algebra, carrier waves,
 demultiplexing oracle, readout training, and error metrics."""
 
 import math
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chuarc import pipeline
 from chuarc.circuit import TAP_DIODE, TAP_INDUCTOR, Trace, kennedy_circuit
 from chuarc.errors import (
     ConfigurationError,
@@ -20,11 +21,11 @@ from chuarc.pipeline import (
     ReservoirConfig,
     StateMatrix,
     _passthrough_kernel,
+    carrier_wave,
     demultiplex,
     denormalize,
     envelope_extract,
     make_mask,
-    modulate,
     multiplex,
     nmse,
     normalize,
@@ -134,32 +135,22 @@ class TestMultiplexAndHold:
         assert env.size == 3000
 
 
-class TestModulate:
-    def test_dc_carrier_holds_envelope(self):
-        cfg = small_cfg(carrier="dc")
-        env = np.array([0.2, 0.4, 0.3])
-        drive = modulate(env, cfg)
-        spe = samples_per_envelope_point(env.size, cfg)
-        assert np.array_equal(drive.samples, np.repeat(env, spe))
+class TestCarrierWave:
+    def test_dc_carrier_is_constant(self):
+        assert np.array_equal(carrier_wave(40, small_cfg(carrier="dc")), np.ones(40))
 
-    def test_square_carrier_preserves_magnitude(self):
-        cfg = small_cfg(carrier="square")
-        env = np.array([0.2, 0.4, 0.3, 0.5])
-        drive = modulate(env, cfg)
-        spe = samples_per_envelope_point(env.size, cfg)
-        assert np.array_equal(np.abs(drive.samples), np.repeat(env, spe))
+    def test_square_carrier_has_unit_magnitude(self):
+        wave = carrier_wave(400, small_cfg(carrier="square"))
+        assert np.array_equal(np.abs(wave), np.ones(400))
+        assert wave[0] == 1.0 and np.any(wave == -1.0)
 
-    def test_sine_carrier_bounded_by_envelope(self):
-        cfg = small_cfg(carrier="sine", n_periods=20)
-        env = np.array([0.2, 0.4, 0.3, 0.5])
-        drive = modulate(env, cfg)
-        spe = samples_per_envelope_point(env.size, cfg)
-        held = np.repeat(env, spe)
-        assert np.all(np.abs(drive.samples) <= held + 1e-12)
+    def test_sine_carrier_is_bounded_by_one(self):
+        wave = carrier_wave(400, small_cfg(carrier="sine", n_periods=20))
+        assert wave[0] == 0.0 and np.all(np.abs(wave) <= 1.0)
 
     def test_nyquist_guard(self):
         with pytest.raises(ConfigurationError):
-            modulate(np.ones(4), small_cfg(sample_rate=8e3))
+            carrier_wave(4, small_cfg(sample_rate=8e3))
 
 
 def labeled_trace(n_values, n_mask, spp, tap_offset=100.0):
@@ -417,6 +408,111 @@ class TestNmse:
         tgt = [t for _, t in pairs]
         report = nmse(est, tgt)
         assert np.all(report.scores >= 0.0) and np.all(report.scores <= 1.0)
+
+
+def bits(x):
+    """Exact bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def per_case_rows(sm, bias, offset):
+    p = sm.values + offset
+    return np.hstack([np.ones((p.shape[0], 1)), p]) if bias else p
+
+
+def per_case_train(cases, bias, offset):
+    """The readout weight accumulated and solved one case at a time."""
+    d = cases[0][0].n_channels + (1 if bias else 0)
+    n_out = np.atleast_1d(cases[0][1]).size
+    xx, yy = np.zeros((d, d)), np.zeros((n_out, d))
+    for sm, teacher in cases:
+        p = per_case_rows(sm, bias, offset)
+        xx += p.T @ p
+        yy += np.atleast_1d(np.asarray(teacher, dtype=float))[:, None] * p.sum(axis=0)[None, :]
+    solution, *_ = np.linalg.lstsq(xx, yy.T, rcond=None)
+    return solution.T
+
+
+def per_case_nmse(estimate, target, cap):
+    ev = np.atleast_1d(np.asarray(estimate, dtype=float))
+    tv = np.atleast_1d(np.asarray(target, dtype=float))
+    denom = tv.size * float(np.sum(tv**2))
+    return cap if denom == 0.0 else min(cap, float(np.sum((ev - tv) ** 2)) / denom)
+
+
+class TestBlockReadout:
+    """Readout blocks of cases against a per-case reference, bit for bit."""
+
+    N_CASES = 10  # no multiple of the 3-case blocks below
+
+    def cases(self, n_out, seed=21):
+        rng = np.random.default_rng(seed)
+        # case 4 has fewer rows, so a block also ends where the shape changes
+        return [(make_state(rng.normal(size=(5 if i == 4 else 9, 6)) * 0.4),
+                 rng.normal(size=n_out)) for i in range(self.N_CASES)]
+
+    def block_budgets(self, bias, gram):
+        d = 6 + (1 if bias else 0)
+        case_bytes = 8 * 9 * d + (8 * d * d if gram else 0)
+        return (1, 3 * case_bytes, pipeline.READOUT_BLOCK_BYTES)
+
+    @pytest.mark.parametrize("n_out", [1, 2])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_train_matches_case_by_case(self, monkeypatch, n_out, bias, offset):
+        cases = self.cases(n_out)
+        want = per_case_train(cases, bias, offset)
+        for budget in self.block_budgets(bias, gram=True):
+            monkeypatch.setattr(pipeline, "READOUT_BLOCK_BYTES", budget)
+            w = train_readout(cases, bias=bias, offset=offset)
+            assert np.array_equal(bits(w.matrix), bits(want)), budget
+
+    @pytest.mark.parametrize("n_out", [1, 2])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_predict_matches_case_by_case(self, monkeypatch, n_out, bias, offset):
+        from chuarc.pipeline import ReadoutWeight
+
+        states = [sm for sm, _ in self.cases(n_out)]
+        rng = np.random.default_rng(22)
+        w = ReadoutWeight(matrix=rng.normal(size=(n_out, 6 + (1 if bias else 0))) * 1e3,
+                          bias=bias, offset=offset, ridge_lambda=0.0, seed=0, config_digest="")
+        want = np.array([(w.matrix @ per_case_rows(sm, bias, offset).T).mean(axis=1)
+                         for sm in states])
+        for budget in self.block_budgets(bias, gram=False):
+            monkeypatch.setattr(pipeline, "READOUT_BLOCK_BYTES", budget)
+            got = predict(w, states)
+            assert got.shape == (self.N_CASES, n_out)
+            assert np.array_equal(bits(got), bits(want)), budget
+            assert np.array_equal(bits(predict(w, states[4])), bits(want[4]))
+            assert predict(w, []).shape == (0, n_out)
+
+    @pytest.mark.parametrize("n_out", [1, 2, 9])
+    @pytest.mark.parametrize("cap", [1.0, 0.05])
+    def test_nmse_matches_case_by_case(self, n_out, cap):
+        rng = np.random.default_rng(23)
+        targets = rng.normal(size=(12, n_out)) * 10.0 ** rng.integers(-3, 3, size=(12, 1))
+        estimates = targets + rng.normal(size=(12, n_out)) * 0.3
+        targets[2] = 0.0  # zero target with an error
+        estimates[3] = targets[3] = 0.0  # zero target scored exactly
+        estimates[5] *= 50.0  # far past the cap
+        estimates[7] = np.nan
+        targets[9], estimates[9] = 1e-154, 2.0  # the ratio overflows
+        want = [per_case_nmse(e, t, cap) for e, t in zip(estimates, targets)]
+        for est, tgt in ((estimates, targets), (list(estimates), list(targets))):
+            report = nmse(est, tgt, cap=cap)
+            assert np.array_equal(bits(report.scores), bits(want))
+            assert list(report.zero_targets) == [2, 3]
+        assert report.scores[5] == report.scores[7] == report.scores[9] == cap
+        for n in (12, 11, 1):  # even and odd counts for the median
+            report = nmse(estimates[:n], targets[:n], cap=cap)
+            assert bits(report.mean) == bits(np.mean(want[:n]))
+            assert bits(report.median) == bits(np.median(want[:n]))
+
+    def test_nmse_of_scalar_cases_matches_case_by_case(self):
+        estimates, targets = [0.5, 2.0, -1e-3, 7.0], [0.0, 1.0, 2e-3, 7.25]
+        want = [per_case_nmse(e, t, 1.0) for e, t in zip(estimates, targets)]
+        assert np.array_equal(bits(nmse(estimates, targets).scores), bits(want))
 
 
 class TestNrmse:
