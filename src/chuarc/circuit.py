@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,10 +142,6 @@ class DriveSignal:
         if self.samples.size == 0:
             raise ConfigurationError("drive.samples", "must be nonempty")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def sine_drive(amplitude: float, frequency: float, duration: float, sample_rate: float) -> DriveSignal:
     """Plain sinusoidal drive, sampled at ``sample_rate``."""
@@ -186,13 +182,12 @@ class NoiseSpec:
     """White-noise description of a signal source."""
 
     voltage_density: float  # V/sqrt(Hz)
-    current_density: float  # A/sqrt(Hz)
     bandwidth: float  # Hz
     seed: int = 0
 
     def __post_init__(self):
-        if self.voltage_density < 0.0 or self.current_density < 0.0:
-            raise ConfigurationError("noise", "densities must be non-negative")
+        if self.voltage_density < 0.0:
+            raise ConfigurationError("noise.voltage_density", "must be non-negative")
         if self.bandwidth <= 0.0:
             raise ConfigurationError("noise.bandwidth", "must be positive")
 
@@ -231,6 +226,18 @@ def _drive_lookup(drive: DriveSignal, dt: float, n_steps: int) -> np.ndarray:
     return drive.samples[idx]
 
 
+def _rk4_constants(p: ChuaParams, dt: float) -> tuple:
+    """The coefficients both RK4 kernels step with: the diode's slopes,
+    breakpoints and breakpoint currents, the reciprocal component values,
+    r_series, and the step with its half and sixth."""
+    d = p.diode
+    gi, gm, bi, bo = d.g_inner, d.g_mid, d.bp_inner, d.bp_outer
+    i_bi = gi * bi
+    return (gi, gm, d.g_outer, bi, bo, i_bi, i_bi + gm * (bo - bi), 1.0 / p.l, 1.0 / p.c2,
+            1.0 / p.c1, 1.0 / (p.r_variable * p.c2), 1.0 / (p.r_variable * p.c1), p.r_series,
+            dt, 0.5 * dt, dt / 6.0)
+
+
 def integrate(
     p: ChuaParams,
     init: CircuitState,
@@ -263,20 +270,8 @@ def integrate(
         vin = _drive_lookup(drive, dt, n_steps).tolist()
         last = vin.pop()
 
-    diode = p.diode
-    gi, gm, go = diode.g_inner, diode.g_mid, diode.g_outer
-    bi, bo = diode.bp_inner, diode.bp_outer
-    i_bi = gi * bi
-    i_bo = i_bi + gm * (bo - bi)
-    inv_l = 1.0 / p.l
-    inv_c2 = 1.0 / p.c2
-    inv_c1 = 1.0 / p.c1
-    inv_rc2 = 1.0 / (p.r_variable * p.c2)
-    inv_rc1 = 1.0 / (p.r_variable * p.c1)
-    rs = p.r_series
-    h = dt
-    hh = 0.5 * h
-    h6 = h / 6.0
+    gi, gm, go, bi, bo, i_bi, i_bo, inv_l, inv_c2, inv_c1, inv_rc2, inv_rc1, rs, h, hh, h6 = (
+        _rk4_constants(p, dt))
     isfinite = math.isfinite
     il, v2, v1 = init.i_l, init.v_c2, init.v_c1
     # array('d') appends cost what list appends do and keep 8 bytes per
@@ -417,21 +412,8 @@ def integrate_lanes(
     if n_levels == 0 or n_steps % n_levels != 0:
         raise ConfigurationError("levels", "carrier length must be a whole number of levels")
     hold = n_steps // n_levels
-
-    diode = p.diode
-    gi, gm, go = diode.g_inner, diode.g_mid, diode.g_outer
-    bi, bo = diode.bp_inner, diode.bp_outer
-    i_bi = gi * bi
-    i_bo = i_bi + gm * (bo - bi)
-    inv_l = 1.0 / p.l
-    inv_c2 = 1.0 / p.c2
-    inv_c1 = 1.0 / p.c1
-    inv_rc2 = 1.0 / (p.r_variable * p.c2)
-    inv_rc1 = 1.0 / (p.r_variable * p.c1)
-    rs = p.r_series
-    h = dt
-    hh = 0.5 * h
-    h6 = h / 6.0
+    gi, gm, go, bi, bo, i_bi, i_bo, inv_l, inv_c2, inv_c1, inv_rc2, inv_rc1, rs, h, hh, h6 = (
+        _rk4_constants(p, dt))
 
     # Each evaluation point is a (6, n_lanes) block: the state (v_c2, v_c1,
     # i_l), then v_c2 - v_c1 and the outer and middle diode segments.
@@ -559,18 +541,9 @@ SWEEPABLE = ("r_variable", "c1", "drive_amplitude")
 def _scan_point(args) -> BifurcationPoint:
     vary, value, p, drive_freq, drive_amplitude, tap, t_end, dt, transient_fraction = args
     try:
-        if vary == "drive_amplitude":
-            amplitude = value
-        else:
-            amplitude = drive_amplitude
-            p = ChuaParams(
-                r_variable=value if vary == "r_variable" else p.r_variable,
-                c1=value if vary == "c1" else p.c1,
-                c2=p.c2,
-                l=p.l,
-                r_series=p.r_series,
-                diode=p.diode,
-            )
+        amplitude = value if vary == "drive_amplitude" else drive_amplitude
+        if vary != "drive_amplitude":
+            p = replace(p, **{vary: value})
         drive = None
         if amplitude and drive_freq:
             drive = sine_drive(amplitude, drive_freq, t_end, 1.0 / dt)

@@ -94,15 +94,12 @@ def _cmd_dataset(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.task.kind.startswith("lwe"):
-        # same stream the experiment harness uses for this master seed
+        # the cases the experiment harness trains on for this master seed
         seed = seed_for(cfg.master_seed, "dataset")
-        rng = np.random.default_rng([seed, 0x6C7765])
-        params = cfg.lwe
-        pk = lwe_mod.keygen(params, rng)
-        cases = lwe_mod.generate_testcases(params, cfg.n_cases, rng, pk=pk)
+        pk, cases = tasks.lwe_cases(cfg.lwe, cfg.n_cases, seed)
         path = out / "lwe_cases.json"
         lwe_mod.save_dataset(cases, pk, seed, path)
-        lwe_mod.save_keypair(params, pk, out / "lwe_key.json", out / "lwe_secret.json")
+        lwe_mod.save_keypair(cfg.lwe, pk, out / "lwe_key.json", out / "lwe_secret.json")
         n_cases = len(cases)
     else:
         dataset = exp.build_dataset(cfg)
@@ -179,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
         if with_jobs:
-            p.add_argument("--jobs", type=int, default=exp.default_jobs(),
-                           help="worker processes (env CHUARC_JOBS)")
+            p.add_argument("--jobs", type=int, default=None,
+                           help="worker processes, at least 1 (default: env CHUARC_JOBS, or 1)")
 
     p = sub.add_parser("simulate", help="integrate the circuit and dump a trace CSV")
     common(p, with_jobs=False)
@@ -258,9 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "jobs"):
+            if args.jobs is None:
+                args.jobs = exp.default_jobs()
+            elif args.jobs < 1:
+                raise ConfigurationError("jobs", f"must be >= 1, got {args.jobs}")
         return args.func(args)
     except (ConfigurationError, InputDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

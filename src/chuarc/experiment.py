@@ -27,11 +27,12 @@ ENV_JOBS = "CHUARC_JOBS"
 
 
 def default_jobs() -> int:
+    """The worker count in CHUARC_JOBS (1 when unset); a value that is not an
+    integer >= 1 raises ConfigurationError."""
     value = os.environ.get(ENV_JOBS, "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+    if not (value.strip().isdecimal() and int(value) >= 1):
+        raise ConfigurationError(ENV_JOBS, f"must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,9 @@ class MetricsReport:
     config_digest: str
 
 
-def _effective_reservoir(cfg: ExperimentConfig, dataset: tasks.Dataset):
-    """The dataset dictates the normalisation ceiling; the master seed feeds the mask."""
-    return replace(
-        cfg.reservoir,
-        value_max=dataset.value_max,
-        seed=seed_for(cfg.master_seed, "mask"),
-    )
+def _effective_reservoir(cfg: ExperimentConfig, value_max: float):
+    """The data's normalisation ceiling, and the mask seed from the master seed."""
+    return replace(cfg.reservoir, value_max=value_max, seed=seed_for(cfg.master_seed, "mask"))
 
 
 def _simulate_group(args):
@@ -84,7 +81,7 @@ def simulate_cases(cfg: ExperimentConfig, dataset: tasks.Dataset, jobs: int = 1)
     Results are identical for any worker count. A diverging case raises
     IntegrationError naming the case and the step.
     """
-    reservoir = _effective_reservoir(cfg, dataset)
+    reservoir = _effective_reservoir(cfg, dataset.value_max)
     return _simulate(reservoir, cfg.circuit, dataset.inputs, dataset.multi_input, jobs)
 
 
@@ -102,9 +99,6 @@ def run_experiment(
     cfg: ExperimentConfig,
     jobs: int | None = None,
     write_artifacts: bool = True,
-    ridge_lambda: float = 0.0,
-    bias: bool = True,
-    offset: float = 0.0,
 ) -> MetricsReport:
     """Generate the dataset, simulate, train on the train split, score validation.
 
@@ -130,14 +124,7 @@ def run_experiment(
         raise
 
     train_cases = [(states[i], dataset.teachers[i]) for i in dataset.train_idx]
-    weight = train_readout(
-        train_cases,
-        bias=bias,
-        offset=offset,
-        ridge_lambda=ridge_lambda,
-        seed=cfg.master_seed,
-        config_digest=digest,
-    )
+    weight = train_readout(train_cases, seed=cfg.master_seed, config_digest=digest)
 
     estimates = predict(weight, [states[i] for i in dataset.val_idx])
     targets = np.vstack([np.atleast_1d(np.asarray(dataset.teachers[i], dtype=float))
@@ -231,8 +218,7 @@ def classification_surface(
     nearest teacher value.
     """
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    reservoir = replace(cfg.reservoir, value_max=value_max,
-                        seed=seed_for(cfg.master_seed, "mask"))
+    reservoir = _effective_reservoir(cfg, value_max)
     points = [[float(x), float(y)] for y in y_values for x in x_values]
     states = _simulate(reservoir, cfg.circuit, points, True, jobs)
     classes = [tasks.classify(float(e[0])) for e in predict(weight, states)]

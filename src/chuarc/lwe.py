@@ -234,20 +234,6 @@ def save_dataset(cases, pk: PublicKey, seed: int, path) -> None:
         json.dump(rows, fh, indent=1)
 
 
-def load_dataset(path) -> list:
-    """Read test cases written by save_dataset."""
-    with open(path) as fh:
-        rows = json.load(fh)
-    return [
-        LweTestCase(
-            phi=r["phi"], decrypt_value=r["decrypt_value"], u=r["u"], v=r["v"],
-            a_samples=tuple(r["a_samples"]), b_samples=tuple(r["b_samples"]),
-            q=r["q"], s=r["s"], m=r["m"], n_samples=r["n_samples"],
-        )
-        for r in rows
-    ]
-
-
 def save_keypair(params: LweParams, pk: PublicKey, key_path, secret_path) -> None:
     """Key file holds the public data; the secret goes to a separate file."""
     public = asdict(params)

@@ -116,12 +116,6 @@ def normalize(values, cfg: ReservoirConfig) -> np.ndarray:
     return cfg.v_min + (x / cfg.value_max) * (cfg.v_max - cfg.v_min)
 
 
-def denormalize(volts, cfg: ReservoirConfig) -> np.ndarray:
-    """Inverse of normalize."""
-    v = np.asarray(volts, dtype=float)
-    return (v - cfg.v_min) / (cfg.v_max - cfg.v_min) * cfg.value_max
-
-
 def multiplex(message, mask: Mask) -> np.ndarray:
     """Repeat each message value across the mask block: out[i*n+j] = msg[i]*m[j].
 
@@ -166,11 +160,9 @@ class StateMatrix:
     values: np.ndarray  # (n_rows, n_mask*n_taps) volts
     n_mask: int
     n_taps: int
-    row_times: np.ndarray  # seconds, per row (first channel's source samples)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "row_times", np.asarray(self.row_times, dtype=float))
         if self.values.ndim != 2:
             raise LayoutError("state matrix must be rectangular")
         if self.values.shape[1] != self.n_mask * self.n_taps:
@@ -208,20 +200,13 @@ def demultiplex(trace: Trace, n_values: int, n_mask: int, middle_fraction: float
         out[:, k * n_mask:(k + 1) * n_mask] = blocks.transpose(0, 2, 1).reshape(
             n_values * n_keep, n_mask
         )
-    times = _row_times(trace.times, n_values, n_mask, spp, middle_fraction)
-    return StateMatrix(values=out, n_mask=n_mask, n_taps=n_taps, row_times=times)
+    return StateMatrix(values=out, n_mask=n_mask, n_taps=n_taps)
 
 
 def _slot_window(spp: int, middle_fraction: float) -> tuple:
     """(n_keep, lo): the central middle_fraction of a slot of spp samples."""
     n_keep = max(1, int(round(spp * middle_fraction)))
     return n_keep, (spp - n_keep) // 2
-
-
-def _row_times(times, n_values: int, n_mask: int, spp: int, middle_fraction: float) -> np.ndarray:
-    """Times of the kept samples of each value's first mask slot."""
-    n_keep, lo = _slot_window(spp, middle_fraction)
-    return times.reshape(n_values, n_mask, spp)[:, 0, lo:lo + n_keep].reshape(-1)
 
 
 def envelope_extract(channel, window: int) -> tuple:
@@ -357,10 +342,8 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
             scalar(lane)
             raise AssertionError(f"lane {lane} diverged but its scalar rerun did not")
 
-    times = _row_times(np.arange(n_real) * dt, n_values, n_mask, spp, cfg.middle_fraction)
     values = out.reshape(n_cases, n_values * n_keep, -1)
-    return [StateMatrix(values=v, n_mask=n_coords * n_mask, n_taps=2, row_times=times)
-            for v in values]
+    return [StateMatrix(values=v, n_mask=n_coords * n_mask, n_taps=2) for v in values]
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,8 @@ def _output(path):
 
 
 def _svg_header(title, digest):
+    """The SVG start tag, metadata, background and title; ``digest`` is the
+    metadata text after ``config_digest=``."""
     meta = f"<metadata>config_digest={digest or 'unknown'}</metadata>"
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -254,13 +256,7 @@ def _histogram_svg(out_path, values, x_label, title, digest, n_bins=20):
             f'<rect x="{x0:.2f}" y="{HEIGHT-MARGIN-h:.2f}" width="{x1-x0:.2f}" '
             f'height="{h:.2f}" fill="steelblue" stroke="white" stroke-width="0.5"/>'
         )
-    meta = f"<metadata>config_digest={digest or 'unknown'};bin_edges={edges}</metadata>"
-    header = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">{meta}'
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
-        f'<text x="{WIDTH/2}" y="24" text-anchor="middle" font-size="16">{title}</text>'
-    )
+    header = _svg_header(title, f"{digest or 'unknown'};bin_edges={edges}")
     with _output(out_path) as fh:
         fh.write((header + _axes(x_label, "count", vmin, vmax, 0, peak)
                   + "".join(bars) + "</svg>").encode())

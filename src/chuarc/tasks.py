@@ -8,7 +8,7 @@ plus train/validation splitting and classification scoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class Dataset:
     seed: int
     multi_input: bool = False
     labels: list | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.inputs) != len(self.teachers):
@@ -167,6 +166,13 @@ def split_indices(n: int, val_fraction: float, seed: int) -> tuple:
     return np.sort(order[n_val:]), np.sort(order[:n_val])
 
 
+def lwe_cases(params: lwe.LweParams, n_cases: int, seed: int) -> tuple:
+    """(public key, test cases) of the LWE tasks' dataset for this seed."""
+    rng = np.random.default_rng([seed, 0x6C7765])
+    pk = lwe.keygen(params, rng)
+    return pk, lwe.generate_testcases(params, n_cases, rng, pk=pk)
+
+
 def build_dataset(
     spec: TaskSpec,
     n_cases: int,
@@ -180,7 +186,6 @@ def build_dataset(
     kind = spec.kind
     labels = None
     multi_input = False
-    meta: dict = {}
 
     if kind in ("polynomial", "modulo", "poly-mod"):
         xs = np.linspace(spec.x_range[0], spec.x_range[1], n_cases)
@@ -214,8 +219,7 @@ def build_dataset(
         multi_input = True
     elif kind in ("lwe-encrypt", "lwe-decrypt"):
         params = lwe_params or lwe.LweParams()
-        rng = np.random.default_rng([seed, 0x6C7765])
-        cases = lwe.generate_testcases(params, n_cases, rng)
+        _, cases = lwe_cases(params, n_cases, seed)
         if kind == "lwe-encrypt":
             inputs = [list(c.a_samples) + list(c.b_samples) + [c.phi] for c in cases]
             teachers = [[float(c.u), float(c.v)] for c in cases]
@@ -224,7 +228,6 @@ def build_dataset(
             teachers = [[float(c.decrypt_value)] for c in cases]
             labels = [c.phi for c in cases]
         value_max = float(params.q - 1)
-        meta["lwe_q"] = params.q
     else:  # pragma: no cover - guarded by TaskSpec
         raise ConfigurationError("task.kind", f"unhandled kind {kind}")
 
@@ -232,7 +235,7 @@ def build_dataset(
     return Dataset(
         kind=kind, inputs=inputs, teachers=teachers, value_max=value_max,
         train_idx=train_idx, val_idx=val_idx, seed=seed,
-        multi_input=multi_input, labels=labels, meta=meta,
+        multi_input=multi_input, labels=labels,
     )
 
 

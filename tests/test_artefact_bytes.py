@@ -6,8 +6,9 @@ artefacts and every bit of the scalar kernel's output, so the kernel, the
 writers and the plots cannot drift together unnoticed (``test_lanes.py``
 compares the lane kernel with ``integrate`` and would not see both move).
 
-The spectrum digests depend on numpy's FFT, so they are checked only on the
-numpy release they were recorded with.
+The spectrum digests depend on numpy's FFT, and the train digests on the
+least-squares solve of the numpy-bundled LAPACK, so both are checked only on
+the numpy release they were recorded with.
 """
 
 import hashlib
@@ -49,6 +50,11 @@ GOLDEN = {
     "integrate.driven": "c6b85f97d04345d1b7a5cef890c8d49c287b703ac2875aa9db408a5e1f9a7b3e",
     # recorded from the kernel that called one rates() helper per RK4 stage
     "integrate.overflowing_sum": "1c87b83d205e6bcb9a1901f5f3a69b8e242f6a0ecd7737de04a4493a0d189cbc",
+    # `chuarc train --profile desk --n-cases 24 --seed 3`, one task each
+    "polynomial/cases.csv": "04b201fd930c560a672c6fb33e25670183c79af5ed0a28baf0caa86c95c1182a",
+    "polynomial/weight.json": "fc7171472a235fcc336b697646bbb3689279a6e02fe7b4ec62c06197079457c9",
+    "lwe-encrypt/cases.csv": "ab43778f22e7b98cfbfcb21b6a522f8b7115c15ef9816f0a40ef56570d849dfe",
+    "lwe-encrypt/weight.json": "715cef73e9715917e21d85925a80071a745b9b418d0b01dea36a5573f6ad976e",
 }
 
 
@@ -139,6 +145,16 @@ def test_spectrum_artefact_bytes(digests, name):
     if np.__version__ != FFT_NUMPY:
         pytest.skip(f"spectrum digests were recorded with numpy {FFT_NUMPY}")
     assert digests[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("task", ["polynomial", "lwe-encrypt"])
+def test_train_artefact_bytes(tmp_path, task):
+    if np.__version__ != FFT_NUMPY:
+        pytest.skip(f"train digests were recorded with numpy {FFT_NUMPY}")
+    assert main(["train", "--profile", "desk", "--task", task, "--n-cases", "24",
+                 "--seed", "3", "--jobs", "1", "--out", str(tmp_path)]) == 0
+    for name in ("cases.csv", "weight.json"):
+        assert sha256((tmp_path / name).read_bytes()) == GOLDEN[f"{task}/{name}"], name
 
 
 @pytest.mark.parametrize("name", ["integrate.undriven", "integrate.driven"])

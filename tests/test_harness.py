@@ -719,6 +719,15 @@ class TestCli:
         assert (tmp_path / "lwe_key.json").exists()
         assert (tmp_path / "lwe_secret.json").exists()
 
+    def test_dataset_lwe_json_holds_the_training_teachers(self, tmp_path):
+        assert main(["dataset", "--task", "lwe-encrypt", "--n-cases", "30", "--seed", "5",
+                     "--out", str(tmp_path), "--profile", "desk"]) == 0
+        rows = json.loads((tmp_path / "lwe_cases.json").read_text())
+        cfg = replace(default_config(profile="desk", task_kind="lwe-encrypt"),
+                      n_cases=30, master_seed=5)
+        assert [[float(r["u"]), float(r["v"])] for r in rows] == \
+            experiment.build_dataset(cfg).teachers
+
     def test_bifurcate_and_plot(self, tmp_path):
         code = main(["bifurcate", "--param", "r_variable", "--start", "1900",
                      "--stop", "2000", "--steps", "2", "--out", str(tmp_path),
@@ -795,10 +804,40 @@ class TestCli:
     def test_jobs_env_var_default(self, monkeypatch):
         from chuarc.experiment import default_jobs
 
+        monkeypatch.delenv("CHUARC_JOBS", raising=False)
+        assert default_jobs() == 1
         monkeypatch.setenv("CHUARC_JOBS", "3")
         assert default_jobs() == 3
+        for junk in ("junk", "0", "-2", "1.5", ""):
+            monkeypatch.setenv("CHUARC_JOBS", junk)
+            with pytest.raises(ConfigurationError, match="^CHUARC_JOBS: "):
+                default_jobs()
+
+    BIFURCATE = ["bifurcate", "--param", "r_variable", "--start", "1900", "--stop", "2000",
+                 "--steps", "2", "--t-end", "0.001", "--dt", "1e-6", "--profile", "desk"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setenv("CHUARC_JOBS", "2")
+        assert main([*self.BIFURCATE, "--out", str(tmp_path), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: jobs: must be >= 1, got {jobs}") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["bifurcate", "train", "eval", "sweep"])
+    def test_bad_jobs_env_var_exits_1(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setenv("CHUARC_JOBS", "junk")
-        assert default_jobs() == 1
+        argv = self.BIFURCATE if command == "bifurcate" else [command, "--profile", "desk"]
+        if command == "eval":
+            argv = [*argv, "--weight", str(tmp_path / "w.json")]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CHUARC_JOBS: must be an integer >= 1, got 'junk'")
+        assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+    def test_jobs_flag_overrides_a_bad_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHUARC_JOBS", "junk")
+        assert main([*self.BIFURCATE, "--out", str(tmp_path), "--jobs", "1"]) == 0
 
     def test_sweep_command_with_svg(self, tmp_path):
         cfg = {

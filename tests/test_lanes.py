@@ -134,15 +134,14 @@ def reference_state(raw, cfg, circuit):
 def per_case_states(cfg, dataset):
     """Reference states; multi-input cases run each coordinate alone and
     concatenate the coordinates' channels."""
-    reservoir = experiment._effective_reservoir(cfg, dataset)
+    reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
     if not dataset.multi_input:
         return [reference_state(raw, reservoir, cfg.circuit) for raw in dataset.inputs]
     states = []
     for raw in dataset.inputs:
         parts = [reference_state([c], reservoir, cfg.circuit) for c in raw]
         states.append(StateMatrix(values=np.hstack([p.values for p in parts]),
-                                  n_mask=sum(p.n_mask for p in parts), n_taps=2,
-                                  row_times=parts[0].row_times))
+                                  n_mask=sum(p.n_mask for p in parts), n_taps=2))
     return states
 
 
@@ -150,7 +149,6 @@ def assert_same_states(got, want, key):
     assert len(got) == len(want), key
     for a, b in zip(got, want):
         assert np.array_equal(a.values, b.values), key
-        assert np.array_equal(a.row_times, b.row_times), key
         assert (a.n_mask, a.n_taps) == (b.n_mask, b.n_taps), key
 
 
@@ -170,7 +168,7 @@ class TestSimulateCases:
         cfg = CONFIGS[name]
         dataset = experiment.build_dataset(cfg)
         want = per_case_states(cfg, dataset)
-        reservoir = experiment._effective_reservoir(cfg, dataset)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         # the default crossover keeps these small groups scalar; 1 forces lockstep
         for crossover in (pipeline.LANE_CROSSOVER, 1):
             monkeypatch.setattr(pipeline, "LANE_CROSSOVER", crossover)
@@ -200,7 +198,7 @@ class TestSimulateCases:
         base = dataset_config("polynomial", use_envelope=True)
         cfg = replace(base, n_cases=pipeline.LANE_CROSSOVER)
         dataset = experiment.build_dataset(cfg)
-        reservoir = experiment._effective_reservoir(cfg, dataset)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         got = run_cases(dataset.inputs, reservoir, cfg.circuit)
         want = [run_case(raw, reservoir, cfg.circuit) for raw in dataset.inputs]
         assert_same_states(got, want, "run_case")
@@ -215,7 +213,7 @@ class TestSimulateCases:
     def test_case_values_are_contiguous_views_of_one_block(self):
         cfg = CONFIGS["circles"]
         dataset = experiment.build_dataset(cfg)
-        reservoir = experiment._effective_reservoir(cfg, dataset)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         states = run_cases(dataset.inputs, reservoir, cfg.circuit, per_coordinate=True)
         base = states[0].values.base
         assert base is not None
@@ -233,7 +231,7 @@ def diverging_config():
 
 class TestDivergence:
     def first_scalar_failure(self, cfg, dataset):
-        reservoir = experiment._effective_reservoir(cfg, dataset)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         for index, raw in enumerate(dataset.inputs):
             try:
                 reference_state(raw, reservoir, cfg.circuit)
@@ -246,7 +244,7 @@ class TestDivergence:
         # integrated: it passes, and case 7 is the first failure
         cfg = diverging_config()
         dataset = experiment.build_dataset(cfg)
-        reservoir = experiment._effective_reservoir(cfg, dataset)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         assert self.first_scalar_failure(cfg, dataset) == (7, 347)
         drive = reference_drive(dataset.inputs[6], reservoir, with_dummy=True)
         n_real = reference_drive(dataset.inputs[6], reservoir).samples.size
@@ -287,7 +285,7 @@ class TestDivergence:
         cfg = diverging_config()
         dataset = experiment.build_dataset(cfg)
         case, step = self.first_scalar_failure(cfg, dataset)
-        reservoir = experiment._effective_reservoir(cfg, dataset)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         for crossover in (1, pipeline.LANE_CROSSOVER):
             monkeypatch.setattr(pipeline, "LANE_CROSSOVER", crossover)
             for size in (1, 5, dataset.n_cases):
@@ -300,7 +298,7 @@ class TestDivergence:
         base = diverging_config()
         cfg = replace(base, task=replace(base.task, kind="circles"))
         dataset = experiment.build_dataset(cfg)
-        reservoir = experiment._effective_reservoir(cfg, dataset)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         inputs = dataset.inputs[1:]
         failures = []
         for case, raw in enumerate(inputs):

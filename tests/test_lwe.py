@@ -2,6 +2,7 @@
 distributions, dataset generation with the round-trip filter, and the
 error-sum enumeration oracle."""
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from chuarc.lwe import (
     Ciphertext,
     GaussianErrors,
     LweParams,
+    LweTestCase,
     PublicKey,
     UniformErrors,
     decrypt_bit,
@@ -22,7 +24,6 @@ from chuarc.lwe import (
     gaussian_sigma,
     generate_testcases,
     keygen,
-    load_dataset,
     multibit_decrypt,
     multibit_encrypt,
     save_dataset,
@@ -139,7 +140,7 @@ class TestInputBuffer:
 
     def test_worked_case_layout(self, monkeypatch):
         cases = _table_candidate_cases()
-        monkeypatch.setattr(lwe, "generate_testcases", lambda params, n, rng: cases)
+        monkeypatch.setattr(lwe, "generate_testcases", lambda params, n, rng, pk: cases)
         ds = encrypt_inputs(2, 0, LweParams())
         assert ds.inputs == [[4, 2, 6, 0, 6, 2, 5, 5, 0, 6, 0], [4, 2, 6, 0, 6, 2, 5, 5, 0, 6, 1]]
         assert ds.teachers == [[float(c.u), float(c.v)] for c in cases]
@@ -269,12 +270,15 @@ class TestPersistence:
         cases = generate_testcases(params, 12, rng, pk=pk)
         path = tmp_path / "cases.json"
         save_dataset(cases, pk, seed=51, path=path)
-        loaded = load_dataset(path)
-        assert loaded == cases
+        rows = json.loads(path.read_text())
+        assert len(rows) == len(cases)
+        for row, case in zip(rows, cases):
+            assert (row.pop("public_a"), row.pop("public_b"), row.pop("seed")) == (
+                list(pk.a), list(pk.b), 51)
+            row["a_samples"], row["b_samples"] = tuple(row["a_samples"]), tuple(row["b_samples"])
+            assert LweTestCase(**row) == case
 
     def test_keypair_separates_secret(self, tmp_path):
-        import json
-
         from chuarc.lwe import save_keypair
 
         params = LweParams()

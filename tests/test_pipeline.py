@@ -23,7 +23,6 @@ from chuarc.pipeline import (
     _passthrough_kernel,
     carrier_wave,
     demultiplex,
-    denormalize,
     envelope_extract,
     make_mask,
     multiplex,
@@ -59,12 +58,6 @@ class TestNormalize:
         for lo, hi in ((0.1, 0.5), (0.4, 1.0), (0.2, 0.8)):
             cfg = small_cfg(v_min=lo, v_max=hi)
             assert normalize([0.0], cfg)[0] == lo
-
-    def test_round_trip(self):
-        cfg = small_cfg()
-        xs = np.linspace(0.0, 6.0, 23)
-        back = denormalize(normalize(xs, cfg), cfg)
-        assert np.all(np.abs(back - xs) < 1e-12)
 
     def test_out_of_range_rejected(self):
         cfg = small_cfg()
@@ -226,8 +219,7 @@ class TestEnvelope:
 
 def make_state(values):
     values = np.asarray(values, dtype=float)
-    return StateMatrix(values=values, n_mask=values.shape[1] // 2, n_taps=2,
-                       row_times=np.arange(values.shape[0]) * 1e-6)
+    return StateMatrix(values=values, n_mask=values.shape[1] // 2, n_taps=2)
 
 
 class TestTraining:
