@@ -64,7 +64,6 @@ from .pipeline import (
     ReservoirConfig,
     StateMatrix,
     demultiplex,
-    envelope_extract,
     make_mask,
     multiplex,
     nmse,

@@ -207,23 +207,13 @@ def derivatives(state: CircuitState, p: ChuaParams, v_in: float = 0.0) -> tuple:
 
 
 def _drive_lookup(drive: DriveSignal, dt: float, n_steps: int) -> np.ndarray:
-    """Zero-order-hold the drive onto the integration grid.
+    """The drive at the n_steps + 1 step boundaries, one sample per step.
 
-    dt must divide the drive sample interval (or be an exact multiple of it);
-    past the end of the drive the last sample is held.
+    The drive must be sampled at 1/dt; past its end the last sample is held.
     """
-    ratio = drive.sample_rate * dt  # drive samples per integration step
-    if ratio >= 1.0 - 1e-9:
-        m = round(ratio)
-        if abs(ratio - m) > 1e-9:
-            raise ConfigurationError("dt", "must be an integer multiple of the drive sample interval")
-        idx = np.minimum(np.arange(n_steps + 1) * m, drive.samples.size - 1)
-    else:
-        m = round(1.0 / ratio)
-        if abs(1.0 / ratio - m) > 1e-6:
-            raise ConfigurationError("dt", "must divide the drive sample interval")
-        idx = np.minimum(np.arange(n_steps + 1) // m, drive.samples.size - 1)
-    return drive.samples[idx]
+    if abs(drive.sample_rate * dt - 1.0) > 1e-9:
+        raise ConfigurationError("drive.sample_rate", f"must be 1/dt, got {drive.sample_rate!r} Hz")
+    return drive.samples[np.minimum(np.arange(n_steps + 1), drive.samples.size - 1)]
 
 
 def _rk4_constants(p: ChuaParams, dt: float) -> tuple:
@@ -507,15 +497,14 @@ def integrate_lanes(
     return np.isfinite(state).all(axis=0)
 
 
-def steady_state_extrema(
-    samples: np.ndarray, transient_fraction: float = 0.5
-) -> np.ndarray:
-    """Strict 3-sample local maxima and minima after discarding the transient.
+def steady_state_extrema(samples: np.ndarray) -> np.ndarray:
+    """Strict 3-sample local maxima and minima of the second half of
+    ``samples``; the first half is discarded as the transient.
 
     If the steady segment has no strict extrema (constant or monotone decay
     below float resolution), the segment min and max stand in for them.
     """
-    tail = np.asarray(samples, dtype=float)[int(len(samples) * transient_fraction):]
+    tail = np.asarray(samples, dtype=float)[len(samples) // 2:]
     if tail.size < 3:
         return np.array([tail.min(), tail.max()]) if tail.size else np.empty(0)
     a, b, c = tail[:-2], tail[1:-1], tail[2:]
@@ -539,7 +528,7 @@ SWEEPABLE = ("r_variable", "c1", "drive_amplitude")
 
 
 def _scan_point(args) -> BifurcationPoint:
-    vary, value, p, drive_freq, drive_amplitude, tap, t_end, dt, transient_fraction = args
+    vary, value, p, drive_freq, drive_amplitude, tap, t_end, dt = args
     try:
         amplitude = value if vary == "drive_amplitude" else drive_amplitude
         if vary != "drive_amplitude":
@@ -548,7 +537,7 @@ def _scan_point(args) -> BifurcationPoint:
         if amplitude and drive_freq:
             drive = sine_drive(amplitude, drive_freq, t_end, 1.0 / dt)
         trace = integrate(p, DEFAULT_INITIAL_STATE, drive, t_end, dt)
-        ext = steady_state_extrema(trace.channel(tap), transient_fraction)
+        ext = steady_state_extrema(trace.channel(tap))
         return BifurcationPoint(value=value, extrema=ext)
     except IntegrationError as exc:
         return BifurcationPoint(value=value, extrema=np.empty(0), error=str(exc))
@@ -563,7 +552,6 @@ def bifurcation_scan(
     drive_amplitude: float = 0.0,
     t_end: float | None = None,
     dt: float = 1e-8,
-    transient_fraction: float = 0.5,
     jobs: int = 1,
 ) -> list:
     """Sweep one parameter and collect steady-state extrema of the chosen tap.
@@ -586,10 +574,7 @@ def bifurcation_scan(
     if t_end is None:
         t_end = 20.0 / drive_frequency if drive_frequency > 0.0 else 40e-3
 
-    tasks = [
-        (vary, v, fixed, drive_frequency, drive_amplitude, tap, t_end, dt, transient_fraction)
-        for v in values
-    ]
+    tasks = [(vary, v, fixed, drive_frequency, drive_amplitude, tap, t_end, dt) for v in values]
     return _map(_scan_point, tasks, jobs)
 
 

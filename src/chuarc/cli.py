@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +22,17 @@ from . import plots, tasks
 from .config import PROFILES, config_digest, parse_config, read_config, seed_for, serialize_config
 from .errors import ChuaRcError, ConfigurationError, InputDomainError
 from .pipeline import nmse, predict
+
+ENV_JOBS = "CHUARC_JOBS"
+
+
+def default_jobs() -> int:
+    """The worker count in CHUARC_JOBS (1 when unset); a value that is not an
+    integer >= 1 raises ConfigurationError."""
+    value = os.environ.get(ENV_JOBS, "1")
+    if not (value.strip().isdecimal() and int(value) >= 1):
+        raise ConfigurationError(ENV_JOBS, f"must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _load_config(args):
@@ -53,6 +66,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bifurcate(args) -> int:
     cfg = _load_config(args)
+    if args.steps < 2:
+        raise ConfigurationError("steps", f"must be >= 2, got {args.steps}")
     values = [args.start + i * (args.stop - args.start) / (args.steps - 1)
               for i in range(args.steps)]
     points = circ.bifurcation_scan(
@@ -133,6 +148,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    for flag in ("r_start", "r_stop", "r_step", "vc_start", "vc_stop", "vc_step"):
+        value, step = getattr(args, flag), flag.endswith("_step")
+        if not math.isfinite(value) or (step and value == 0.0):
+            raise ConfigurationError(flag, f"must be finite{' and nonzero' * step}, got {value!r}")
     grid = exp.SweepGrid(
         resistances=exp.axis_values(args.r_start, args.r_stop, args.r_step),
         v_centers=exp.axis_values(args.vc_start, args.vc_stop, args.vc_step),
@@ -259,7 +278,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "jobs"):
             if args.jobs is None:
-                args.jobs = exp.default_jobs()
+                args.jobs = default_jobs()
             elif args.jobs < 1:
                 raise ConfigurationError("jobs", f"must be >= 1, got {args.jobs}")
         return args.func(args)

@@ -190,24 +190,17 @@ def _decode(hint, raw, path: str, default):
 
 
 def read_config(source) -> dict:
-    """The JSON object in ``source``: a file path, JSON text or a dict."""
+    """The JSON object in ``source``: a dict or the path of a JSON file."""
     if isinstance(source, dict):
         raw = source
     else:
-        text = str(source)
-        from_file = False
         try:
-            if Path(text).exists():
-                text, from_file = Path(text).read_text(), True
+            text = Path(source).read_bytes()
         except OSError:
-            pass
+            raise ConfigurationError("<config>", f"no such file: {source}") from None
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            # JSON text for a config starts with a bracket; anything else
-            # that is not a file is taken as a mistyped path
-            if not from_file and not text.lstrip().startswith(("{", "[")):
-                raise ConfigurationError("<config>", f"no such file: {text}") from None
+        except ValueError as exc:
             raise ConfigurationError("<config>", f"malformed JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError("<config>", "top level must be a JSON object")
@@ -215,7 +208,7 @@ def read_config(source) -> dict:
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON file path, JSON text, or a dict.
+    """Build an ExperimentConfig from a JSON file path or a dict.
 
     Missing fields fall back to the profile defaults (an empty object gives
     the full bench setup). An unknown key, a value of the wrong type, a

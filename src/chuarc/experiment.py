@@ -8,7 +8,6 @@ assembled in case order so output is identical for any worker count.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -22,17 +21,6 @@ from .circuit import _map
 from .config import ExperimentConfig, carrier_frequency, config_digest, seed_for
 from .errors import ChuaRcError, ConfigurationError, IntegrationError
 from .pipeline import ReadoutWeight, nmse, predict, run_cases, train_readout
-
-ENV_JOBS = "CHUARC_JOBS"
-
-
-def default_jobs() -> int:
-    """The worker count in CHUARC_JOBS (1 when unset); a value that is not an
-    integer >= 1 raises ConfigurationError."""
-    value = os.environ.get(ENV_JOBS, "1")
-    if not (value.strip().isdecimal() and int(value) >= 1):
-        raise ConfigurationError(ENV_JOBS, f"must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -97,7 +85,7 @@ def build_dataset(cfg: ExperimentConfig) -> tasks.Dataset:
 
 def run_experiment(
     cfg: ExperimentConfig,
-    jobs: int | None = None,
+    jobs: int = 1,
     write_artifacts: bool = True,
 ) -> MetricsReport:
     """Generate the dataset, simulate, train on the train split, score validation.
@@ -106,7 +94,6 @@ def run_experiment(
     ``write_artifacts`` is set. Per-case simulation failures abort the run
     after flushing a failure manifest with whatever completed.
     """
-    jobs = default_jobs() if jobs is None else max(1, jobs)
     started = time.perf_counter()
     digest = config_digest(cfg)
 
@@ -209,7 +196,7 @@ def classification_surface(
     x_values,
     y_values,
     value_max: float,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> np.ndarray:
     """Class grid for a trained circle classifier.
 
@@ -217,7 +204,6 @@ def classification_surface(
     (each coordinate separately, column-concatenated) and classified by the
     nearest teacher value.
     """
-    jobs = default_jobs() if jobs is None else max(1, jobs)
     reservoir = _effective_reservoir(cfg, value_max)
     points = [[float(x), float(y)] for y in y_values for x in x_values]
     states = _simulate(reservoir, cfg.circuit, points, True, jobs)
@@ -268,7 +254,7 @@ class SweepCell:
     error: str | None = None
 
 
-def run_sweep(cfg: ExperimentConfig, grid: SweepGrid, jobs: int | None = None,
+def run_sweep(cfg: ExperimentConfig, grid: SweepGrid, jobs: int = 1,
               out_path=None) -> list:
     """One experiment per grid cell; per-cell failures are recorded and the
     sweep continues.

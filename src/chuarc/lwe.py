@@ -154,7 +154,7 @@ def decrypt_bit(ciphertext, s: int, q: int) -> tuple:
 
 
 def generate_testcases(params: LweParams, n_cases: int, rng: np.random.Generator,
-                       pk: PublicKey | None = None) -> list:
+                       pk: PublicKey) -> list:
     """Generate round-trip-correct test cases against one public key.
 
     Each candidate draws a fresh sample subset and encrypts both bit values
@@ -164,8 +164,6 @@ def generate_testcases(params: LweParams, n_cases: int, rng: np.random.Generator
     """
     if n_cases < 1:
         raise ConfigurationError("n_cases", "must be >= 1")
-    if pk is None:
-        pk = keygen(params, rng)
     cases: list = []
     attempts = 0
     budget = 10 * n_cases

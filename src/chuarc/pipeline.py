@@ -79,6 +79,8 @@ class ReservoirConfig:
             raise ConfigurationError("reservoir.sample_rate", "must be positive")
         if not 0.0 < self.middle_fraction <= 1.0:
             raise ConfigurationError("reservoir.middle_fraction", "must be in (0, 1]")
+        if self.use_envelope:
+            raise ConfigurationError("reservoir.use_envelope", "must be false (kept for the config digest)")
 
 
 @dataclass(frozen=True)
@@ -209,39 +211,6 @@ def _slot_window(spp: int, middle_fraction: float) -> tuple:
     return n_keep, (spp - n_keep) // 2
 
 
-def envelope_extract(channel, window: int) -> tuple:
-    """Upper and lower envelopes by windowed max/min pooling.
-
-    ``window`` is the anchor spacing in samples (one carrier half-period);
-    each anchor pools over a two-window span so every sample is covered by
-    two neighbouring anchors, which keeps upper >= signal >= lower after
-    linear interpolation back to full length.
-    """
-    x = np.asarray(channel, dtype=float)
-    if window < 1:
-        raise ConfigurationError("window", "must be >= 1")
-    n = x.size
-    centers = list(range(0, n, window))
-    if centers[-1] != n - 1:
-        centers.append(n - 1)
-    span = 2 * window + 1
-    upper_pts, lower_pts = [], []
-    for c in centers:
-        lo, hi = c - window, c + window + 1
-        # truncated edge windows slide inward so every anchor pools a full span
-        if lo < 0:
-            lo, hi = 0, min(n, span)
-        elif hi > n:
-            lo, hi = max(0, n - span), n
-        seg = x[lo:hi]
-        upper_pts.append(seg.max())
-        lower_pts.append(seg.min())
-    idx = np.arange(n)
-    upper = np.interp(idx, centers, upper_pts)
-    lower = np.interp(idx, centers, lower_pts)
-    return upper, lower
-
-
 def _passthrough_kernel(drive: DriveSignal, circuit: ChuaParams, dt: float) -> Trace:
     """Identity kernel for pipeline algebra checks: both taps echo the drive."""
     return Trace(dt=dt, tap_names=(TAP_DIODE, TAP_INDUCTOR),
@@ -282,8 +251,8 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     a view of it.
 
     Groups of at least LANE_CROSSOVER lanes run as lanes of one lockstep
-    kernel; narrower groups, ``use_envelope`` runs and a ``kernel`` override
-    run lane by lane through the scalar kernel. Both give the same bits. A
+    kernel; narrower groups and a ``kernel`` override run lane by lane
+    through the scalar kernel. Both give the same bits. A
     ``kernel(drive, circuit, dt) -> Trace`` override receives the drive of the
     real message only (n_values * n_mask * spp samples) and must return at
     least that many samples per tap. A lane that turns non-finite within the
@@ -315,14 +284,10 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
             trace = (kernel or _chua_kernel)(drive, circuit, dt)
         except IntegrationError as exc:
             raise IntegrationError(exc.step_index, case_index=case) from None
-        channels = trace.channels[:, :n_real]
-        if cfg.use_envelope:
-            half_period = max(1, int(round(cfg.sample_rate / (2.0 * cfg.f_carrier))))
-            channels = np.vstack([envelope_extract(ch, half_period)[0] for ch in channels])
-        trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=channels)
+        trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=trace.channels[:, :n_real])
         out[case, :, coord] = demultiplex(trimmed, n_values, n_mask, cfg.middle_fraction).values
 
-    if kernel is not None or cfg.use_envelope or n_lanes < LANE_CROSSOVER:
+    if kernel is not None or n_lanes < LANE_CROSSOVER:
         for lane in range(n_lanes):
             scalar(lane)
     else:

@@ -109,11 +109,11 @@ def cases_svg(out):
 
 def integrate_channels(driven: bool) -> bytes:
     if driven:
-        # square drive at 100 kS/s, exactly representable, zero-order held
-        # over ten 1 us steps per sample
+        # square drive of exactly representable levels, each held for ten
+        # 1 us steps
         level = np.where((np.arange(400) // 50) % 2 == 0, 0.5, -0.5)
         trace = integrate(kennedy_circuit(), DEFAULT_INITIAL_STATE,
-                          DriveSignal(level, 1e5), 4e-3, 1e-6)
+                          DriveSignal(np.repeat(level, 10), 1e6), 4e-3, 1e-6)
     else:
         trace = integrate(kennedy_circuit(1700.0), DEFAULT_INITIAL_STATE, None, 1e-3, 1e-7)
     return np.ascontiguousarray(trace.channels).view(np.int64).tobytes()
@@ -290,8 +290,8 @@ def test_integrate_matches_the_closure_kernel(init, r, c1, r_series, seed):
     p = ChuaParams(r_variable=r, c1=c1, c2=100e-9, l=18e-3, r_series=r_series)
     state = CircuitState(*init)
     levels = np.random.default_rng(seed).uniform(-2.0, 2.0, 30)
-    drive = DriveSignal(levels, 1e5)
-    # the kernel holds each 10 us drive sample for ten 1 us steps, the last one twice
+    drive = DriveSignal(np.repeat(levels, 10), 1e6)
+    # each level drives ten 1 us steps, and the kernel holds the last sample for the final tap
     want = closure_integrate(p, state, np.repeat(levels, 10).tolist() + [levels[-1]], 1e-6)
     try:
         got = integrate(p, state, drive, 300e-6, 1e-6).channels

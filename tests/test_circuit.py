@@ -237,15 +237,11 @@ class TestIntegrate:
             manual_driven[1] - p.r_series * manual_driven[0] - 0.3, rel=1e-12
         )
 
-    def test_zero_order_hold_resampling(self):
-        # drive at half the integration rate: each drive sample spans 2 steps
-        drive = DriveSignal(np.array([0.5, -0.25, 0.75]), sample_rate=5e5)
-        p = kennedy_circuit()
-        tr = integrate(p, CircuitState(0.0, 0.0, 0.0), drive, 6e-6, 1e-6)
-        v_l = tr.channel(TAP_INDUCTOR)
-        # at t=0 state is zero, so v_l = -v_in
-        assert v_l[0] == pytest.approx(-0.5)
-        assert tr.n_samples == 7
+    def test_drive_must_be_sampled_at_one_over_dt(self):
+        drive = DriveSignal(np.array([0.5, -0.25, 0.75]), sample_rate=1e5)
+        with pytest.raises(ConfigurationError) as err:
+            integrate(kennedy_circuit(), CircuitState(0.0, 0.0, 0.0), drive, 6e-6, 1e-6)
+        assert err.value.field == "drive.sample_rate"
 
 
 class TestBifurcation:

@@ -24,11 +24,9 @@ from chuarc.pipeline import (
     StateMatrix,
     carrier_wave,
     demultiplex,
-    envelope_extract,
     make_mask,
     multiplex,
     normalize,
-    run_case,
     run_cases,
     samples_per_envelope_point,
 )
@@ -123,11 +121,7 @@ def reference_state(raw, cfg, circuit):
     dt = 1.0 / cfg.sample_rate
     n_real = drive.samples.size
     trace = integrate(circuit, DEFAULT_INITIAL_STATE, drive, n_real * dt, dt)
-    channels = trace.channels[:, :n_real]
-    if cfg.use_envelope:
-        half_period = max(1, int(round(cfg.sample_rate / (2.0 * cfg.f_carrier))))
-        channels = np.vstack([envelope_extract(ch, half_period)[0] for ch in channels])
-    trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=channels)
+    trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=trace.channels[:, :n_real])
     return demultiplex(trimmed, len(raw), cfg.n_mask, cfg.middle_fraction)
 
 
@@ -192,17 +186,6 @@ class TestSimulateCases:
             for jobs in (1, 2):
                 got = experiment.simulate_cases(cfg, dataset, jobs=jobs)
                 assert_same_states(got, want, (crossover, jobs))
-
-    def test_envelope_group_matches_run_case(self):
-        # wide enough for lockstep, but the envelope detector runs lane by lane
-        base = dataset_config("polynomial", use_envelope=True)
-        cfg = replace(base, n_cases=pipeline.LANE_CROSSOVER)
-        dataset = experiment.build_dataset(cfg)
-        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
-        got = run_cases(dataset.inputs, reservoir, cfg.circuit)
-        want = [run_case(raw, reservoir, cfg.circuit) for raw in dataset.inputs]
-        assert_same_states(got, want, "run_case")
-        assert_same_states(got, per_case_states(cfg, dataset), "reference")
 
     def test_zero_jobs_runs_in_process(self):
         cfg = CONFIGS["square"]

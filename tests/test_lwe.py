@@ -183,14 +183,16 @@ class TestRoundTripFilter:
 
     def test_generated_cases_all_round_trip(self):
         params = LweParams()
-        cases = generate_testcases(params, 200, np.random.default_rng(31))
+        rng = np.random.default_rng(31)
+        cases = generate_testcases(params, 200, rng, keygen(params, rng))
         assert len(cases) == 200
         for c in cases:
             raw, bit = decrypt_bit((c.u, c.v), params.s, params.q)
             assert bit == c.phi and raw == c.decrypt_value
 
     def test_candidates_pair_bits_on_shared_samples(self):
-        cases = generate_testcases(LweParams(), 100, np.random.default_rng(32))
+        params, rng = LweParams(), np.random.default_rng(32)
+        cases = generate_testcases(params, 100, rng, keygen(params, rng))
         for c0, c1 in zip(cases[0::2], cases[1::2]):
             assert c0.phi == 0 and c1.phi == 1
             assert c0.a_samples == c1.a_samples and c0.b_samples == c1.b_samples
@@ -219,8 +221,10 @@ class TestRoundTripFilter:
         # q=2 with zero errors: the bit-1 branch floors (sum_b + 1) mod 2 to
         # an even residue and never decrypts to 1, so nothing is retained
         params = LweParams(q=2, m=8, error_mode=UniformErrors(0, 0), n_samples=3, s=1)
+        rng = np.random.default_rng(34)
+        pk = keygen(params, rng)
         with pytest.raises(GenerationError) as err:
-            generate_testcases(params, 10, np.random.default_rng(34))
+            generate_testcases(params, 10, rng, pk)
         assert err.value.retention_rate == 0.0
 
     def test_subset_count_matches_combinatorics(self):
@@ -228,8 +232,8 @@ class TestRoundTripFilter:
 
     def test_regeneration_is_bit_identical(self):
         params = LweParams()
-        a = generate_testcases(params, 50, np.random.default_rng(35))
-        b = generate_testcases(params, 50, np.random.default_rng(35))
+        a, b = (generate_testcases(params, 50, rng, keygen(params, rng))
+                for rng in (np.random.default_rng(35), np.random.default_rng(35)))
         assert a == b
 
 
@@ -256,7 +260,7 @@ class TestMultibit:
     def test_round_trip_on_retained_cases(self):
         params = LweParams()
         rng = np.random.default_rng(43)
-        cases = generate_testcases(params, 40, rng)
+        cases = generate_testcases(params, 40, rng, keygen(params, rng))
         message = [c.phi for c in cases[:8]]
         cts = [Ciphertext(u=c.u, v=c.v, k=tuple(range(1, 6))) for c in cases[:8]]
         assert multibit_decrypt(cts, params.s, params.q) == message

@@ -1,8 +1,6 @@
 """Pipeline tests: normalisation, multiplexing algebra, carrier waves,
 demultiplexing oracle, readout training, and error metrics."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,6 @@ from chuarc.pipeline import (
     _passthrough_kernel,
     carrier_wave,
     demultiplex,
-    envelope_extract,
     make_mask,
     multiplex,
     nmse,
@@ -196,27 +193,6 @@ class TestDemultiplex:
         assert np.array_equal(sm.values[:, 0], [3.0, 4.0, 5.0, 6.0])
 
 
-class TestEnvelope:
-    def test_constant_signal(self):
-        upper, lower = envelope_extract(np.full(50, 2.5), window=5)
-        assert np.all(upper == 2.5) and np.all(lower == 2.5)
-
-    def test_sine_upper_near_amplitude(self):
-        n_per_period = 40
-        t = np.arange(12 * n_per_period)
-        x = 2.0 * np.sin(2 * math.pi * t / n_per_period)
-        upper, lower = envelope_extract(x, window=n_per_period // 2)
-        assert np.all(upper >= 2.0 * 0.98 - 1e-9)
-        assert np.all(lower <= -2.0 * 0.98 + 1e-9)
-
-    def test_order_property(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=500)
-        upper, lower = envelope_extract(x, window=7)
-        assert np.all(upper >= x - 1e-9)
-        assert np.all(lower <= x + 1e-9)
-
-
 def make_state(values):
     values = np.asarray(values, dtype=float)
     return StateMatrix(values=values, n_mask=values.shape[1] // 2, n_taps=2)
@@ -355,16 +331,6 @@ class TestRunCase:
         sm = run_case(raw, cfg, kennedy_circuit(), kernel=_passthrough_kernel)
         # dummy normalises to v_min; with passthrough no kept sample shows it
         assert np.all(sm.values > cfg.v_min + 1e-9)
-
-    def test_envelope_output_mode(self):
-        cfg = small_cfg(n_mask=4, theta=2, v_min=0.4, v_max=1.0)
-        plain = run_case([3.0, 5.0], cfg, kennedy_circuit(1800.0))
-        enveloped = run_case([3.0, 5.0], small_cfg(n_mask=4, theta=2, v_min=0.4,
-                                                   v_max=1.0, use_envelope=True),
-                             kennedy_circuit(1800.0))
-        assert enveloped.values.shape == plain.values.shape
-        assert np.all(np.isfinite(enveloped.values))
-        assert not np.array_equal(enveloped.values, plain.values)
 
 
 class TestNmse:
