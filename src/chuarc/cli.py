@@ -25,6 +25,11 @@ from .pipeline import nmse, predict
 
 ENV_JOBS = "CHUARC_JOBS"
 
+#: A sweep axis spans fewer steps than this. Every axis value adds a row or a
+#: column of whole experiments, so a longer axis is a mistyped step, and its
+#: values would be built before any cell runs.
+MAX_AXIS_STEPS = 10_000
+
 
 def default_jobs() -> int:
     """The worker count in CHUARC_JOBS (1 when unset); a value that is not an
@@ -51,9 +56,9 @@ def _load_config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    dt = args.dt or 1.0 / cfg.reservoir.sample_rate
+    dt = 1.0 / cfg.reservoir.sample_rate if args.dt is None else args.dt
     drive = None
-    if args.drive_amplitude > 0.0:
+    if args.drive_amplitude != 0.0:
         drive = circ.sine_drive(args.drive_amplitude, args.drive_frequency, args.t_end, 1.0 / dt)
     trace = circ.integrate(cfg.circuit, circ.DEFAULT_INITIAL_STATE, drive, args.t_end, dt)
     out = Path(cfg.out_dir)
@@ -148,16 +153,20 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    for flag in ("r_start", "r_stop", "r_step", "vc_start", "vc_stop", "vc_step"):
-        value, step = getattr(args, flag), flag.endswith("_step")
-        if not math.isfinite(value) or (step and value == 0.0):
-            raise ConfigurationError(flag, f"must be finite{' and nonzero' * step}, got {value!r}")
+    for axis in ("r", "vc"):
+        start, stop, step = (getattr(args, f"{axis}_{end}") for end in ("start", "stop", "step"))
+        # finite flags: the quotient is finite unless stop - start overflows
+        if step == 0.0 or not (stop - start) / step < MAX_AXIS_STEPS:
+            raise ConfigurationError(f"{axis}_step", f"must be nonzero and span {start!r} to {stop!r}"
+                                                     f" in fewer than {MAX_AXIS_STEPS} steps, got {step!r}")
     grid = exp.SweepGrid(
         resistances=exp.axis_values(args.r_start, args.r_stop, args.r_step),
         v_centers=exp.axis_values(args.vc_start, args.vc_stop, args.vc_step),
         range_width=args.range_width,
         n_masks=None if args.n_masks is None else tuple(args.n_masks),
     )
+    if args.svg and len(set(grid.n_masks or ())) > 1:
+        raise ConfigurationError("sweep.n_masks", f"--svg draws one mask count, got {args.n_masks}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
@@ -171,7 +180,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    kind = plots.render_plot(args.csv, args.out_svg, kind=args.kind)
+    kind = plots.render_plot(args.csv, args.out_svg)
     print(f"wrote {args.out_svg} ({kind})")
     return 0
 
@@ -262,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render a CSV artifact to SVG")
     p.add_argument("--csv", required=True)
     p.add_argument("--out-svg", required=True)
-    p.add_argument("--kind", default=None)
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("show-config", help="print the resolved configuration")
@@ -276,6 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(dest, f"must be finite, got {value!r}")
+        if getattr(args, "dt", None) is not None and args.dt <= 0.0:
+            raise ConfigurationError("dt", f"must be positive, got {args.dt!r}")
         if hasattr(args, "jobs"):
             if args.jobs is None:
                 args.jobs = default_jobs()

@@ -213,7 +213,8 @@ def parse_config(source) -> ExperimentConfig:
     Missing fields fall back to the profile defaults (an empty object gives
     the full bench setup). An unknown key, a value of the wrong type, a
     non-finite number, a non-integral value for an integer field, a
-    sample rate below twice the carrier frequency, and any invariant
+    sample rate below twice the carrier frequency, a reservoir.seed or
+    reservoir.value_max other than its default, and any invariant
     violation raise ConfigurationError naming the offending field path.
     """
     raw = read_config(source)
@@ -221,6 +222,12 @@ def parse_config(source) -> ExperimentConfig:
     kind = task.get("kind", "polynomial") if isinstance(task, dict) else "polynomial"
     base = default_config(_string(raw.get("profile", "full"), "profile"), _string(kind, "task.kind"))
     cfg = _decode(ExperimentConfig, raw, "", base)
+    # a run takes these from the data and the master seed; the schema keeps
+    # them for the config digest, so only their defaults parse
+    for name in ("seed", "value_max"):
+        default = getattr(ReservoirConfig, name)
+        if getattr(cfg.reservoir, name) != default:
+            raise ConfigurationError(f"reservoir.{name}", f"is set at run time and must stay {default!r}")
     if "f_carrier" not in raw.get("reservoir", {}):
         # the carrier frequency follows the circuit unless pinned explicitly
         cfg = replace(cfg, reservoir=replace(

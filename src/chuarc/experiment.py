@@ -302,12 +302,13 @@ def sweep_to_csv(cells, path, digest: str | None = None) -> None:
 
 
 def save_weight(weight: ReadoutWeight, path) -> None:
-    """Lossless JSON persistence of a trained readout."""
+    """Lossless JSON persistence of a trained readout. ``bias`` and ``offset``
+    record the one readout form: a bias column and unshifted voltages."""
     payload = {
         "n_outputs": weight.n_outputs,
         "n_channels": weight.n_channels,
-        "bias": weight.bias,
-        "offset": weight.offset,
+        "bias": True,
+        "offset": 0.0,
         "lambda": weight.ridge_lambda,
         "seed": weight.seed,
         "config_digest": weight.config_digest,
@@ -317,18 +318,18 @@ def save_weight(weight: ReadoutWeight, path) -> None:
 
 
 def load_weight(path, expected_digest: str | None = None) -> ReadoutWeight:
-    """Read a weight file; a digest mismatch warns but the weight stays usable."""
+    """Read a weight file of the one readout form (bias true, offset 0.0); a
+    digest mismatch warns but the weight stays usable."""
     try:
         payload = json.loads(Path(path).read_text())
+        if payload["bias"] is not True or payload["offset"] != 0.0:
+            raise ValueError(f"bias {payload['bias']!r} and offset {payload['offset']!r};"
+                             " only bias true and offset 0.0 are supported")
         n_out = int(payload["n_outputs"])
         n_ch = int(payload["n_channels"])
-        bias = bool(payload["bias"])
-        cols = n_ch + (1 if bias else 0)
-        matrix = np.asarray(payload["matrix"], dtype=float).reshape(n_out, cols)
+        matrix = np.asarray(payload["matrix"], dtype=float).reshape(n_out, 1 + n_ch)
         weight = ReadoutWeight(
             matrix=matrix,
-            bias=bias,
-            offset=float(payload["offset"]),
             ridge_lambda=float(payload["lambda"]),
             seed=int(payload["seed"]),
             config_digest=str(payload["config_digest"]),

@@ -3,7 +3,7 @@
 Input values are normalised into a voltage window, multiplexed with a
 near-unity random mask, sample-held, and amplitude-modulated onto a fixed
 carrier. The kernel trace is demultiplexed back into one channel per
-(tap, mask) pair, and a linear readout with optional bias is trained by
+(tap, mask) pair, and a linear readout with a bias column is trained by
 accumulated least squares.
 """
 
@@ -315,13 +315,11 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
 class ReadoutWeight:
     """Trained linear readout.
 
-    matrix has one row per output; when bias is enabled column 0 multiplies
-    the constant 1 and the remaining columns the offset-shifted channels.
+    matrix has one row per output; column 0 multiplies the constant 1 and
+    the remaining columns the channel voltages.
     """
 
-    matrix: np.ndarray  # (n_outputs, n_channels + bias)
-    bias: bool
-    offset: float
+    matrix: np.ndarray  # (n_outputs, 1 + n_channels)
     ridge_lambda: float
     seed: int
     config_digest: str
@@ -337,7 +335,7 @@ class ReadoutWeight:
 
     @property
     def n_channels(self) -> int:
-        return self.matrix.shape[1] - (1 if self.bias else 0)
+        return self.matrix.shape[1] - 1
 
 
 #: Byte budget of the buffers the readout fills per block of cases: the rows
@@ -346,42 +344,35 @@ class ReadoutWeight:
 READOUT_BLOCK_BYTES = 1 << 18
 
 
-def _row_blocks(states, bias: bool, offset: float, case_bytes: int = 0):
+def _row_blocks(states, case_bytes: int = 0):
     """Consecutive equally shaped states as (start, rows) blocks.
 
-    ``rows`` is an (n, n_rows, bias + n_channels) view of one reused buffer:
-    per case and row, the constant 1 when ``bias`` (set once per buffer) and
-    then the channel values + offset, exactly the rows a lone case builds.
+    ``rows`` is an (n, n_rows, 1 + n_channels) view of one reused buffer:
+    per case and row, the constant 1 (set once per buffer) and then the
+    channel values, exactly the rows a lone case builds.
     """
-    k = 1 if bias else 0
     buf, start = None, 0
     while start < len(states):
         shape = states[start].values.shape
-        size = max(1, READOUT_BLOCK_BYTES // (8 * shape[0] * (k + shape[1]) + case_bytes))
+        size = max(1, READOUT_BLOCK_BYTES // (8 * shape[0] * (1 + shape[1]) + case_bytes))
         stop = start + 1
         while stop < min(len(states), start + size) and states[stop].values.shape == shape:
             stop += 1
-        if buf is None or buf.shape != (size, shape[0], k + shape[1]):
-            buf = np.empty((size, shape[0], k + shape[1]))
-            buf[:, :, :k] = 1.0
+        if buf is None or buf.shape != (size, shape[0], 1 + shape[1]):
+            buf = np.empty((size, shape[0], 1 + shape[1]))
+            buf[:, :, 0] = 1.0
         rows = buf[:stop - start]
         for j in range(stop - start):
-            np.add(states[start + j].values, offset, out=rows[j, :, k:])
+            rows[j, :, 1:] = states[start + j].values
         yield start, rows
         start = stop
 
 
-def train_readout(
-    cases,
-    bias: bool = True,
-    offset: float = 0.0,
-    ridge_lambda: float = 0.0,
-    seed: int = 0,
-    config_digest: str = "",
-) -> ReadoutWeight:
+def train_readout(cases, ridge_lambda: float = 0.0, seed: int = 0,
+                  config_digest: str = "") -> ReadoutWeight:
     """Fit the readout on (StateMatrix, teacher) pairs by accumulated least squares.
 
-    Every timestep row p (bias prepended, offset added to channel voltages)
+    Every timestep row p (the constant 1, then the channel voltages)
     contributes p p^T to the Gram accumulator and teacher * p^T to the
     cross accumulator, in fixed case-then-row order. The weight solves
     (XX + lambda*I') W^T = YY^T by minimum-norm least squares, where I'
@@ -400,11 +391,11 @@ def train_readout(
             raise ConfigurationError("cases", "all cases must share the channel count")
         if y.size != n_out:
             raise ConfigurationError("cases", "all teachers must share the output count")
-    d = n_ch + (1 if bias else 0)
+    d = 1 + n_ch
     xx = np.zeros((d, d))
     yy = np.zeros((n_out, d))
     grams = np.empty((0, d, d))
-    for start, rows in _row_blocks(states, bias, offset, 8 * d * d):
+    for start, rows in _row_blocks(states, 8 * d * d):
         if len(grams) < len(rows):
             grams = np.empty((len(rows), d, d))
         gram = np.matmul(rows.transpose(0, 2, 1), rows, out=grams[:len(rows)])
@@ -413,27 +404,19 @@ def train_readout(
             xx += gram[j]
             yy += teachers[start + j][:, None] * sums[j][None, :]
     reg = ridge_lambda * np.eye(d)
-    if bias:
-        reg[0, 0] = 0.0
+    reg[0, 0] = 0.0
     solution, *_ = np.linalg.lstsq(xx + reg, yy.T, rcond=None)
-    return ReadoutWeight(
-        matrix=solution.T,
-        bias=bias,
-        offset=offset,
-        ridge_lambda=ridge_lambda,
-        seed=seed,
-        config_digest=config_digest,
-    )
+    return ReadoutWeight(matrix=solution.T, ridge_lambda=ridge_lambda, seed=seed,
+                         config_digest=config_digest)
 
 
-def predict(w: ReadoutWeight, x) -> np.ndarray:
+def predict(w: ReadoutWeight, states) -> np.ndarray:
     """Case estimates: per-row readout outputs averaged over each case's rows.
 
-    ``x`` is one StateMatrix, giving an (n_outputs,) estimate, or a sequence
-    of them, giving (n_cases, n_outputs). Each estimate has the bits of its
-    case predicted alone.
+    ``states`` is a sequence of StateMatrix, giving (n_cases, n_outputs).
+    Each estimate has the bits of its case predicted alone.
     """
-    states = [x] if isinstance(x, StateMatrix) else list(x)
+    states = list(states)
     for sm in states:
         if sm.n_channels != w.n_channels:
             raise ConfigurationError(
@@ -441,10 +424,10 @@ def predict(w: ReadoutWeight, x) -> np.ndarray:
                 f"state matrix has {sm.n_channels} channels, weight expects {w.n_channels}",
             )
     estimates = np.empty((len(states), w.n_outputs))
-    for start, rows in _row_blocks(states, w.bias, w.offset):
+    for start, rows in _row_blocks(states):
         outputs = np.matmul(w.matrix, rows.transpose(0, 2, 1))
         estimates[start:start + len(rows)] = outputs.mean(axis=2)
-    return estimates[0] if isinstance(x, StateMatrix) else estimates
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -454,7 +437,6 @@ class NmseReport:
     scores: np.ndarray
     mean: float
     median: float
-    zero_targets: np.ndarray  # indices where the score was forced to the cap
 
 
 def _per_case(values) -> np.ndarray:
@@ -462,13 +444,13 @@ def _per_case(values) -> np.ndarray:
     return np.atleast_2d(np.asarray(values, dtype=float).T).T
 
 
-def nmse(estimates, targets, cap: float = 1.0) -> NmseReport:
-    """Normalised mean square error per case, clipped to ``cap``.
+def nmse(estimates, targets) -> NmseReport:
+    """Normalised mean square error per case, capped at 1.
 
     Scalar cases score (est - target)^2 / target^2; vector cases sum the
     squared errors and normalise by n * sum(target^2). An exactly zero
-    target denominator scores ``cap`` and is flagged. Each case scores from
-    its own row, with the bits of a case scored alone.
+    target denominator scores 1. Each case scores from its own row, with
+    the bits of a case scored alone.
     """
     if len(estimates) != len(targets):
         raise MetricError("estimates and targets must have equal length")
@@ -477,14 +459,9 @@ def nmse(estimates, targets, cap: float = 1.0) -> NmseReport:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.sum((est - tgt) ** 2, axis=1) / denom
     # a zero denominator or a tiny target gives an infinite or NaN ratio; like
-    # min(cap, ratio), `ratio < cap` is false for both, so they score the cap
-    scores = np.where(ratio < cap, ratio, float(cap))
-    return NmseReport(
-        scores=scores,
-        mean=float(scores.mean()),
-        median=_median(scores),
-        zero_targets=np.flatnonzero(denom == 0.0),
-    )
+    # min(1.0, ratio), `ratio < 1.0` is false for both, so they score the cap
+    scores = np.where(ratio < 1.0, ratio, 1.0)
+    return NmseReport(scores=scores, mean=float(scores.mean()), median=_median(scores))
 
 
 def _median(x: np.ndarray) -> float:

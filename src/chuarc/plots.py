@@ -104,27 +104,11 @@ def _pixels(values, vmin, span, lo_px, hi_px):
         return lo_px + (np.asarray(values, dtype=float) - vmin) / span * (hi_px - lo_px)
 
 
-def _scale(values, lo_px, hi_px):
-    """Pixel positions of ``values`` on [lo_px, hi_px] (an array), with the
-    data range as min() and max() pick it.
-
-    For a list, NaN and signed zeros pick the range in list order. An array
-    must be NaN-free (line plots reject non-finite data); its first minimum
-    and maximum are what min() and max() return for it.
-    """
-    if isinstance(values, np.ndarray):
-        vmin, vmax = _first_range([values])
-    else:
-        vmin, vmax = min(values), max(values)
-    vmax, span = _span(vmin, vmax)
-    return _pixels(values, vmin, span, lo_px, hi_px), vmin, vmax
-
-
 def _axis(columns, lo_px, hi_px):
     """(vmin, vmax, render) of one plot axis over NaN-free arrays: the range
     _first_range picks, widened and checked by _span, and a renderer from a
     slice of data to the cells of its pixel text, elementwise the bits
-    _scale gives for the whole column."""
+    _pixels gives for the whole column."""
     vmin, vmax = _first_range(columns)
     vmax, span = _span(vmin, vmax)
     return vmin, vmax, lambda values: fixed2_cells(_pixels(values, vmin, span, lo_px, hi_px))
@@ -245,7 +229,8 @@ def _histogram_svg(out_path, values, x_label, title, digest, n_bins=20):
     for v in values:
         idx = min(n_bins - 1, int((v - vmin) / width))
         counts[idx] += 1
-    ex = _scale(edges, MARGIN, WIDTH - MARGIN)[0].tolist()
+    # edges ascend, so edges[0] and edges[-1] are their min() and max()
+    ex = _pixels(edges, edges[0], _span(edges[0], edges[-1])[1], MARGIN, WIDTH - MARGIN).tolist()
     peak = max(counts) or 1
     bars = []
     for i, c in enumerate(counts):
@@ -287,20 +272,18 @@ def _detect_kind(header):
     raise ConfigurationError("csv", f"unrecognised schema {header}")
 
 
-def render_plot(csv_path, out_path, kind: str | None = None) -> str:
+def render_plot(csv_path, out_path) -> str:
     """Render a recognised CSV artifact to SVG; returns the detected kind.
 
     Detection is by header: bifurcation scatter (`param,extremum_value`),
     spectrum line (`freq_hz,magnitude`), sweep heatmap
-    (`[n_mask,]r_ohms,v_center,mean_nmse`), per-case histogram (any header
-    with an `nmse` column), and multi-channel traces (`t,...`).
+    (`[n_mask,]r_ohms,v_center,mean_nmse`, one mask count), per-case
+    histogram (any header with an `nmse` column), and multi-channel traces
+    (`t,...`).
     """
-    if kind is None:
-        with open(csv_path) as fh:
-            header, _ = _read_header(fh, csv_path)
-        kind = _detect_kind(header)
-    if kind not in _KIND_COLUMNS:
-        raise ConfigurationError("kind", f"unknown plot kind {kind}")
+    with open(csv_path) as fh:
+        header, _ = _read_header(fh, csv_path)
+    kind = _detect_kind(header)
     # plots need finite data to scale; only a failed sweep cell has a NaN
     # mean_nmse, which the heatmap draws grey
     header, table, digest = _read_csv(csv_path, _KIND_COLUMNS[kind],
@@ -308,6 +291,11 @@ def render_plot(csv_path, out_path, kind: str | None = None) -> str:
     # line and scatter plots stream arrays; the heatmap and the histogram
     # take lists, so their min/max follow Python's
     cols = table.T.tolist() if kind in ("sweep", "histogram") else list(table.T)
+    masks = set(cols[header.index("n_mask")]) if kind == "sweep" and "n_mask" in header else ()
+    if len(masks) > 1:
+        # one heatmap cell per (r_ohms, v_center): a second mask count would overdraw the first
+        raise ConfigurationError("csv", f"{csv_path}: column 'n_mask' holds {sorted(masks)};"
+                                        " the heatmap draws one mask count")
 
     try:
         if kind == "bifurcation":

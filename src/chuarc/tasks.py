@@ -127,7 +127,6 @@ class Dataset:
     value_max: float
     train_idx: np.ndarray
     val_idx: np.ndarray
-    seed: int
     multi_input: bool = False
     labels: list | None = None
 
@@ -234,7 +233,7 @@ def build_dataset(
     train_idx, val_idx = split_indices(len(inputs), val_fraction, seed)
     return Dataset(
         kind=kind, inputs=inputs, teachers=teachers, value_max=value_max,
-        train_idx=train_idx, val_idx=val_idx, seed=seed,
+        train_idx=train_idx, val_idx=val_idx,
         multi_input=multi_input, labels=labels,
     )
 

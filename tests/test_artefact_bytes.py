@@ -84,10 +84,11 @@ def bifurcation_artefacts(out):
 
 
 def sweep_svg(out):
-    # n_mask prefix column, repeated (r, v) cells and one failed (NaN) cell
-    cells = [SweepCell(r, v, nm, float("nan") if (r, v, nm) == (1700.0, 0.6, 20)
-                       else r / 4000.0 + v * v - nm / 100.0)
-             for nm in (10, 20) for r in (1600.0, 1700.0, 1800.0) for v in (0.4, 0.6)]
+    # n_mask prefix column with one mask count (the heatmap draws no more),
+    # repeated (r, v) cells and one failed (NaN) cell
+    cells = [SweepCell(r, v, 10, float("nan") if (r, v, k) == (1700.0, 0.6, 20)
+                       else r / 4000.0 + v * v - k / 100.0)
+             for k in (10, 20) for r in (1600.0, 1700.0, 1800.0) for v in (0.4, 0.6)]
     csv, svg = out / "sweep.csv", out / "sweep.svg"
     sweep_to_csv(cells, csv, digest="beef")
     assert plots.render_plot(csv, svg) == "sweep"
@@ -221,17 +222,26 @@ def test_read_csv_parses_like_float(tmp_path_factory, rows):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6)), min_size=1, max_size=50))
 def test_scale_matches_the_scalar_expression(values):
-    """Arrays and lists scale exactly like the per-point Python expression,
-    with the range that min() and max() pick (signed zeros in list order)."""
-    vmin, vmax = min(values), max(values)
-    if vmax == vmin:
-        vmax = vmin + 1.0
-    span = vmax - vmin
-    expected = [_bits(plots.MARGIN + (v - vmin) / span * (660 - plots.MARGIN)) for v in values]
-    for given_values in (values, np.array(values)):
-        px, lo, hi = plots._scale(given_values, plots.MARGIN, 660)
-        assert [_bits(x) for x in px.tolist()] == expected
-        assert (_bits(lo), _bits(hi)) == (_bits(vmin), _bits(vmax))
+    """An array scales through _first_range, _span and _pixels, and an
+    ascending list through the histogram's edge expression, exactly like the
+    per-point Python expression with the range that min() and max() pick
+    (signed zeros in list order)."""
+    def expected(vs):
+        vmin, vmax = min(vs), max(vs)
+        if vmax == vmin:
+            vmax = vmin + 1.0
+        span = vmax - vmin
+        return [_bits(plots.MARGIN + (v - vmin) / span * (660 - plots.MARGIN)) for v in vs], vmin, vmax
+
+    want, vmin, vmax = expected(values)
+    array = np.array(values)
+    lo, hi = plots._first_range([array])
+    hi, span = plots._span(lo, hi)
+    assert [_bits(x) for x in plots._pixels(array, lo, span, plots.MARGIN, 660).tolist()] == want
+    assert (_bits(lo), _bits(hi)) == (_bits(vmin), _bits(vmax))
+    edges = sorted(values)
+    px = plots._pixels(edges, edges[0], plots._span(edges[0], edges[-1])[1], plots.MARGIN, 660)
+    assert [_bits(x) for x in px.tolist()] == expected(edges)[0]
 
 
 def closure_integrate(p, init, vin, dt):

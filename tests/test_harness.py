@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chuarc import experiment
-from chuarc.cli import main
+from chuarc import experiment, plots
+from chuarc.cli import build_parser, main
 from chuarc.config import (
     ExperimentConfig,
     carrier_frequency,
@@ -43,6 +43,7 @@ from chuarc.tasks import TASK_KINDS
 
 #: where the chuarc under test is imported from, for subprocesses
 SRC = str(Path(experiment.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_config(tmp_path, kind="polynomial", **overrides) -> ExperimentConfig:
@@ -216,7 +217,7 @@ def _reference_case_csv(path, dataset, states, weight, report, digest):
              ",".join(["case", "split"] + [f"target_{j}" for j in range(n_out)]
                       + [f"estimate_{j}" for j in range(n_out)] + ["nmse"])]
     for i, sm in enumerate(states):
-        est = predict(weight, sm)
+        est = predict(weight, [sm])[0]
         teacher = np.atleast_1d(np.asarray(dataset.teachers[i], dtype=float))
         score = val_scores.get(i)
         if score is None:
@@ -430,7 +431,7 @@ class TestWeightPersistence:
         save_weight(weight, path)
         loaded = load_weight(path)
         assert np.array_equal(loaded.matrix, weight.matrix)
-        assert np.array_equal(predict(loaded, sm), predict(weight, sm))
+        assert np.array_equal(predict(loaded, [sm]), predict(weight, [sm]))
 
     def test_weight_file_schema(self, tmp_path):
         weight, _ = self._weight()
@@ -447,16 +448,19 @@ class TestWeightPersistence:
         save_weight(weight, path)
         with pytest.warns(UserWarning):
             loaded = load_weight(path, expected_digest="different")
-        assert np.array_equal(predict(loaded, sm), predict(weight, sm))
+        assert np.array_equal(predict(loaded, [sm]), predict(weight, [sm]))
 
     def test_corrupted_file_is_structured_error(self, tmp_path):
         path = tmp_path / "w.json"
-        path.write_text("{\"n_outputs\": 2}")
-        with pytest.raises(ConfigurationError):
-            load_weight(path)
-        path.write_text("not json at all")
-        with pytest.raises(ConfigurationError):
-            load_weight(path)
+        save_weight(self._weight()[0], path)
+        payload = json.loads(path.read_text())
+        # a readout form nothing trains: no bias column, or shifted voltages
+        for text in ("{\"n_outputs\": 2}", "not json at all",
+                     json.dumps({**payload, "bias": False}), json.dumps({**payload, "offset": 0.5})):
+            path.write_text(text)
+            with pytest.raises(ConfigurationError) as err:
+                load_weight(path)
+            assert err.value.field == "weight_file"
 
 
 class TestPlots:
@@ -578,11 +582,11 @@ class TestMalformedCsv:
 
     @pytest.mark.parametrize("column, value", [
         ("n_mask", "nan"), ("r_ohms", "nan"), ("r_ohms", "inf"), ("v_center", "inf"),
-        ("v_center", "-inf"), ("mean_nmse", "inf"), ("mean_nmse", "-inf"),
+        ("v_center", "-inf"), ("mean_nmse", "inf"), ("mean_nmse", "-inf"), ("n_mask", "20"),
     ])
     def test_plot_sweep_non_finite(self, tmp_path, capsys, column, value):
         # a NaN mean_nmse (a failed cell, drawn grey) is the only non-finite
-        # value a sweep CSV may hold
+        # value a sweep CSV may hold, and the heatmap draws one mask count
         row = {"n_mask": "10", "r_ohms": "1700.0", "v_center": "0.6", "mean_nmse": "0.2", column: value}
         csv = tmp_path / "sweep.csv"
         csv.write_text("n_mask,r_ohms,v_center,mean_nmse\n10,1600.0,0.4,0.1\n10,1600.0,0.6,nan\n"
@@ -747,6 +751,8 @@ class TestCli:
         ('{"out_dir": null}', "out_dir"),
         ('{"out_dir": ["x"]}', "out_dir"),
         ('{"reservoir": {"use_envelope": true}}', "reservoir.use_envelope"),
+        ('{"reservoir": {"seed": 5}}', "reservoir.seed"),
+        ('{"reservoir": {"value_max": 1.0}}', "reservoir.value_max"),
     ])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch, raw, field):
         monkeypatch.chdir(tmp_path)
@@ -791,7 +797,8 @@ class TestCli:
         assert err.startswith("error: n_cases: ") and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_masks", [[], ["0"], ["5", "0"]])
+    # --svg draws one mask count
+    @pytest.mark.parametrize("n_masks", [[], ["0"], ["5", "0"], ["5", "10", "--svg"]])
     def test_sweep_bad_mask_axis_exits_1(self, tmp_path, capsys, n_masks):
         out = tmp_path / "out"
         assert main(["sweep", "--out", str(out), "--n-cases", "10", "--n-masks", *n_masks]) == 1
@@ -845,6 +852,20 @@ class TestCli:
         (["sweep", "--r-step", "nan"], "r_step"),
         (["sweep", "--vc-start", "inf"], "vc_start"),
         (["sweep", "--r-stop=-inf"], "r_stop"),
+        (["sweep", "--range-width", "nan"], "range_width"),
+        (["sweep", "--r-step", "1e-320"], "r_step"),
+        (["sweep", "--r-step", "1e-300"], "r_step"),
+        (["sweep", "--vc-step", "1e-5"], "vc_step"),
+        (["simulate", "--dt", "0"], "dt"),
+        (["simulate", "--dt", "nan"], "dt"),
+        (["simulate", "--t-end", "nan"], "t_end"),
+        (["simulate", "--t-end", "inf"], "t_end"),
+        (["simulate", "--drive-amplitude", "nan"], "drive_amplitude"),
+        ([*BIFURCATE, "--dt", "nan"], "dt"),
+        ([*BIFURCATE, "--t-end", "nan"], "t_end"),
+        ([*BIFURCATE, "--drive-amplitude", "0.5", "--drive-frequency", "100", "--dt", "0"], "dt"),
+        ([*BIFURCATE, "--drive-amplitude", "nan"], "drive_amplitude"),
+        ([*BIFURCATE, "--start", "nan"], "start"),
     ])
     def test_bad_axis_exits_1(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -852,6 +873,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_simulate_drives_with_a_negative_amplitude(self, tmp_path):
+        argv = ["simulate", "--t-end", "0.0002", "--dt", "1e-6", "--drive-frequency", "1000"]
+        assert main([*argv, "--out", str(tmp_path / "undriven")]) == 0
+        assert main([*argv, "--drive-amplitude=-0.5", "--out", str(tmp_path / "driven")]) == 0
+        trace = {run: plots._read_csv(tmp_path / run / "trace.csv")[1] for run in ("undriven", "driven")}
+        assert not np.array_equal(trace["driven"], trace["undriven"])
+
+    def test_readme_cli_examples_parse(self):
+        block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        assert len(lines) == 9
+        for line in lines:
+            assert line.split()[0] == "chuarc"
+            build_parser().parse_args(line.split()[1:])
+        with pytest.raises(SystemExit):  # a removed flag fails the same way
+            build_parser().parse_args(["plot", "--csv", "a.csv", "--out-svg", "a.svg", "--kind", "trace"])
 
     def test_sweep_command_with_svg(self, tmp_path):
         cfg = {
@@ -885,3 +923,7 @@ class TestCli:
         assert weight.exists()
         assert main(["eval", "--config", str(cfg_path), "--weight", str(weight),
                      "--jobs", "1"]) == 0
+        for key, value in (("bias", False), ("offset", 0.5)):
+            bad = tmp_path / f"{key}.json"
+            bad.write_text(json.dumps({**json.loads(weight.read_text()), key: value}))
+            assert main(["eval", "--config", str(cfg_path), "--weight", str(bad), "--jobs", "1"]) == 1

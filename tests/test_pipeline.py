@@ -204,7 +204,7 @@ class TestTraining:
         sm = make_state(rng.normal(size=(12, 4)))
         teacher = np.array([6.0, 2.0])
         w = train_readout([(sm, teacher)])
-        est = predict(w, sm)
+        est = predict(w, [sm])[0]
         assert np.all(np.abs(est - teacher) / teacher < 1e-6)
 
     def test_matches_dense_least_squares_oracle(self):
@@ -223,7 +223,7 @@ class TestTraining:
         w = train_readout(cases, ridge_lambda=1e9)
         assert np.all(np.abs(w.matrix[:, 1:]) < 1e-6)
         mean_teacher = np.mean([float(i) for i in range(4)])
-        est = predict(w, cases[0][0])
+        est = predict(w, [cases[0][0]])[0]
         assert est[0] == pytest.approx(mean_teacher, abs=1e-3)
 
     def test_dimension_mismatch_rejected(self):
@@ -256,16 +256,6 @@ class TestTraining:
         want = (np.linalg.pinv(xx) @ yy.T).T
         assert np.allclose(w.matrix, want, atol=1e-9)
 
-    def test_bias_free_variant_with_offset(self):
-        rng = np.random.default_rng(9)
-        cases = [(make_state(rng.normal(size=(5, 4))), rng.normal(size=2)) for _ in range(3)]
-        w = train_readout(cases, bias=False, offset=0.25)
-        assert w.matrix.shape == (2, 4)
-        assert w.n_channels == 4
-        est = predict(w, cases[0][0])
-        want = (w.matrix @ (cases[0][0].values + 0.25).T).mean(axis=1)
-        assert np.allclose(est, want)
-
 
 class TestPredict:
     def test_bias_only_weight_is_constant(self):
@@ -275,9 +265,9 @@ class TestPredict:
         matrix[0, 0] = 3.25
         from chuarc.pipeline import ReadoutWeight
 
-        w = ReadoutWeight(matrix=matrix, bias=True, offset=0.0, ridge_lambda=0.0,
+        w = ReadoutWeight(matrix=matrix, ridge_lambda=0.0,
                           seed=0, config_digest="")
-        assert predict(w, sm)[0] == pytest.approx(3.25)
+        assert predict(w, [sm])[0][0] == pytest.approx(3.25)
 
     def test_linearity_in_weights(self):
         from chuarc.pipeline import ReadoutWeight
@@ -285,21 +275,21 @@ class TestPredict:
         rng = np.random.default_rng(7)
         sm = make_state(rng.normal(size=(5, 4)))
         matrix = np.hstack([np.zeros((1, 1)), rng.normal(size=(1, 4))])
-        w1 = ReadoutWeight(matrix=matrix, bias=True, offset=0.0, ridge_lambda=0.0,
+        w1 = ReadoutWeight(matrix=matrix, ridge_lambda=0.0,
                            seed=0, config_digest="")
-        w2 = ReadoutWeight(matrix=2 * matrix, bias=True, offset=0.0, ridge_lambda=0.0,
+        w2 = ReadoutWeight(matrix=2 * matrix, ridge_lambda=0.0,
                            seed=0, config_digest="")
-        assert predict(w2, sm)[0] == pytest.approx(2 * predict(w1, sm)[0])
+        assert predict(w2, [sm])[0][0] == pytest.approx(2 * predict(w1, [sm])[0][0])
 
     def test_single_row_equals_affine_product(self):
         from chuarc.pipeline import ReadoutWeight
 
         sm = make_state(np.array([[0.3, -0.2, 0.5, 0.1]]))
         matrix = np.array([[1.0, 2.0, -1.0, 0.5, 4.0]])
-        w = ReadoutWeight(matrix=matrix, bias=True, offset=0.0, ridge_lambda=0.0,
+        w = ReadoutWeight(matrix=matrix, ridge_lambda=0.0,
                           seed=0, config_digest="")
         want = 1.0 + 2.0 * 0.3 - 1.0 * -0.2 + 0.5 * 0.5 + 4.0 * 0.1
-        assert predict(w, sm)[0] == pytest.approx(want, rel=1e-12)
+        assert predict(w, [sm])[0][0] == pytest.approx(want, rel=1e-12)
 
 
 class TestRunCase:
@@ -349,7 +339,6 @@ class TestNmse:
     def test_zero_target_flagged(self):
         report = nmse([0.5, 1.0], [0.0, 1.0])
         assert report.scores[0] == 1.0
-        assert list(report.zero_targets) == [0]
 
     def test_vector_case_summed_form(self):
         est = np.array([6.5, 2.5])
@@ -373,29 +362,28 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.int64)
 
 
-def per_case_rows(sm, bias, offset):
-    p = sm.values + offset
-    return np.hstack([np.ones((p.shape[0], 1)), p]) if bias else p
+def per_case_rows(sm):
+    return np.hstack([np.ones((sm.n_rows, 1)), sm.values])
 
 
-def per_case_train(cases, bias, offset):
+def per_case_train(cases):
     """The readout weight accumulated and solved one case at a time."""
-    d = cases[0][0].n_channels + (1 if bias else 0)
+    d = 1 + cases[0][0].n_channels
     n_out = np.atleast_1d(cases[0][1]).size
     xx, yy = np.zeros((d, d)), np.zeros((n_out, d))
     for sm, teacher in cases:
-        p = per_case_rows(sm, bias, offset)
+        p = per_case_rows(sm)
         xx += p.T @ p
         yy += np.atleast_1d(np.asarray(teacher, dtype=float))[:, None] * p.sum(axis=0)[None, :]
     solution, *_ = np.linalg.lstsq(xx, yy.T, rcond=None)
     return solution.T
 
 
-def per_case_nmse(estimate, target, cap):
+def per_case_nmse(estimate, target):
     ev = np.atleast_1d(np.asarray(estimate, dtype=float))
     tv = np.atleast_1d(np.asarray(target, dtype=float))
     denom = tv.size * float(np.sum(tv**2))
-    return cap if denom == 0.0 else min(cap, float(np.sum((ev - tv) ** 2)) / denom)
+    return 1.0 if denom == 0.0 else min(1.0, float(np.sum((ev - tv) ** 2)) / denom)
 
 
 class TestBlockReadout:
@@ -409,45 +397,39 @@ class TestBlockReadout:
         return [(make_state(rng.normal(size=(5 if i == 4 else 9, 6)) * 0.4),
                  rng.normal(size=n_out)) for i in range(self.N_CASES)]
 
-    def block_budgets(self, bias, gram):
-        d = 6 + (1 if bias else 0)
+    def block_budgets(self, gram):
+        d = 1 + 6
         case_bytes = 8 * 9 * d + (8 * d * d if gram else 0)
         return (1, 3 * case_bytes, pipeline.READOUT_BLOCK_BYTES)
 
     @pytest.mark.parametrize("n_out", [1, 2])
-    @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("offset", [0.0, 0.3])
-    def test_train_matches_case_by_case(self, monkeypatch, n_out, bias, offset):
+    def test_train_matches_case_by_case(self, monkeypatch, n_out):
         cases = self.cases(n_out)
-        want = per_case_train(cases, bias, offset)
-        for budget in self.block_budgets(bias, gram=True):
+        want = per_case_train(cases)
+        for budget in self.block_budgets(gram=True):
             monkeypatch.setattr(pipeline, "READOUT_BLOCK_BYTES", budget)
-            w = train_readout(cases, bias=bias, offset=offset)
+            w = train_readout(cases)
             assert np.array_equal(bits(w.matrix), bits(want)), budget
 
     @pytest.mark.parametrize("n_out", [1, 2])
-    @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("offset", [0.0, 0.3])
-    def test_predict_matches_case_by_case(self, monkeypatch, n_out, bias, offset):
+    def test_predict_matches_case_by_case(self, monkeypatch, n_out):
         from chuarc.pipeline import ReadoutWeight
 
         states = [sm for sm, _ in self.cases(n_out)]
         rng = np.random.default_rng(22)
-        w = ReadoutWeight(matrix=rng.normal(size=(n_out, 6 + (1 if bias else 0))) * 1e3,
-                          bias=bias, offset=offset, ridge_lambda=0.0, seed=0, config_digest="")
-        want = np.array([(w.matrix @ per_case_rows(sm, bias, offset).T).mean(axis=1)
-                         for sm in states])
-        for budget in self.block_budgets(bias, gram=False):
+        w = ReadoutWeight(matrix=rng.normal(size=(n_out, 1 + 6)) * 1e3,
+                          ridge_lambda=0.0, seed=0, config_digest="")
+        want = np.array([(w.matrix @ per_case_rows(sm).T).mean(axis=1) for sm in states])
+        for budget in self.block_budgets(gram=False):
             monkeypatch.setattr(pipeline, "READOUT_BLOCK_BYTES", budget)
             got = predict(w, states)
             assert got.shape == (self.N_CASES, n_out)
             assert np.array_equal(bits(got), bits(want)), budget
-            assert np.array_equal(bits(predict(w, states[4])), bits(want[4]))
+            assert np.array_equal(bits(predict(w, [states[4]])[0]), bits(want[4]))
             assert predict(w, []).shape == (0, n_out)
 
     @pytest.mark.parametrize("n_out", [1, 2, 9])
-    @pytest.mark.parametrize("cap", [1.0, 0.05])
-    def test_nmse_matches_case_by_case(self, n_out, cap):
+    def test_nmse_matches_case_by_case(self, n_out):
         rng = np.random.default_rng(23)
         targets = rng.normal(size=(12, n_out)) * 10.0 ** rng.integers(-3, 3, size=(12, 1))
         estimates = targets + rng.normal(size=(12, n_out)) * 0.3
@@ -456,20 +438,19 @@ class TestBlockReadout:
         estimates[5] *= 50.0  # far past the cap
         estimates[7] = np.nan
         targets[9], estimates[9] = 1e-154, 2.0  # the ratio overflows
-        want = [per_case_nmse(e, t, cap) for e, t in zip(estimates, targets)]
+        want = [per_case_nmse(e, t) for e, t in zip(estimates, targets)]
         for est, tgt in ((estimates, targets), (list(estimates), list(targets))):
-            report = nmse(est, tgt, cap=cap)
+            report = nmse(est, tgt)
             assert np.array_equal(bits(report.scores), bits(want))
-            assert list(report.zero_targets) == [2, 3]
-        assert report.scores[5] == report.scores[7] == report.scores[9] == cap
+        assert report.scores[5] == report.scores[7] == report.scores[9] == 1.0
         for n in (12, 11, 1):  # even and odd counts for the median
-            report = nmse(estimates[:n], targets[:n], cap=cap)
+            report = nmse(estimates[:n], targets[:n])
             assert bits(report.mean) == bits(np.mean(want[:n]))
             assert bits(report.median) == bits(np.median(want[:n]))
 
     def test_nmse_of_scalar_cases_matches_case_by_case(self):
         estimates, targets = [0.5, 2.0, -1e-3, 7.0], [0.0, 1.0, 2e-3, 7.25]
-        want = [per_case_nmse(e, t, 1.0) for e, t in zip(estimates, targets)]
+        want = [per_case_nmse(e, t) for e, t in zip(estimates, targets)]
         assert np.array_equal(bits(nmse(estimates, targets).scores), bits(want))
 
 

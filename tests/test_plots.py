@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chuarc import cells, plots
+from tests.test_streaming import reference_scale
 
 LARGEST = math.nextafter(2.0**40, 0.0)
 
@@ -105,8 +106,8 @@ def test_line_matches_per_point_format(tmp_path):
     csv = tmp_path / "trace.csv"
     csv.write_text("t,a,b\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, (b, c) in zip(t.tolist(), v.tolist())))
     plots.render_plot(csv, tmp_path / "t.svg")
-    px = plots._scale(t, plots.MARGIN, plots.WIDTH - plots.MARGIN)[0].tolist()
-    py = plots._scale(v.T.reshape(-1), plots.HEIGHT - plots.MARGIN, plots.MARGIN)[0].tolist()
+    px = reference_scale(t, plots.MARGIN, plots.WIDTH - plots.MARGIN)[0].tolist()
+    py = reference_scale(v.T.reshape(-1), plots.HEIGHT - plots.MARGIN, plots.MARGIN)[0].tolist()
     expected = [" ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py[k * 300:(k + 1) * 300]))
                 for k in range(2)]
     assert _points((tmp_path / "t.svg").read_text()) == expected
