@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import circuit as circ
 from . import experiment as exp
 from . import lwe as lwe_mod
@@ -144,9 +142,12 @@ def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     weight = exp.load_weight(args.weight, expected_digest=config_digest(cfg))
     dataset = exp.build_dataset(cfg)
+    n_out = dataset.teachers.shape[1]
+    if weight.n_outputs != n_out:
+        raise ConfigurationError("weight_file", f"weight has {weight.n_outputs} outputs,"
+                                                f" task {cfg.task.kind} has {n_out}")
     states = exp.simulate_cases(cfg, dataset, jobs=args.jobs)
-    report = nmse(predict(weight, states),
-                  [np.atleast_1d(np.asarray(t, dtype=float)) for t in dataset.teachers])
+    report = nmse(predict(weight, states), dataset.teachers)
     print(f"eval {cfg.task.kind}: mean NMSE {report.mean:.6f}, median {report.median:.6f}")
     return 0
 

@@ -8,6 +8,7 @@ assembled in case order so output is identical for any worker count.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ from .cells import repr_cells, text_cells, write_csv
 from .circuit import _map
 from .config import ExperimentConfig, carrier_frequency, config_digest, seed_for
 from .errors import ChuaRcError, ConfigurationError, IntegrationError
-from .pipeline import ReadoutWeight, nmse, predict, run_cases, train_readout
+from .pipeline import NmseReport, ReadoutWeight, nmse, predict, run_cases, train_readout
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,8 @@ def run_experiment(
     jobs: int = 1,
     write_artifacts: bool = True,
 ) -> MetricsReport:
-    """Generate the dataset, simulate, train on the train split, score validation.
+    """Generate the dataset, simulate, train on the train split, then predict
+    and score every case once; the metrics are those of the val_idx rows.
 
     Writes per-case CSV and the trained weight under cfg.out_dir when
     ``write_artifacts`` is set. Per-case simulation failures abort the run
@@ -113,64 +115,51 @@ def run_experiment(
     train_cases = [(states[i], dataset.teachers[i]) for i in dataset.train_idx]
     weight = train_readout(train_cases, seed=cfg.master_seed, config_digest=digest)
 
-    estimates = predict(weight, [states[i] for i in dataset.val_idx])
-    targets = np.vstack([np.atleast_1d(np.asarray(dataset.teachers[i], dtype=float))
-                         for i in dataset.val_idx])
-    report_scores = nmse(estimates, targets)
+    estimates = predict(weight, states)
+    scores = nmse(estimates, dataset.teachers).scores
+    val_idx = dataset.val_idx
+    val = NmseReport(scores[val_idx])
 
     accuracy = None
     confusion = None
     if dataset.kind == "circles":
-        true = [dataset.labels[i] for i in dataset.val_idx]
-        predicted = [tasks.classify(float(e[0])) for e in estimates]
+        true = [dataset.labels[i] for i in val_idx]
+        predicted = [tasks.classify(float(e[0])) for e in estimates[val_idx]]
         confusion = tasks.confusion_matrix(true, predicted)
         accuracy = float(np.trace(confusion) / max(1, confusion.sum()))
 
     report = MetricsReport(
-        per_case_nmse=report_scores.scores,
-        mean_nmse=report_scores.mean,
-        median_nmse=report_scores.median,
+        per_case_nmse=val.scores,
+        mean_nmse=val.mean,
+        median_nmse=val.median,
         accuracy=accuracy,
         confusion=confusion,
-        estimates=estimates,
-        targets=targets,
-        val_idx=np.asarray(dataset.val_idx),
+        estimates=estimates[val_idx],
+        targets=dataset.teachers[val_idx],
+        val_idx=val_idx,
         n_train=len(dataset.train_idx),
         runtime_s=time.perf_counter() - started,
         config_digest=digest,
     )
     if write_artifacts:
-        _write_case_csv(out_dir / "cases.csv", dataset, states, weight, report, digest)
+        _write_case_csv(out_dir / "cases.csv", dataset, estimates, scores, digest)
         save_weight(weight, out_dir / "weight.json")
         _write_report_json(out_dir / "report.json", report)
     return report
 
 
-def _write_case_csv(path, dataset, states, weight, report, digest):
-    """All cases with estimates; metrics derive from the split == val rows.
-
-    Validation rows reuse the report's estimates and scores; train cases are
-    predicted with one predict call and scored with one nmse call.
-    """
-    n_cases, n_out = len(states), report.targets.shape[1]
-    teachers = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for t in dataset.teachers])
+def _write_case_csv(path, dataset, estimates, scores, digest):
+    """One row per case: split, teachers, estimates and NMSE; the report's
+    metrics derive from the split == val rows."""
+    n_cases, n_out = dataset.teachers.shape
     is_val = np.zeros(n_cases, dtype=bool)
-    is_val[report.val_idx] = True
-    estimates = np.empty((n_cases, n_out))
-    scores = np.empty(n_cases)
-    estimates[report.val_idx] = report.estimates
-    scores[report.val_idx] = report.per_case_nmse
-    train_idx = np.flatnonzero(~is_val)
-    if train_idx.size:
-        train_est = predict(weight, [states[i] for i in train_idx])
-        estimates[train_idx] = train_est
-        scores[train_idx] = nmse(train_est, teachers[train_idx]).scores
+    is_val[dataset.val_idx] = True
     header = ["case", "split"]
     header += [f"target_{j}" for j in range(n_out)]
     header += [f"estimate_{j}" for j in range(n_out)]
     header.append("nmse")
     columns = [np.arange(n_cases).astype(bytes), np.where(is_val, b"val", b"train"),
-               *teachers.T, *estimates.T, scores]
+               *dataset.teachers.T, *estimates.T, scores]
     write_csv(path, header, columns, digest,
               (text_cells, text_cells) + (repr_cells,) * (2 * n_out + 1))
 
@@ -317,24 +306,45 @@ def save_weight(weight: ReadoutWeight, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
+def _field(payload, key, valid, rule):
+    """payload[key] when valid(value) holds, else ValueError naming the key."""
+    value = payload[key]
+    if not valid(value):
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
+    return value
+
+
 def load_weight(path, expected_digest: str | None = None) -> ReadoutWeight:
     """Read a weight file of the one readout form (bias true, offset 0.0); a
-    digest mismatch warns but the weight stays usable."""
+    digest mismatch warns but the weight stays usable.
+
+    Counts are JSON integers >= 1, the seed a JSON integer, lambda a finite
+    number >= 0, the matrix n_outputs * (1 + n_channels) numbers and the
+    digest a string; anything else is a ``weight_file`` error naming the key.
+    Numbers are tested with ``type(v) in (int, float)``, not isinstance: a
+    JSON true or false is no number.
+    """
     try:
         payload = json.loads(Path(path).read_text())
-        if payload["bias"] is not True or payload["offset"] != 0.0:
-            raise ValueError(f"bias {payload['bias']!r} and offset {payload['offset']!r};"
+        bias, offset = payload["bias"], payload["offset"]
+        if bias is not True or type(offset) not in (int, float) or offset != 0.0:
+            raise ValueError(f"bias {bias!r} and offset {offset!r};"
                              " only bias true and offset 0.0 are supported")
-        n_out = int(payload["n_outputs"])
-        n_ch = int(payload["n_channels"])
-        matrix = np.asarray(payload["matrix"], dtype=float).reshape(n_out, 1 + n_ch)
+        n_out, n_ch = (_field(payload, key, lambda v: type(v) is int and v >= 1, "an integer >= 1")
+                       for key in ("n_outputs", "n_channels"))
+        matrix = _field(payload, "matrix",
+                        lambda v: type(v) is list and len(v) == n_out * (1 + n_ch)
+                        and all(type(x) in (int, float) for x in v),
+                        f"a list of {n_out} * (1 + {n_ch}) numbers")
         weight = ReadoutWeight(
-            matrix=matrix,
-            ridge_lambda=float(payload["lambda"]),
-            seed=int(payload["seed"]),
-            config_digest=str(payload["config_digest"]),
+            matrix=np.array(matrix, dtype=float).reshape(n_out, 1 + n_ch),
+            ridge_lambda=float(_field(payload, "lambda",
+                                      lambda v: type(v) in (int, float) and math.isfinite(v)
+                                      and v >= 0, "a finite number >= 0")),
+            seed=_field(payload, "seed", lambda v: type(v) is int, "an integer"),
+            config_digest=_field(payload, "config_digest", lambda v: type(v) is str, "a string"),
         )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigurationError("weight_file", f"malformed weight file: {exc}") from None
     if expected_digest and weight.config_digest != expected_digest:
         warnings.warn(

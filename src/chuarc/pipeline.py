@@ -435,8 +435,14 @@ class NmseReport:
     """Per-case normalised squared errors with aggregates."""
 
     scores: np.ndarray
-    mean: float
-    median: float
+
+    @property
+    def mean(self) -> float:
+        return float(self.scores.mean())
+
+    @property
+    def median(self) -> float:
+        return _median(self.scores)
 
 
 def _per_case(values) -> np.ndarray:
@@ -452,16 +458,16 @@ def nmse(estimates, targets) -> NmseReport:
     target denominator scores 1. Each case scores from its own row, with
     the bits of a case scored alone.
     """
-    if len(estimates) != len(targets):
-        raise MetricError("estimates and targets must have equal length")
     est, tgt = _per_case(estimates), _per_case(targets)
+    if est.shape != tgt.shape:
+        raise MetricError(f"estimates {est.shape} and targets {tgt.shape} must have equal shapes")
     denom = tgt.shape[1] * np.sum(tgt**2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.sum((est - tgt) ** 2, axis=1) / denom
     # a zero denominator or a tiny target gives an infinite or NaN ratio; like
     # min(1.0, ratio), `ratio < 1.0` is false for both, so they score the cap
     scores = np.where(ratio < 1.0, ratio, 1.0)
-    return NmseReport(scores=scores, mean=float(scores.mean()), median=_median(scores))
+    return NmseReport(scores)
 
 
 def _median(x: np.ndarray) -> float:

@@ -116,14 +116,15 @@ def classify(estimate: float) -> int:
 class Dataset:
     """Task inputs and teachers with a train/validation split.
 
-    inputs hold raw (unnormalised) value sequences; value_max is the
-    normalisation ceiling; multi_input marks per-coordinate kernel runs
-    (classification) rather than one time-varying message.
+    inputs hold raw (unnormalised) value sequences; teachers is one
+    (n_cases, n_outputs) float array; value_max is the normalisation
+    ceiling; multi_input marks per-coordinate kernel runs (classification)
+    rather than one time-varying message.
     """
 
     kind: str
     inputs: list
-    teachers: list
+    teachers: np.ndarray
     value_max: float
     train_idx: np.ndarray
     val_idx: np.ndarray
@@ -131,8 +132,8 @@ class Dataset:
     labels: list | None = None
 
     def __post_init__(self):
-        if len(self.inputs) != len(self.teachers):
-            raise ConfigurationError("dataset", "inputs and teachers must have equal counts")
+        if self.teachers.ndim != 2 or len(self.teachers) != len(self.inputs):
+            raise ConfigurationError("dataset", "teachers must be one (n_cases, n_outputs) array")
         train = set(int(i) for i in self.train_idx)
         val = set(int(i) for i in self.val_idx)
         if len(self.inputs) == 1:
@@ -232,7 +233,7 @@ def build_dataset(
 
     train_idx, val_idx = split_indices(len(inputs), val_fraction, seed)
     return Dataset(
-        kind=kind, inputs=inputs, teachers=teachers, value_max=value_max,
+        kind=kind, inputs=inputs, teachers=np.array(teachers, dtype=float), value_max=value_max,
         train_idx=train_idx, val_idx=val_idx,
         multi_input=multi_input, labels=labels,
     )
@@ -253,7 +254,7 @@ def dataset_to_csv(dataset: Dataset, path, config_digest: str | None = None) -> 
     render = None
     if kind in ("polynomial", "modulo", "poly-mod"):
         header = ("x", "y_teacher")
-        columns = (inputs[0], [t[0] for t in dataset.teachers])
+        columns = (inputs[0], dataset.teachers[:, 0])
     elif kind in ("pair-sum", "pair-product", "pair-modlin"):
         header = ("x1", "x2", "sum", "product", "modlin")
         pair_max = int(dataset.value_max)  # build_dataset's spec.pair_max

@@ -55,7 +55,16 @@ GOLDEN = {
     "polynomial/weight.json": "fc7171472a235fcc336b697646bbb3689279a6e02fe7b4ec62c06197079457c9",
     "lwe-encrypt/cases.csv": "ab43778f22e7b98cfbfcb21b6a522f8b7115c15ef9816f0a40ef56570d849dfe",
     "lwe-encrypt/weight.json": "715cef73e9715917e21d85925a80071a745b9b418d0b01dea36a5573f6ad976e",
+    "circles/cases.csv": "b142654e0b87663c9debc8b54938e6b6144768ee7c9c29585042c2f1ac09f9ce",
+    "circles/weight.json": "59c05a393ec38560e45dce68edfb29167e7fcc4bc1fd488131ad477635c35fe9",
+    # `--task polynomial --n-cases 1`: the one case trains and validates
+    "polynomial-1/cases.csv": "d473575199b8d043ccbc2e61aa1916abe99a06d237104d68e06e12b69861d0b9",
+    "polynomial-1/weight.json": "1efcd5631daeff01026e0c0bfc4db72803800357e039fcb9faafbbb1a86df8c7",
 }
+
+#: GOLDEN prefix -> (task, case count) of its `chuarc train` run
+TRAIN_RUNS = {"polynomial": ("polynomial", 24), "lwe-encrypt": ("lwe-encrypt", 24),
+              "circles": ("circles", 24), "polynomial-1": ("polynomial", 1)}
 
 
 def sha256(data: bytes) -> str:
@@ -148,14 +157,15 @@ def test_spectrum_artefact_bytes(digests, name):
     assert digests[name] == GOLDEN[name]
 
 
-@pytest.mark.parametrize("task", ["polynomial", "lwe-encrypt"])
-def test_train_artefact_bytes(tmp_path, task):
+@pytest.mark.parametrize("run", list(TRAIN_RUNS))
+def test_train_artefact_bytes(tmp_path, run):
     if np.__version__ != FFT_NUMPY:
         pytest.skip(f"train digests were recorded with numpy {FFT_NUMPY}")
-    assert main(["train", "--profile", "desk", "--task", task, "--n-cases", "24",
+    task, n_cases = TRAIN_RUNS[run]
+    assert main(["train", "--profile", "desk", "--task", task, "--n-cases", str(n_cases),
                  "--seed", "3", "--jobs", "1", "--out", str(tmp_path)]) == 0
     for name in ("cases.csv", "weight.json"):
-        assert sha256((tmp_path / name).read_bytes()) == GOLDEN[f"{task}/{name}"], name
+        assert sha256((tmp_path / name).read_bytes()) == GOLDEN[f"{run}/{name}"], name
 
 
 @pytest.mark.parametrize("name", ["integrate.undriven", "integrate.driven"])

@@ -37,7 +37,7 @@ from chuarc.experiment import (
     save_weight,
     sweep_to_csv,
 )
-from chuarc.pipeline import StateMatrix, nmse, predict, train_readout
+from chuarc.pipeline import nmse, predict, train_readout
 from chuarc.plots import render_plot
 from chuarc.tasks import TASK_KINDS
 
@@ -209,20 +209,20 @@ class TestConfig:
         assert loose.reservoir.n_mask == 8 and isinstance(loose.reservoir.n_mask, int)
 
 
-def _reference_case_csv(path, dataset, states, weight, report, digest):
+def _reference_case_csv(path, cfg, weight):
     """cases.csv as written case by case: predict and score every case alone."""
-    val_scores = dict(zip(report.val_idx.tolist(), report.per_case_nmse.tolist()))
-    n_out = report.targets.shape[1]
-    lines = [f"# config_digest={digest}",
+    dataset = experiment.build_dataset(cfg)
+    states = experiment.simulate_cases(cfg, dataset)
+    val = set(dataset.val_idx.tolist())
+    n_out = dataset.teachers.shape[1]
+    lines = [f"# config_digest={config_digest(cfg)}",
              ",".join(["case", "split"] + [f"target_{j}" for j in range(n_out)]
                       + [f"estimate_{j}" for j in range(n_out)] + ["nmse"])]
     for i, sm in enumerate(states):
         est = predict(weight, [sm])[0]
-        teacher = np.atleast_1d(np.asarray(dataset.teachers[i], dtype=float))
-        score = val_scores.get(i)
-        if score is None:
-            score = nmse([est], [teacher]).scores[0]
-        lines.append(",".join([str(i), "val" if i in val_scores else "train"]
+        teacher = dataset.teachers[i]
+        score = nmse([est], [teacher]).scores[0]
+        lines.append(",".join([str(i), "val" if i in val else "train"]
                               + [repr(float(t)) for t in teacher]
                               + [repr(float(e)) for e in est] + [repr(float(score))]))
     path.write_text("\n".join(lines) + "\n")
@@ -253,43 +253,33 @@ class TestExperiment:
         assert (tmp_path / "a" / "weight.json").read_bytes() == (tmp_path / "b" / "weight.json").read_bytes()
 
     @pytest.mark.parametrize("kind", ["polynomial", "lwe-encrypt"])
-    def test_case_csv_matches_per_case_reference(self, tmp_path, monkeypatch, kind):
-        # the writer reuses the report's validation rows; the reference
+    def test_case_csv_matches_per_case_reference(self, tmp_path, kind):
+        # the run predicts and scores all cases at once; the reference
         # predicts and scores every case on its own
-        captured = []
-        real = experiment._write_case_csv
-
-        def capture(path, *args):
-            captured.append(args)
-            real(path, *args)
-
-        monkeypatch.setattr(experiment, "_write_case_csv", capture)
-        run_experiment(tiny_config(tmp_path, kind), jobs=1)
+        cfg = tiny_config(tmp_path, kind)
+        run_experiment(cfg, jobs=1)
         reference = tmp_path / "reference.csv"
-        _reference_case_csv(reference, *captured[0])
+        _reference_case_csv(reference, cfg, load_weight(tmp_path / "out" / "weight.json"))
         assert (tmp_path / "out" / "cases.csv").read_bytes() == reference.read_bytes()
 
     def test_case_csv_predicts_each_case_once(self, tmp_path, monkeypatch):
-        # predict takes one state matrix or a sequence of them: count the
-        # cases predicted, and the nmse calls
-        calls = {"predict": 0, "nmse": 0}
-        for name in calls:
+        # one predict call over every case and one nmse call, with or
+        # without artefacts
+        calls = {"predict": 0, "cases": 0, "nmse": 0}
+        for name in ("predict", "nmse"):
             real = getattr(experiment, name)
 
             def counted(*args, _real=real, _name=name):
-                if _name == "predict" and not isinstance(args[1], StateMatrix):
-                    calls[_name] += len(args[1])
-                else:
-                    calls[_name] += 1
+                calls[_name] += 1
+                calls["cases"] += len(args[1]) if _name == "predict" else 0
                 return _real(*args)
 
             monkeypatch.setattr(experiment, name, counted)
         cfg = tiny_config(tmp_path)
-        report = run_experiment(cfg, jobs=1, write_artifacts=False)
-        assert calls == {"predict": report.val_idx.size, "nmse": 1}
-        calls.update(predict=0, nmse=0)
-        run_experiment(cfg, jobs=1)
-        assert calls == {"predict": cfg.n_cases, "nmse": 2}
+        for write_artifacts in (False, True):
+            calls.update(predict=0, cases=0, nmse=0)
+            run_experiment(cfg, jobs=1, write_artifacts=write_artifacts)
+            assert calls == {"predict": 1, "cases": cfg.n_cases, "nmse": 1}
 
     def test_different_seed_changes_results(self, tmp_path):
         r1 = run_experiment(tiny_config(tmp_path, out_dir=str(tmp_path / "s1")), jobs=1)
@@ -454,11 +444,22 @@ class TestWeightPersistence:
         path = tmp_path / "w.json"
         save_weight(self._weight()[0], path)
         payload = json.loads(path.read_text())
-        # a readout form nothing trains: no bias column, or shifted voltages
-        for text in ("{\"n_outputs\": 2}", "not json at all",
-                     json.dumps({**payload, "bias": False}), json.dumps({**payload, "offset": 0.5})):
+        # a readout form nothing trains: no bias column, or shifted voltages;
+        # then each key with a value of the wrong JSON type or range
+        bad = [("bias", False), ("offset", 0.5), ("offset", False),
+               ("n_outputs", -1), ("n_outputs", 2.7), ("n_outputs", True), ("n_outputs", 0),
+               ("n_channels", 0), ("n_channels", 4.0), ("n_channels", "4"),
+               ("seed", 1.5), ("seed", "0"), ("seed", None),
+               ("lambda", "nan"), ("lambda", float("nan")), ("lambda", float("inf")),
+               ("lambda", -1.0), ("lambda", True),
+               ("matrix", [str(x) for x in payload["matrix"]]), ("matrix", payload["matrix"][1:]),
+               ("matrix", [True] * len(payload["matrix"])), ("matrix", 1.0),
+               ("config_digest", 5), ("config_digest", None)]
+        files = [("bias", "{\"n_outputs\": 2}"), ("Expecting value", "not json at all")]
+        files += [(key, json.dumps({**payload, key: value})) for key, value in bad]
+        for key, text in files:
             path.write_text(text)
-            with pytest.raises(ConfigurationError) as err:
+            with pytest.raises(ConfigurationError, match=key) as err:
                 load_weight(path)
             assert err.value.field == "weight_file"
 
@@ -727,7 +728,7 @@ class TestCli:
         cfg = replace(default_config(profile="desk", task_kind="lwe-encrypt"),
                       n_cases=30, master_seed=5)
         assert [[float(r["u"]), float(r["v"])] for r in rows] == \
-            experiment.build_dataset(cfg).teachers
+            experiment.build_dataset(cfg).teachers.tolist()
 
     def test_bifurcate_and_plot(self, tmp_path):
         code = main(["bifurcate", "--param", "r_variable", "--start", "1900",
@@ -908,7 +909,7 @@ class TestCli:
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
 
-    def test_train_and_eval(self, tmp_path):
+    def test_train_and_eval(self, tmp_path, capsys):
         cfg = {
             "profile": "desk",
             "reservoir": {"n_mask": 6, "theta": 2},
@@ -923,7 +924,13 @@ class TestCli:
         assert weight.exists()
         assert main(["eval", "--config", str(cfg_path), "--weight", str(weight),
                      "--jobs", "1"]) == 0
-        for key, value in (("bias", False), ("offset", 0.5)):
+        for key, value in (("bias", False), ("offset", 0.5), ("n_outputs", -1), ("seed", 1.5)):
             bad = tmp_path / f"{key}.json"
             bad.write_text(json.dumps({**json.loads(weight.read_text()), key: value}))
             assert main(["eval", "--config", str(cfg_path), "--weight", str(bad), "--jobs", "1"]) == 1
+        # the polynomial weight has 1 output, lwe-encrypt 2 teachers
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="trained under config"):
+            assert main(["eval", "--config", str(cfg_path), "--task", "lwe-encrypt",
+                         "--weight", str(weight), "--jobs", "1"]) == 1
+        assert "weight_file: weight has 1 outputs, task lwe-encrypt has 2" in capsys.readouterr().err

@@ -356,6 +356,15 @@ class TestNmse:
         report = nmse(est, tgt)
         assert np.all(report.scores >= 0.0) and np.all(report.scores <= 1.0)
 
+    @pytest.mark.parametrize("estimates, targets", [
+        ([1.0, 2.0], [1.0]),
+        ([[1.0, 2.0]], [[1.0]]),  # one output against two: no broadcast
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0, 3.0]),
+    ])
+    def test_shape_mismatch_raises(self, estimates, targets):
+        with pytest.raises(MetricError):
+            nmse(estimates, targets)
+
 
 def bits(x):
     """Exact bit patterns, so that -0.0 and 0.0 differ."""
