@@ -24,8 +24,10 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitting factor for doubles
 #: Rows rendered per batch. The renderers work on whole columns, so this
 #: bounds the temporaries alive at once, not the Python work per row; each
 #: batch costs a few hundred numpy calls. On a 200k-row trace, 16384 rows
-#: were faster than 4096 and added ~1.5 MB to the writing process's peak
-#: RSS; 65536 rows were slower and added ~28 MB.
+#: were faster than 4096, and 65536 rows slower. Over its set-up, the peak
+#: RSS of one `chuarc simulate` of the 200 001-row trace (a fresh interpreter
+#: each) rose by 7.2 MB at 4096 rows, 8.7 MB at 8192, 12.3 MB at 16384 and
+#: 31.9 MB at 65536: ``repr_cells`` holds ~265 bytes of temporaries a value.
 CSV_CHUNK = 1 << 14
 
 

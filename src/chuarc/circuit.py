@@ -376,7 +376,7 @@ def integrate(
 
 def integrate_lanes(
     p: ChuaParams,
-    init: CircuitState,
+    start: np.ndarray,
     levels: np.ndarray,
     carrier: np.ndarray,
     dt: float,
@@ -385,17 +385,19 @@ def integrate_lanes(
 ) -> np.ndarray:
     """Lockstep RK4 over independent lanes that share the circuit and carrier.
 
+    ``start`` is (3, n_lanes): each lane's (v_c2, v_c1, i_l) before step 0.
     ``levels`` is (n_levels, n_lanes); each level is held for
     len(carrier) // n_levels steps, and lane k is driven at step s by
     levels[s // hold, k] * carrier[s]. At every step s with ``keep[s]`` true,
     ``sink(s, v_cd, v_l)`` receives the two taps of all lanes before that
-    step; the arrays are reused, so the sink must copy them.
+    step; the arrays are reused, so the sink must copy them. Returns the
+    (3, n_lanes) state after the last step.
 
     Every lane repeats the IEEE operations of ``integrate`` in the same order
     (see the note on the diode's sign below), so each one matches the scalar
-    kernel bit for bit. Non-finite
-    states stay non-finite; instead of raising, the kernel returns a boolean
-    array marking the lanes that stayed finite to the end.
+    kernel bit for bit, and a run continued from a returned state matches an
+    uninterrupted one. Non-finite states stay non-finite and do not raise:
+    the caller tests the returned state.
     """
     n_levels, n_lanes = levels.shape
     n_steps = carrier.size
@@ -464,7 +466,7 @@ def integrate_lanes(
         mul(t1, inv_l, out[1])
 
     y, ys = np.empty((6, n_lanes)), np.empty((6, n_lanes))
-    y[0], y[1], y[2] = init.v_c2, init.v_c1, init.i_l
+    y[:3] = start
     state, stage = y[:3], ys[:3]
     y_rows, ys_rows = rows(y), rows(ys)
     out1, out2, out3, out4 = ((kk[0:2], kk[2]) for kk in (k1, k2, k3, k4))
@@ -494,7 +496,7 @@ def integrate_lanes(
             add(acc, k4, acc)
             mul(acc, h6, acc)
             add(state, acc, state)
-    return np.isfinite(state).all(axis=0)
+    return state.copy()
 
 
 def steady_state_extrema(samples: np.ndarray) -> np.ndarray:

@@ -113,7 +113,8 @@ def make_mask(cfg: ReservoirConfig) -> Mask:
 def normalize(values, cfg: ReservoirConfig) -> np.ndarray:
     """Linear map of raw values in [0, value_max] onto [v_min, v_max] volts."""
     x = np.asarray(values, dtype=float)
-    if np.any(x < 0.0) or np.any(x > cfg.value_max):
+    # a NaN fails both comparisons, so it is rejected with the out-of-range values
+    if not np.all((x >= 0.0) & (x <= cfg.value_max)):
         raise InputDomainError(f"input values must lie in [0, {cfg.value_max}]")
     return cfg.v_min + (x / cfg.value_max) * (cfg.v_max - cfg.v_min)
 
@@ -230,6 +231,12 @@ def _chua_kernel(drive: DriveSignal, circuit: ChuaParams, dt: float) -> Trace:
 #: for host noise).
 LANE_CROSSOVER = 32
 
+#: Byte budget of the lockstep sink's slab (the kept taps of the prefixes a
+#: value integrates, copied into the output when it is full) and of each copy
+#: of a value's taps from a prefix's first lane to its other lanes. A slab
+#: holds whole slots or rows of one slot, at least one row of every prefix.
+SLAB_BYTES = 1 << 18
+
 
 def run_case(raw_values, cfg: ReservoirConfig, circuit: ChuaParams, kernel=None) -> StateMatrix:
     """Full input pipeline for one case: ``run_cases`` with a single lane."""
@@ -246,12 +253,16 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     integrates exactly the n_values * n_mask * spp steps of the real message.
     With ``per_coordinate`` each coordinate of a case drives its own lane and
     the case's state matrix concatenates the coordinates' channels. Lane k is
-    driven at step s by levels[s // spp, k] * carrier[s], and the kept taps
-    fill one (case, row, coordinate, channel) array, so each case's values are
-    a view of it.
+    driven at step s by the multiplexed message's level s // spp times
+    carrier[s], and the kept taps fill one (case, row, coordinate, channel)
+    array, so each case's values are a view of it.
 
     Groups of at least LANE_CROSSOVER lanes run as lanes of one lockstep
-    kernel; narrower groups and a ``kernel`` override run lane by lane
+    kernel, value by value: lanes whose messages share a prefix share its
+    states bit for bit, so each value integrates one lane per distinct
+    (prefix, value) pair, from the end state of its prefix, and its kept taps
+    are copied to every lane of that prefix through a slab of at most
+    SLAB_BYTES. Narrower groups and a ``kernel`` override run lane by lane
     through the scalar kernel. Both give the same bits. A
     ``kernel(drive, circuit, dt) -> Trace`` override receives the drive of the
     real message only (n_values * n_mask * spp samples) and must return at
@@ -270,7 +281,8 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     n_mask = cfg.n_mask
     dt = 1.0 / cfg.sample_rate
 
-    levels = np.ascontiguousarray(multiplex(normalize(lanes, cfg), make_mask(cfg)).T)  # (slot, lane)
+    messages = normalize(lanes, cfg)  # (lane, value)
+    mask = make_mask(cfg)
     spp = cfg.theta * samples_per_envelope_point((n_values + 1) * n_mask * cfg.theta, cfg)
     n_real = n_values * n_mask * spp
     carrier = carrier_wave(n_real, cfg)
@@ -279,7 +291,8 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
 
     def scalar(lane):
         case, coord = divmod(lane, n_coords)
-        drive = DriveSignal(sample_hold(levels[:, lane], spp) * carrier, cfg.sample_rate)
+        levels = multiplex(messages[lane], mask)
+        drive = DriveSignal(sample_hold(levels, spp) * carrier, cfg.sample_rate)
         try:
             trace = (kernel or _chua_kernel)(drive, circuit, dt)
         except IntegrationError as exc:
@@ -291,17 +304,8 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
         for lane in range(n_lanes):
             scalar(lane)
     else:
-        offset = np.arange(n_real) % spp
-        keep = ((offset >= lo) & (offset < lo + n_keep)).tolist()
-
-        def sink(step, v_cd, v_l):
-            slot, off = divmod(step, spp)
-            value, j = divmod(slot, n_mask)
-            row = out[:, value * n_keep + off - lo]
-            row[:, :, j] = v_cd.reshape(n_cases, n_coords)
-            row[:, :, n_mask + j] = v_l.reshape(n_cases, n_coords)
-
-        finite = integrate_lanes(circuit, DEFAULT_INITIAL_STATE, levels, carrier, dt, keep, sink)
+        finite = _run_prefixes(messages, mask, circuit, carrier, dt, spp, (n_keep, lo),
+                               out.reshape(n_cases, n_values, n_keep, n_coords, 2, n_mask))
         if not finite.all():
             lane = int(np.flatnonzero(~finite)[0])
             scalar(lane)
@@ -309,6 +313,72 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
 
     values = out.reshape(n_cases, n_values * n_keep, -1)
     return [StateMatrix(values=v, n_mask=n_coords * n_mask, n_taps=2) for v in values]
+
+
+def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float, spp: int,
+                  window: tuple, out) -> np.ndarray:
+    """The lockstep branch of ``run_cases``: walk the prefix tree of the lanes'
+    (lane, value) ``messages`` one value at a time, fill ``out``, viewed as
+    (case, value, kept step, coordinate, tap, slot), and return which lanes
+    ended finite.
+
+    A prefix is keyed by its parent prefix and the bit pattern of the value's
+    normalised level, so the lanes of one prefix hold bit-identical states.
+    The kept taps of a value's prefixes go to a slab, which is copied into
+    the prefixes' first lanes when it is full and at the end of the value;
+    the other lanes of each prefix then copy the value's block from its first
+    lane.
+    """
+    n_lanes, n_values = messages.shape
+    n_coords, n_mask = out.shape[3], len(mask)
+    n_keep, lo = window
+    steps = n_mask * spp
+    keep = [lo <= s % spp < lo + n_keep for s in range(steps)]
+    s0 = DEFAULT_INITIAL_STATE
+    state = np.array([[s0.v_c2], [s0.v_c1], [s0.i_l]])  # (3, prefix)
+    prefix = np.zeros(n_lanes, dtype=np.int64)  # lane -> prefix of its values so far
+    # the slab holds whole slots, or rows of one slot, at 2 taps x 8 bytes per
+    # row and prefix; a copy between lanes moves 2 taps x 8 bytes per kept
+    # step and slot
+    block_rows = max(1, SLAB_BYTES // (16 * n_lanes))
+    rows_per, slots_per = min(n_keep, block_rows), max(1, min(n_mask, block_rows // n_keep))
+    slab = np.empty(slots_per * rows_per * 2 * n_lanes)
+    block_lanes = max(1, SLAB_BYTES // (16 * n_keep * n_mask))
+    lanes = np.arange(n_lanes)
+
+    for k in range(n_values):
+        _, level = np.unique(np.ascontiguousarray(messages[:, k]).view(np.int64),
+                             return_inverse=True)
+        _, first, lane_prefix = np.unique(prefix * n_lanes + level.reshape(-1),
+                                          return_index=True, return_inverse=True)
+        parent, prefix, n_prefix = prefix[first], lane_prefix.reshape(-1), first.size
+        case, coord = np.divmod(first, n_coords)
+        levels = np.ascontiguousarray(multiplex(messages[first, k, None], mask).T)
+        taps = slab[:slots_per * rows_per * 2 * n_prefix].reshape(-1, 2, n_prefix)
+
+        def flush(j0, j1, r0, r1):
+            rows = taps[:(j1 - j0) * (r1 - r0)].reshape(j1 - j0, r1 - r0, 2, n_prefix)
+            out[case, k, r0:r1, coord, :, j0:j1] = rows.transpose(3, 1, 2, 0)
+
+        def sink(step, v_cd, v_l):
+            slot, row = divmod(step, spp)
+            row -= lo
+            j, r = slot % slots_per, row % rows_per
+            taps[j * rows_per + r, 0] = v_cd
+            taps[j * rows_per + r, 1] = v_l
+            if ((r == rows_per - 1 or row == n_keep - 1)
+                    and (j == slots_per - 1 or slot == n_mask - 1)):
+                flush(slot - j, slot + 1, row - r, row + 1)
+
+        state = integrate_lanes(circuit, state[:, parent], levels,
+                                carrier[k * steps:(k + 1) * steps], dt, keep, sink)
+        # every other lane of a prefix copies the value's taps of its first lane
+        copies = np.flatnonzero(first[prefix] != lanes)
+        for b in range(0, copies.size, block_lanes):
+            dst = np.divmod(copies[b:b + block_lanes], n_coords)
+            src = np.divmod(first[prefix[copies[b:b + block_lanes]]], n_coords)
+            out[dst[0], k, :, dst[1]] = out[src[0], k, :, src[1]]
+    return np.isfinite(state).all(axis=0)[prefix]
 
 
 @dataclass(frozen=True)

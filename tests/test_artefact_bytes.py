@@ -60,11 +60,21 @@ GOLDEN = {
     # `--task polynomial --n-cases 1`: the one case trains and validates
     "polynomial-1/cases.csv": "d473575199b8d043ccbc2e61aa1916abe99a06d237104d68e06e12b69861d0b9",
     "polynomial-1/weight.json": "1efcd5631daeff01026e0c0bfc4db72803800357e039fcb9faafbbb1a86df8c7",
+    # `--n-cases 40`: one lockstep group whose lanes share message prefixes,
+    # recorded from the kernel that integrated every lane over every value
+    "lwe-encrypt-40/cases.csv": "cea61e2312ec88d1b92d6574c0d98bc34c823f1ba0e8edfeecf6b8080e236193",
+    "lwe-encrypt-40/weight.json": "7e6ed98bfe9997b9280383876a7fb144cb9193dc91de3f4aecf6731853b5c5bb",
+    "lwe-decrypt-40/cases.csv": "8077ea3a4d73eb29356fd52f9f39616896350c08a4c8e3f2f16fa116c28d9634",
+    "lwe-decrypt-40/weight.json": "4ec4288985388fafaa0335c4f10d368c0dbc7ea90a2894ef010673fc83ef98b1",
+    "pair-sum-40/cases.csv": "d1fdb8f446b1f6350dec765c20f5532d70acb6fd41c6ab750fc2394134338104",
+    "pair-sum-40/weight.json": "1870f6cf09fe3ddb74afe21313bda87a3e8093378434a941cc491fcfc94b8197",
 }
 
 #: GOLDEN prefix -> (task, case count) of its `chuarc train` run
 TRAIN_RUNS = {"polynomial": ("polynomial", 24), "lwe-encrypt": ("lwe-encrypt", 24),
-              "circles": ("circles", 24), "polynomial-1": ("polynomial", 1)}
+              "circles": ("circles", 24), "polynomial-1": ("polynomial", 1),
+              "lwe-encrypt-40": ("lwe-encrypt", 40), "lwe-decrypt-40": ("lwe-decrypt", 40),
+              "pair-sum-40": ("pair-sum", 40)}
 
 
 def sha256(data: bytes) -> str:

@@ -37,16 +37,23 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.int64)
 
 
+def lane_start(init, n_lanes):
+    """``init`` as the (3, n_lanes) start state of integrate_lanes."""
+    return np.repeat([[init.v_c2], [init.v_c1], [init.i_l]], n_lanes, axis=1)
+
+
 def lane_trace(p, init, levels, carrier, dt):
-    """Both taps of every lane at every step, as (2, n_steps, n_lanes)."""
+    """Both taps of every lane at every step, as (2, n_steps, n_lanes), and
+    which lanes' end states are finite."""
     taps = np.empty((2, carrier.size, levels.shape[1]))
 
     def sink(step, v_cd, v_l):
         taps[0, step] = v_cd
         taps[1, step] = v_l
 
-    finite = integrate_lanes(p, init, levels, carrier, dt, [True] * carrier.size, sink)
-    return taps, finite
+    end = integrate_lanes(p, lane_start(init, levels.shape[1]), levels, carrier, dt,
+                          [True] * carrier.size, sink)
+    return taps, np.isfinite(end).all(axis=0)
 
 
 class TestIntegrateLanes:
@@ -78,6 +85,25 @@ class TestIntegrateLanes:
             trace = integrate(p, init, drive, carrier.size * dt, dt)
             assert np.array_equal(bits(taps[:, :, lane]), bits(trace.channels[:, :-1]))
 
+    def test_a_run_continues_from_its_end_state(self):
+        # the prefix walk of run_cases integrates a message value by value
+        p, dt, hold = kennedy_circuit(1800.0), 1e-6, 4
+        rng = np.random.default_rng(5)
+        levels = rng.uniform(0.4, 1.0, size=(6, 3))
+        carrier = np.where(np.sin(np.arange(levels.shape[0] * hold) * 0.3) >= 0.0, 1.0, -1.0)
+        whole, _ = lane_trace(p, DEFAULT_INITIAL_STATE, levels, carrier, dt)
+        state = lane_start(DEFAULT_INITIAL_STATE, 3)
+        taps = np.empty_like(whole)
+        for part in range(3):
+            steps = slice(part * 2 * hold, (part + 1) * 2 * hold)
+
+            def sink(step, v_cd, v_l, base=steps.start):
+                taps[:, base + step] = v_cd, v_l
+
+            state = integrate_lanes(p, state, levels[2 * part:2 * part + 2], carrier[steps], dt,
+                                    [True] * (2 * hold), sink)
+        assert np.array_equal(bits(taps), bits(whole))
+
     def test_divergence_is_reported_per_lane(self):
         p = replace(kennedy_circuit(1800.0), c1=1e-14)
         levels = np.array([[0.5, 0.0]])
@@ -99,6 +125,11 @@ CONFIGS = {
     "dc": dataset_config("polynomial", carrier="dc"),
     "one-sample-per-point": dataset_config("pair-sum", n_mask=50, theta=4),
     "circles": dataset_config("circles"),
+    # lanes that share message prefixes: the two records of an LWE candidate
+    # share all but the last value, and 40 decrypt cases hold exact duplicates
+    "lwe-encrypt": dataset_config("lwe-encrypt"),
+    "lwe-decrypt": dataset_config("lwe-decrypt"),
+    "duplicates": replace(dataset_config("lwe-decrypt"), n_cases=40),
 }
 
 
@@ -193,6 +224,10 @@ class TestSimulateCases:
         got = experiment.simulate_cases(cfg, dataset, jobs=0)
         assert_same_states(got, per_case_states(cfg, dataset), 0)
 
+    def test_duplicates_config_holds_duplicate_cases(self):
+        inputs = experiment.build_dataset(CONFIGS["duplicates"]).inputs
+        assert len({tuple(raw) for raw in inputs}) < len(inputs)
+
     def test_case_values_are_contiguous_views_of_one_block(self):
         cfg = CONFIGS["circles"]
         dataset = experiment.build_dataset(cfg)
@@ -202,6 +237,85 @@ class TestSimulateCases:
         assert base is not None
         for sm in states:
             assert sm.values.flags.c_contiguous and sm.values.base is base
+
+
+def count_lane_steps(monkeypatch):
+    """Patch pipeline.integrate_lanes to add up the lane-steps it integrates."""
+    counted = []
+
+    def counting(p, start, levels, carrier, *args):
+        counted.append(levels.shape[1] * carrier.size)
+        return integrate_lanes(p, start, levels, carrier, *args)
+
+    monkeypatch.setattr(pipeline, "integrate_lanes", counting)
+    return counted
+
+
+class TestSharedPrefixes:
+    def lane_steps(self, cfg, monkeypatch):
+        """(counted lane-steps, distinct prefixes per value, steps per value)
+        of one lockstep group of the config's dataset."""
+        dataset = experiment.build_dataset(cfg)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
+        counted = count_lane_steps(monkeypatch)
+        monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
+        run_cases(dataset.inputs, reservoir, cfg.circuit)
+        n_values = len(dataset.inputs[0])
+        spp = reservoir.theta * samples_per_envelope_point(
+            (n_values + 1) * reservoir.n_mask * reservoir.theta, reservoir)
+        distinct = [len({tuple(raw[:k + 1]) for raw in dataset.inputs}) for k in range(n_values)]
+        return sum(counted), distinct, reservoir.n_mask * spp
+
+    def test_each_distinct_prefix_is_integrated_once(self, monkeypatch):
+        # the desk-lwe benchmark's dataset (seed 0)
+        cfg = replace(default_config(profile="desk", task_kind="lwe-encrypt"), n_cases=520,
+                      master_seed=0)
+        counted, distinct, steps = self.lane_steps(cfg, monkeypatch)
+        assert distinct == [7, 47, 164, 236, 257, 257, 258, 258, 258, 258, 516]
+        assert counted == sum(distinct) * steps == 503_200
+        assert 520 * len(distinct) * steps == 1_144_000
+
+    def test_lanes_without_shared_prefixes_are_each_integrated(self, monkeypatch):
+        cfg = replace(default_config(profile="desk", task_kind="polynomial"), n_cases=40)
+        counted, distinct, steps = self.lane_steps(cfg, monkeypatch)
+        assert distinct == [40]
+        assert counted == 40 * steps
+
+    # a slot of lwe-encrypt's 10 lanes keeps 2 steps, at 16 bytes per lane and
+    # step: one row of a slot per flush, 3 + 3 + 2 slots per value, and one
+    # flush per value
+    @pytest.mark.parametrize("name", ["lwe-encrypt", "circles"])
+    @pytest.mark.parametrize("slab_bytes", [1, 3 * 16 * 2 * 10, 1 << 30])
+    def test_any_slab_budget_gives_the_same_bits(self, name, slab_bytes, monkeypatch):
+        cfg = CONFIGS[name]
+        dataset = experiment.build_dataset(cfg)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
+        monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
+        monkeypatch.setattr(pipeline, "SLAB_BYTES", slab_bytes)
+        got = run_cases(dataset.inputs, reservoir, cfg.circuit,
+                        per_coordinate=dataset.multi_input)
+        assert_same_states(got, per_case_states(cfg, dataset), slab_bytes)
+
+    def test_a_diverging_shared_prefix_names_the_lower_case(self, monkeypatch):
+        cfg = diverging_config()
+        reservoir = replace(cfg.reservoir, value_max=3.0)
+        # cases 1 and 2 share the prefix (2.0, 3.0), which diverges in its
+        # second value; case 3 diverges at an earlier step, but is higher
+        inputs = [[0.1, 0.1, 0.1], [2.0, 3.0, 0.2], [2.0, 3.0, 0.9], [3.0, 3.0, 0.1]]
+        steps = []
+        for raw in inputs[1:]:
+            with pytest.raises(IntegrationError) as err:
+                reference_state(raw, reservoir, cfg.circuit)
+            steps.append(err.value.step_index)
+        per_value = reference_drive(inputs[0], reservoir).samples.size // 3
+        assert steps[0] == steps[1] < 2 * per_value
+        assert steps[2] < steps[0]
+        monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
+        for group in (inputs, inputs[1:3]):
+            with pytest.raises(IntegrationError) as err:
+                run_cases(group, reservoir, cfg.circuit)
+            assert (err.value.case_index, err.value.step_index) == (group.index(inputs[1]),
+                                                                    steps[0])
 
 
 def diverging_config():

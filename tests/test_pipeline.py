@@ -62,6 +62,8 @@ class TestNormalize:
             normalize([7.0], cfg)
         with pytest.raises(InputDomainError):
             normalize([-0.1], cfg)
+        with pytest.raises(InputDomainError):
+            normalize([float("nan"), 1.0], cfg)
 
 
 class TestMask:
