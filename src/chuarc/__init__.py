@@ -12,16 +12,13 @@ from .circuit import (
     CircuitState,
     DiodePwl,
     DriveSignal,
-    NoiseSpec,
     Trace,
     bifurcation_scan,
     derivatives,
     diode_current,
-    inject_noise,
     integrate,
     kennedy_circuit,
     power_spectrum,
-    snr_db,
 )
 from .config import ExperimentConfig, config_digest, default_config, parse_config
 from .errors import (
@@ -37,7 +34,6 @@ from .experiment import (
     MetricsReport,
     SweepGrid,
     axis_values,
-    classification_surface,
     load_weight,
     run_experiment,
     run_sweep,

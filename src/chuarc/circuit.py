@@ -1,5 +1,5 @@
 """Driven Chua circuit kernel: piecewise-linear diode, RK4 integration,
-bifurcation scans, spectra, and input-noise modelling.
+bifurcation scans and spectra.
 
 State ordering throughout is (i_l, v_c2, v_c1): inductor current and the
 two capacitor voltages. Two voltage taps are recorded: the diode-side
@@ -175,21 +175,6 @@ class Trace:
 
     def channel(self, tap: str) -> np.ndarray:
         return self.channels[self.tap_names.index(tap)]
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """White-noise description of a signal source."""
-
-    voltage_density: float  # V/sqrt(Hz)
-    bandwidth: float  # Hz
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.voltage_density < 0.0:
-            raise ConfigurationError("noise.voltage_density", "must be non-negative")
-        if self.bandwidth <= 0.0:
-            raise ConfigurationError("noise.bandwidth", "must be positive")
 
 
 def derivatives(state: CircuitState, p: ChuaParams, v_in: float = 0.0) -> tuple:
@@ -604,36 +589,12 @@ def power_spectrum(samples: np.ndarray, dt: float) -> tuple:
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ConfigurationError("samples", "need at least 2 samples")
+    if not 0.0 < dt < math.inf:
+        raise ConfigurationError("dt", f"must be finite and positive, got {dt!r}")
     x = x - x.mean()
     mags = np.abs(np.fft.rfft(x))
     freqs = np.fft.rfftfreq(x.size, d=dt)
     return freqs, mags
-
-
-def inject_noise(signal: DriveSignal, spec: NoiseSpec) -> DriveSignal:
-    """Add white Gaussian voltage noise with RMS = voltage_density*sqrt(bandwidth)."""
-    rms = spec.voltage_density * math.sqrt(spec.bandwidth)
-    if rms == 0.0:
-        return DriveSignal(signal.samples.copy(), signal.sample_rate)
-    rng = np.random.default_rng([spec.seed, 0x6E6F6973])
-    noisy = signal.samples + rng.normal(0.0, rms, signal.samples.size)
-    return DriveSignal(noisy, signal.sample_rate)
-
-
-def snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
-    """Signal-to-noise ratio 10*log10(signal power / noise power) in dB.
-
-    Returns math.inf when the two signals are identical (zero noise power).
-    """
-    clean = np.asarray(clean, dtype=float)
-    noisy = np.asarray(noisy, dtype=float)
-    if clean.shape != noisy.shape:
-        raise ConfigurationError("snr", "signals must have equal length")
-    noise_power = float(np.sum((noisy - clean) ** 2))
-    if noise_power == 0.0:
-        return math.inf
-    signal_power = float(np.sum(clean**2))
-    return 10.0 * math.log10(signal_power / noise_power)
 
 
 def trace_to_csv(trace: Trace, path, config_digest: str | None = None) -> None:

@@ -179,27 +179,6 @@ def _write_report_json(path, report: MetricsReport) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def classification_surface(
-    cfg: ExperimentConfig,
-    weight: ReadoutWeight,
-    x_values,
-    y_values,
-    value_max: float,
-    jobs: int = 1,
-) -> np.ndarray:
-    """Class grid for a trained circle classifier.
-
-    Every (x, y) grid point is run through the kernel like a dataset case
-    (each coordinate separately, column-concatenated) and classified by the
-    nearest teacher value.
-    """
-    reservoir = _effective_reservoir(cfg, value_max)
-    points = [[float(x), float(y)] for y in y_values for x in x_values]
-    states = _simulate(reservoir, cfg.circuit, points, True, jobs)
-    classes = [tasks.classify(float(e[0])) for e in predict(weight, states)]
-    return np.asarray(classes, dtype=int).reshape(len(y_values), len(x_values))
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     """Axes for the tuning sweep: resistances crossed with amplitude-window
@@ -344,6 +323,8 @@ def load_weight(path, expected_digest: str | None = None) -> ReadoutWeight:
             seed=_field(payload, "seed", lambda v: type(v) is int, "an integer"),
             config_digest=_field(payload, "config_digest", lambda v: type(v) is str, "a string"),
         )
+    except OSError as exc:
+        raise ConfigurationError("weight_file", f"{path}: {exc.strerror}") from None
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigurationError("weight_file", f"malformed weight file: {exc}") from None
     if expected_digest and weight.config_digest != expected_digest:

@@ -22,6 +22,15 @@ MARGIN = 60
 PLOT_W, PLOT_H = WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN
 
 
+def _open_csv(path):
+    """The text file at ``path``, open for reading; one that cannot be opened
+    raises ConfigurationError naming it."""
+    try:
+        return open(path)
+    except OSError as exc:
+        raise ConfigurationError("csv", f"{path}: {exc.strerror}") from None
+
+
 def _read_header(fh, path):
     """Skip comment and blank lines up to the header; returns (header, digest)."""
     digest = None
@@ -42,7 +51,7 @@ def _read_csv(path, columns=None, nan_column=None):
     short row, no data rows, or a NaN or infinity (other than a NaN in
     ``nan_column``) raises ConfigurationError naming the file.
     """
-    with open(path) as fh:
+    with _open_csv(path) as fh:
         header, digest = _read_header(fh, path)
         names = header if columns is None else columns
         missing = [c for c in names if c not in header]
@@ -247,17 +256,6 @@ def _histogram_svg(out_path, values, x_label, title, digest, n_bins=20):
                   + "".join(bars) + "</svg>").encode())
 
 
-#: Columns each plot kind reads (None: all; a trace's first is time, a
-#: sweep's last three are r_ohms, v_center, mean_nmse after an optional n_mask).
-_KIND_COLUMNS = {
-    "bifurcation": ["param", "extremum_value"],
-    "spectrum": ["freq_hz", "magnitude"],
-    "sweep": None,
-    "histogram": ["nmse"],
-    "trace": None,
-}
-
-
 def _detect_kind(header):
     if header == ["param", "extremum_value"]:
         return "bifurcation"
@@ -281,12 +279,13 @@ def render_plot(csv_path, out_path) -> str:
     histogram (any header with an `nmse` column), and multi-channel traces
     (`t,...`).
     """
-    with open(csv_path) as fh:
+    with _open_csv(csv_path) as fh:
         header, _ = _read_header(fh, csv_path)
     kind = _detect_kind(header)
-    # plots need finite data to scale; only a failed sweep cell has a NaN
+    # a histogram reads only its nmse column, every other kind all columns;
+    # plots need finite data to scale, and only a failed sweep cell has a NaN
     # mean_nmse, which the heatmap draws grey
-    header, table, digest = _read_csv(csv_path, _KIND_COLUMNS[kind],
+    header, table, digest = _read_csv(csv_path, ["nmse"] if kind == "histogram" else None,
                                       nan_column="mean_nmse" if kind == "sweep" else None)
     # line and scatter plots stream arrays; the heatmap and the histogram
     # take lists, so their min/max follow Python's

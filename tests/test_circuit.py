@@ -1,5 +1,5 @@
 """Circuit kernel tests: diode oracle, state equations, RK4 order,
-bifurcation regimes, spectra, and noise injection."""
+bifurcation regimes and spectra."""
 
 import math
 
@@ -16,16 +16,12 @@ from chuarc.circuit import (
     CircuitState,
     DiodePwl,
     DriveSignal,
-    NoiseSpec,
     bifurcation_scan,
     derivatives,
     diode_current,
-    inject_noise,
     integrate,
     kennedy_circuit,
     power_spectrum,
-    sine_drive,
-    snr_db,
     steady_state_extrema,
 )
 from chuarc.errors import ConfigurationError, IntegrationError
@@ -335,49 +331,12 @@ class TestSpectrum:
         assert 500.0 <= peak <= 5000.0
 
 
-class TestNoise:
-    def test_zero_density_is_identity_and_infinite_snr(self):
-        drive = sine_drive(1.0, 50.0, 0.1, 10e3)
-        spec = NoiseSpec(voltage_density=0.0, bandwidth=10e3, seed=1)
-        noisy = inject_noise(drive, spec)
-        assert np.array_equal(noisy.samples, drive.samples)
-        assert snr_db(drive.samples, noisy.samples) == math.inf
-
-    def test_snr_of_unit_sine_with_known_noise(self):
-        n = 200_000
-        fs = 200e3
-        t = np.arange(n) / fs
-        clean = np.sin(2 * math.pi * 123.0 * t)
-        spec = NoiseSpec(voltage_density=1e-3, bandwidth=1e4, seed=3)
-        noisy = inject_noise(DriveSignal(clean, fs), spec)
-        # RMS 0.1 noise on a unit sine: 10*log10(0.5/0.01) = 16.99 dB
-        assert snr_db(clean, noisy.samples) == pytest.approx(16.99, abs=0.5)
-
-    def test_instrument_noise_floor_rms(self):
-        n = 100_000
-        clean = np.zeros(n)
-        spec = NoiseSpec(voltage_density=6.6e-9, bandwidth=10e3, seed=4)
-        noisy = inject_noise(DriveSignal(clean, 1e6), spec)
-        measured = float(np.std(noisy.samples))
-        assert measured == pytest.approx(0.66e-6, rel=0.02)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            snr_db(np.zeros(5), np.zeros(6))
-
-
 class TestTypeInvariants:
     def test_drive_signal_requires_samples_and_rate(self):
         with pytest.raises(ConfigurationError):
             DriveSignal(np.array([]), 1e6)
         with pytest.raises(ConfigurationError):
             DriveSignal(np.zeros(4), 0.0)
-
-    def test_noise_spec_bounds(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(voltage_density=-1e-9, bandwidth=1e4)
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(voltage_density=1e-9, bandwidth=0.0)
 
     def test_state_must_be_finite(self):
         with pytest.raises(ConfigurationError):

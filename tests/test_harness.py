@@ -324,20 +324,6 @@ class TestExperiment:
         report = run_experiment(cfg, jobs=1, write_artifacts=False)
         assert report.mean_nmse < 1e-6
 
-    def test_classification_surface_grid(self, tmp_path):
-        from chuarc.experiment import classification_surface, load_weight
-
-        cfg = tiny_config(tmp_path, kind="circles", n_cases=40)
-        run_experiment(cfg, jobs=1)
-        weight = load_weight(tmp_path / "out" / "weight.json")
-        xs = np.linspace(1.0, 4.0, 4)
-        ys = np.linspace(1.0, 4.0, 4)
-        grid = classification_surface(cfg, weight, xs, ys, value_max=5.0)
-        assert grid.shape == (4, 4)
-        assert set(np.unique(grid)) <= {0, 1}
-        # centre of the shifted plane is inside the inner class-1 disk
-        assert grid[2, 2] == 1
-
     def test_failure_manifest_written_on_generation_error(self, tmp_path):
         from chuarc.errors import GenerationError
         from chuarc.lwe import LweParams, UniformErrors
@@ -513,6 +499,13 @@ MALFORMED_TRACES = {
     "ragged": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06\n2e-06,0.15,0.05\n",
     "nan": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,nan,0.1\n2e-06,0.15,0.05\n",
     "inf": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,-inf,0.05\n",
+    "missing": None,  # no file at the path
+}
+
+#: Well-formed traces whose first two time stamps give no positive sample period.
+BAD_TIME_STAMPS = {
+    "equal_times": "t,v_cd,v_l\n0.0,0.1,0.0\n0.0,0.2,0.1\n1e-06,0.15,0.05\n",
+    "decreasing_times": "t,v_cd,v_l\n2e-06,0.1,0.0\n1e-06,0.2,0.1\n0.0,0.15,0.05\n",
 }
 
 #: Finite data whose range has no pixel scale.
@@ -532,18 +525,22 @@ class TestMalformedCsv:
     @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
     def test_plot(self, tmp_path, capsys, case):
         csv = tmp_path / "trace.csv"
-        csv.write_text(MALFORMED_TRACES[case])
+        if MALFORMED_TRACES[case] is not None:
+            csv.write_text(MALFORMED_TRACES[case])
         assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "t.svg")]) == 1
-        assert f"csv: {csv}:" in capsys.readouterr().err
+        assert f"error: csv: {csv}:" in capsys.readouterr().err
         assert not (tmp_path / "t.svg").exists()
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES) + sorted(BAD_TIME_STAMPS))
     def test_spectrum(self, tmp_path, capsys, case):
         csv = tmp_path / "trace.csv"
-        csv.write_text(MALFORMED_TRACES[case])
+        text = {**MALFORMED_TRACES, **BAD_TIME_STAMPS}[case]
+        if text is not None:
+            csv.write_text(text)
         assert main(["spectrum", "--trace", str(csv), "--tap", "v_cd",
                      "--out", str(tmp_path), "--profile", "desk"]) == 1
-        assert f"csv: {csv}:" in capsys.readouterr().err
+        field = "dt" if case in BAD_TIME_STAMPS else f"csv: {csv}"
+        assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("case", ["nan", "inf"])
@@ -892,6 +889,13 @@ class TestCli:
         with pytest.raises(SystemExit):  # a removed flag fails the same way
             build_parser().parse_args(["plot", "--csv", "a.csv", "--out-svg", "a.svg", "--kind", "trace"])
 
+    def test_readme_library_quick_start_runs(self, tmp_path, monkeypatch):
+        block = README.read_text().split("## Library quick start\n", 1)[1]
+        block = block.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)  # the example writes to out/
+        exec(compile(block, "README.md", "exec"), {})
+        assert (tmp_path / "out" / "weight.json").exists()
+
     def test_sweep_command_with_svg(self, tmp_path):
         cfg = {
             "profile": "desk",
@@ -924,10 +928,13 @@ class TestCli:
         assert weight.exists()
         assert main(["eval", "--config", str(cfg_path), "--weight", str(weight),
                      "--jobs", "1"]) == 0
-        for key, value in (("bias", False), ("offset", 0.5), ("n_outputs", -1), ("seed", 1.5)):
+        for key, value in (("bias", False), ("offset", 0.5), ("n_outputs", -1), ("seed", 1.5),
+                           ("missing", None)):
             bad = tmp_path / f"{key}.json"
-            bad.write_text(json.dumps({**json.loads(weight.read_text()), key: value}))
+            if key != "missing":  # missing.json is never written
+                bad.write_text(json.dumps({**json.loads(weight.read_text()), key: value}))
             assert main(["eval", "--config", str(cfg_path), "--weight", str(bad), "--jobs", "1"]) == 1
+            assert "error: weight_file: " in capsys.readouterr().err
         # the polynomial weight has 1 output, lwe-encrypt 2 teachers
         capsys.readouterr()
         with pytest.warns(UserWarning, match="trained under config"):

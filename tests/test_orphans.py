@@ -16,12 +16,9 @@ PACKAGE = ROOT / "src" / "chuarc"
 KEEP = {
     "derivatives": "the acceptance tests import it",
     "_passthrough_kernel": "the acceptance tests import it",
-    "inject_noise": "noise injection is a feature of the paper",
-    "snr_db": "noise injection is a feature of the paper",
-    "nrmse": "the paper's second error metric; a run is still to report it",
+    "nrmse": "ROADMAP item 8's baselines give it a caller",
     "multibit_encrypt": "README API",
     "multibit_decrypt": "README API",
-    "classification_surface": "README API",
 }
 
 
