@@ -156,7 +156,7 @@ class Trace:
 
     dt: float  # seconds
     tap_names: tuple
-    channels: np.ndarray  # shape (n_taps, n_samples), volts
+    channels: np.ndarray  # shape (len(tap_names), n_samples), volts
 
     def __post_init__(self):
         object.__setattr__(self, "channels", np.asarray(self.channels, dtype=float))

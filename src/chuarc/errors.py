@@ -1,8 +1,14 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class ChuaRcError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # from the message and the fields, not __init__: crosses a process pool
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InputDomainError(ChuaRcError, ValueError):
@@ -30,12 +36,8 @@ class IntegrationError(ChuaRcError, RuntimeError):
                  case_index: int | None = None):
         self.step_index = step_index
         self.case_index = case_index
-        self._message = message
         where = "" if case_index is None else f" in case {case_index}"
         super().__init__(f"{message} at step {step_index}{where}")
-
-    def __reduce__(self):
-        return type(self), (self.step_index, self._message, self.case_index)
 
 
 class LayoutError(ChuaRcError, ValueError):

@@ -8,7 +8,6 @@ assembled in case order so output is identical for any worker count.
 from __future__ import annotations
 
 import json
-import math
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -270,14 +269,15 @@ def sweep_to_csv(cells, path, digest: str | None = None) -> None:
 
 
 def save_weight(weight: ReadoutWeight, path) -> None:
-    """Lossless JSON persistence of a trained readout. ``bias`` and ``offset``
-    record the one readout form: a bias column and unshifted voltages."""
+    """Lossless JSON persistence of a trained readout. ``bias``, ``offset`` and
+    ``lambda`` record the one readout form: a bias column, unshifted voltages
+    and no ridge term."""
     payload = {
         "n_outputs": weight.n_outputs,
         "n_channels": weight.n_channels,
         "bias": True,
         "offset": 0.0,
-        "lambda": weight.ridge_lambda,
+        "lambda": 0.0,
         "seed": weight.seed,
         "config_digest": weight.config_digest,
         "matrix": [float(x) for x in weight.matrix.reshape(-1)],
@@ -294,21 +294,21 @@ def _field(payload, key, valid, rule):
 
 
 def load_weight(path, expected_digest: str | None = None) -> ReadoutWeight:
-    """Read a weight file of the one readout form (bias true, offset 0.0); a
-    digest mismatch warns but the weight stays usable.
+    """Read a weight file of the one readout form (bias true, offset and
+    lambda 0.0); a digest mismatch warns but the weight stays usable.
 
-    Counts are JSON integers >= 1, the seed a JSON integer, lambda a finite
-    number >= 0, the matrix n_outputs * (1 + n_channels) numbers and the
-    digest a string; anything else is a ``weight_file`` error naming the key.
-    Numbers are tested with ``type(v) in (int, float)``, not isinstance: a
-    JSON true or false is no number.
+    Counts are JSON integers >= 1, the seed a JSON integer, the matrix
+    n_outputs * (1 + n_channels) numbers and the digest a string; anything
+    else is a ``weight_file`` error naming the key. Numbers are tested with
+    ``type(v) in (int, float)``, not isinstance: a JSON true or false is no
+    number.
     """
     try:
         payload = json.loads(Path(path).read_text())
-        bias, offset = payload["bias"], payload["offset"]
-        if bias is not True or type(offset) not in (int, float) or offset != 0.0:
-            raise ValueError(f"bias {bias!r} and offset {offset!r};"
-                             " only bias true and offset 0.0 are supported")
+        bias, offset, ridge = payload["bias"], payload["offset"], payload["lambda"]
+        if bias is not True or any(type(v) not in (int, float) or v != 0.0 for v in (offset, ridge)):
+            raise ValueError(f"bias {bias!r}, offset {offset!r} and lambda {ridge!r};"
+                             " only bias true, offset 0.0 and lambda 0.0 are supported")
         n_out, n_ch = (_field(payload, key, lambda v: type(v) is int and v >= 1, "an integer >= 1")
                        for key in ("n_outputs", "n_channels"))
         matrix = _field(payload, "matrix",
@@ -317,9 +317,6 @@ def load_weight(path, expected_digest: str | None = None) -> ReadoutWeight:
                         f"a list of {n_out} * (1 + {n_ch}) numbers")
         weight = ReadoutWeight(
             matrix=np.array(matrix, dtype=float).reshape(n_out, 1 + n_ch),
-            ridge_lambda=float(_field(payload, "lambda",
-                                      lambda v: type(v) in (int, float) and math.isfinite(v)
-                                      and v >= 0, "a finite number >= 0")),
             seed=_field(payload, "seed", lambda v: type(v) is int, "an integer"),
             config_digest=_field(payload, "config_digest", lambda v: type(v) is str, "a string"),
         )

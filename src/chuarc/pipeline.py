@@ -160,16 +160,12 @@ class StateMatrix:
     """Demultiplexed kernel activations: one row per kept timestep, one
     column per (tap, mask) channel, tap-major."""
 
-    values: np.ndarray  # (n_rows, n_mask*n_taps) volts
-    n_mask: int
-    n_taps: int
+    values: np.ndarray  # (n_rows, n_channels) volts
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 2:
             raise LayoutError("state matrix must be rectangular")
-        if self.values.shape[1] != self.n_mask * self.n_taps:
-            raise LayoutError("column count must equal n_mask * n_taps")
 
     @property
     def n_rows(self) -> int:
@@ -195,15 +191,14 @@ def demultiplex(trace: Trace, n_values: int, n_mask: int, middle_fraction: float
         )
     spp = n // n_slots
     n_keep, lo = _slot_window(spp, middle_fraction)
-    n_taps = len(trace.tap_names)
-    out = np.empty((n_values * n_keep, n_taps * n_mask))
-    for k in range(n_taps):
+    out = np.empty((n_values * n_keep, len(trace.channels) * n_mask))
+    for k, samples in enumerate(trace.channels):
         # (n_values, n_mask, spp) -> kept window -> channels stacked per mask
-        blocks = trace.channels[k].reshape(n_values, n_mask, spp)[:, :, lo:lo + n_keep]
+        blocks = samples.reshape(n_values, n_mask, spp)[:, :, lo:lo + n_keep]
         out[:, k * n_mask:(k + 1) * n_mask] = blocks.transpose(0, 2, 1).reshape(
             n_values * n_keep, n_mask
         )
-    return StateMatrix(values=out, n_mask=n_mask, n_taps=n_taps)
+    return StateMatrix(out)
 
 
 def _slot_window(spp: int, middle_fraction: float) -> tuple:
@@ -231,11 +226,12 @@ def _chua_kernel(drive: DriveSignal, circuit: ChuaParams, dt: float) -> Trace:
 #: for host noise).
 LANE_CROSSOVER = 32
 
-#: Byte budget of the lockstep sink's slab (the kept taps of the prefixes a
-#: value integrates, copied into the output when it is full) and of each copy
-#: of a value's taps from a prefix's first lane to its other lanes. A slab
-#: holds whole slots or rows of one slot, at least one row of every prefix.
-SLAB_BYTES = 1 << 18
+#: Byte budget of three buffers: the lockstep sink's slab (the kept taps of
+#: a value's prefixes, whole slots or rows of one slot, at least one row of
+#: every prefix), each copy of a value's taps from a prefix's first lane to its
+#: other lanes, and the readout's blocks of cases (their rows with the bias
+#: column, plus the Grams in train_readout; at least one case).
+BUFFER_BYTES = 1 << 18
 
 
 def run_case(raw_values, cfg: ReservoirConfig, circuit: ChuaParams, kernel=None) -> StateMatrix:
@@ -262,7 +258,7 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     states bit for bit, so each value integrates one lane per distinct
     (prefix, value) pair, from the end state of its prefix, and its kept taps
     are copied to every lane of that prefix through a slab of at most
-    SLAB_BYTES. Narrower groups and a ``kernel`` override run lane by lane
+    BUFFER_BYTES. Narrower groups and a ``kernel`` override run lane by lane
     through the scalar kernel. Both give the same bits. A
     ``kernel(drive, circuit, dt) -> Trace`` override receives the drive of the
     real message only (n_values * n_mask * spp samples) and must return at
@@ -312,7 +308,7 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
             raise AssertionError(f"lane {lane} diverged but its scalar rerun did not")
 
     values = out.reshape(n_cases, n_values * n_keep, -1)
-    return [StateMatrix(values=v, n_mask=n_coords * n_mask, n_taps=2) for v in values]
+    return [StateMatrix(v) for v in values]
 
 
 def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float, spp: int,
@@ -340,10 +336,10 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
     # the slab holds whole slots, or rows of one slot, at 2 taps x 8 bytes per
     # row and prefix; a copy between lanes moves 2 taps x 8 bytes per kept
     # step and slot
-    block_rows = max(1, SLAB_BYTES // (16 * n_lanes))
+    block_rows = max(1, BUFFER_BYTES // (16 * n_lanes))
     rows_per, slots_per = min(n_keep, block_rows), max(1, min(n_mask, block_rows // n_keep))
     slab = np.empty(slots_per * rows_per * 2 * n_lanes)
-    block_lanes = max(1, SLAB_BYTES // (16 * n_keep * n_mask))
+    block_lanes = max(1, BUFFER_BYTES // (16 * n_keep * n_mask))
     lanes = np.arange(n_lanes)
 
     for k in range(n_values):
@@ -390,7 +386,6 @@ class ReadoutWeight:
     """
 
     matrix: np.ndarray  # (n_outputs, 1 + n_channels)
-    ridge_lambda: float
     seed: int
     config_digest: str
 
@@ -408,92 +403,77 @@ class ReadoutWeight:
         return self.matrix.shape[1] - 1
 
 
-#: Byte budget of the buffers the readout fills per block of cases: the rows
-#: of each case with the bias column, plus the caller's per-case arrays (the
-#: Grams in train_readout). A block always holds at least one case.
-READOUT_BLOCK_BYTES = 1 << 18
+def _shape(states, field: str) -> tuple:
+    """The (n_rows, n_channels) of all ``states``, else ConfigurationError naming ``field``."""
+    shapes = {sm.values.shape for sm in states}
+    if len(shapes) != 1:
+        raise ConfigurationError(field, f"states must share one (n_rows, n_channels), got {sorted(shapes)}")
+    return shapes.pop()
 
 
 def _row_blocks(states, case_bytes: int = 0):
-    """Consecutive equally shaped states as (start, rows) blocks.
+    """States of one shape as (start, rows) blocks of consecutive cases.
 
-    ``rows`` is an (n, n_rows, 1 + n_channels) view of one reused buffer:
-    per case and row, the constant 1 (set once per buffer) and then the
-    channel values, exactly the rows a lone case builds.
+    ``rows`` is an (n, n_rows, 1 + n_channels) view of one buffer sized from
+    BUFFER_BYTES: per case and row, the constant 1 and then the channel
+    values, exactly the rows a lone case builds.
     """
-    buf, start = None, 0
-    while start < len(states):
-        shape = states[start].values.shape
-        size = max(1, READOUT_BLOCK_BYTES // (8 * shape[0] * (1 + shape[1]) + case_bytes))
-        stop = start + 1
-        while stop < min(len(states), start + size) and states[stop].values.shape == shape:
-            stop += 1
-        if buf is None or buf.shape != (size, shape[0], 1 + shape[1]):
-            buf = np.empty((size, shape[0], 1 + shape[1]))
-            buf[:, :, 0] = 1.0
-        rows = buf[:stop - start]
-        for j in range(stop - start):
-            rows[j, :, 1:] = states[start + j].values
+    n_rows, n_ch = states[0].values.shape
+    size = max(1, BUFFER_BYTES // (8 * n_rows * (1 + n_ch) + case_bytes))
+    buf = np.empty((min(size, len(states)), n_rows, 1 + n_ch))
+    buf[:, :, 0] = 1.0
+    for start in range(0, len(states), size):
+        rows = buf[:len(states) - start]
+        for j, sm in enumerate(states[start:start + size]):
+            rows[j, :, 1:] = sm.values
         yield start, rows
-        start = stop
 
 
-def train_readout(cases, ridge_lambda: float = 0.0, seed: int = 0,
-                  config_digest: str = "") -> ReadoutWeight:
+def train_readout(cases, seed: int = 0, config_digest: str = "") -> ReadoutWeight:
     """Fit the readout on (StateMatrix, teacher) pairs by accumulated least squares.
 
     Every timestep row p (the constant 1, then the channel voltages)
     contributes p p^T to the Gram accumulator and teacher * p^T to the
     cross accumulator, in fixed case-then-row order. The weight solves
-    (XX + lambda*I') W^T = YY^T by minimum-norm least squares, where I'
-    leaves the bias row/column unregularised. The Grams of a block of cases
-    are formed in one call and added case by case, so the sums have the bits
-    of a case-by-case accumulation.
+    XX W^T = YY^T by minimum-norm least squares. The states share one shape;
+    the Grams of a block of cases are formed in one call and added case by
+    case, so the sums have the bits of a case-by-case accumulation.
     """
     cases = list(cases)
     if not cases:
         raise ConfigurationError("cases", "at least one training case required")
     states = [sm for sm, _ in cases]
     teachers = [np.atleast_1d(np.asarray(teacher, dtype=float)) for _, teacher in cases]
-    n_ch, n_out = states[0].n_channels, teachers[0].size
-    for sm, y in zip(states, teachers):
-        if sm.n_channels != n_ch:
-            raise ConfigurationError("cases", "all cases must share the channel count")
-        if y.size != n_out:
-            raise ConfigurationError("cases", "all teachers must share the output count")
-    d = 1 + n_ch
-    xx = np.zeros((d, d))
-    yy = np.zeros((n_out, d))
-    grams = np.empty((0, d, d))
+    d, n_out = 1 + _shape(states, "cases")[1], teachers[0].size
+    if len({y.size for y in teachers}) != 1:
+        raise ConfigurationError("cases", "all teachers must share the output count")
+    xx, yy, grams = np.zeros((d, d)), np.zeros((n_out, d)), None
     for start, rows in _row_blocks(states, 8 * d * d):
-        if len(grams) < len(rows):
+        if grams is None:  # the first block is the largest
             grams = np.empty((len(rows), d, d))
         gram = np.matmul(rows.transpose(0, 2, 1), rows, out=grams[:len(rows)])
         sums = rows.sum(axis=1)
         for j in range(len(rows)):
             xx += gram[j]
             yy += teachers[start + j][:, None] * sums[j][None, :]
-    reg = ridge_lambda * np.eye(d)
-    reg[0, 0] = 0.0
-    solution, *_ = np.linalg.lstsq(xx + reg, yy.T, rcond=None)
-    return ReadoutWeight(matrix=solution.T, ridge_lambda=ridge_lambda, seed=seed,
-                         config_digest=config_digest)
+    solution, *_ = np.linalg.lstsq(xx, yy.T, rcond=None)
+    return ReadoutWeight(matrix=solution.T, seed=seed, config_digest=config_digest)
 
 
 def predict(w: ReadoutWeight, states) -> np.ndarray:
     """Case estimates: per-row readout outputs averaged over each case's rows.
 
-    ``states`` is a sequence of StateMatrix, giving (n_cases, n_outputs).
-    Each estimate has the bits of its case predicted alone.
+    ``states`` is a sequence of StateMatrix of one shape, giving (n_cases,
+    n_outputs). Each estimate has the bits of its case predicted alone.
     """
     states = list(states)
-    for sm in states:
-        if sm.n_channels != w.n_channels:
-            raise ConfigurationError(
-                "predict",
-                f"state matrix has {sm.n_channels} channels, weight expects {w.n_channels}",
-            )
     estimates = np.empty((len(states), w.n_outputs))
+    if not states:
+        return estimates
+    n_ch = _shape(states, "predict")[1]
+    if n_ch != w.n_channels:
+        raise ConfigurationError(
+            "predict", f"state matrix has {n_ch} channels, weight expects {w.n_channels}")
     for start, rows in _row_blocks(states):
         outputs = np.matmul(w.matrix, rows.transpose(0, 2, 1))
         estimates[start:start + len(rows)] = outputs.mean(axis=2)

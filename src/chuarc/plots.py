@@ -34,12 +34,15 @@ def _open_csv(path):
 def _read_header(fh, path):
     """Skip comment and blank lines up to the header; returns (header, digest)."""
     digest = None
-    for line in iter(fh.readline, ""):
-        if line.startswith("#"):
-            if "config_digest=" in line:
-                digest = line.split("config_digest=", 1)[1].strip()
-        elif line.strip():
-            return line.rstrip("\n").split(","), digest
+    try:
+        for line in iter(fh.readline, ""):
+            if line.startswith("#"):
+                if "config_digest=" in line:
+                    digest = line.split("config_digest=", 1)[1].strip()
+            elif line.strip():
+                return line.rstrip("\n").split(","), digest
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError("csv", f"{path}: {exc}") from None
     raise ConfigurationError("csv", f"{path}: no header row")
 
 
@@ -256,7 +259,7 @@ def _histogram_svg(out_path, values, x_label, title, digest, n_bins=20):
                   + "".join(bars) + "</svg>").encode())
 
 
-def _detect_kind(header):
+def _detect_kind(header, path):
     if header == ["param", "extremum_value"]:
         return "bifurcation"
     if header == ["freq_hz", "magnitude"]:
@@ -267,7 +270,7 @@ def _detect_kind(header):
         return "histogram"
     if header and header[0] == "t":
         return "trace"
-    raise ConfigurationError("csv", f"unrecognised schema {header}")
+    raise ConfigurationError("csv", f"{path}: unrecognised schema {header}")
 
 
 def render_plot(csv_path, out_path) -> str:
@@ -281,7 +284,7 @@ def render_plot(csv_path, out_path) -> str:
     """
     with _open_csv(csv_path) as fh:
         header, _ = _read_header(fh, csv_path)
-    kind = _detect_kind(header)
+    kind = _detect_kind(header, csv_path)
     # a histogram reads only its nmse column, every other kind all columns;
     # plots need finite data to scale, and only a failed sweep cell has a NaN
     # mean_nmse, which the heatmap draws grey

@@ -7,8 +7,10 @@ writers and the plots cannot drift together unnoticed (``test_lanes.py``
 compares the lane kernel with ``integrate`` and would not see both move).
 
 The spectrum digests depend on numpy's FFT, and the train digests on the
-least-squares solve of the numpy-bundled LAPACK, so both are checked only on
-the numpy release they were recorded with.
+readout Gram's matrix products in the numpy-bundled OpenBLAS (its dgemm
+can change bits with the thread count; the least-squares solve of a fixed
+Gram does not), so both are checked only on the numpy release they were
+recorded with.
 """
 
 import hashlib

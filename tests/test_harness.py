@@ -202,6 +202,11 @@ class TestConfig:
         cfg = parse_config({"profile": profile, "task": {"kind": kind}})
         assert config_digest(cfg) == self.DIGESTS[profile, kind]
 
+    def test_pair_task_caps_the_case_count_at_its_distinct_pairs(self):
+        # the full profile's 2900 cases exceed the 1681 distinct pairs at pair_max 40
+        cfg = parse_config({"profile": "full", "task": {"kind": "pair-modlin"}})
+        assert cfg.n_cases == 2900 and experiment.build_dataset(cfg).n_cases == 1681
+
     def test_integral_numbers_and_numeric_strings_keep_their_digest(self):
         plain = parse_config({"reservoir": {"n_mask": 8, "theta": 4}, "n_cases": 30})
         loose = parse_config({"reservoir": {"n_mask": 8.0, "theta": "4"}, "n_cases": "30"})
@@ -437,7 +442,7 @@ class TestWeightPersistence:
                ("n_channels", 0), ("n_channels", 4.0), ("n_channels", "4"),
                ("seed", 1.5), ("seed", "0"), ("seed", None),
                ("lambda", "nan"), ("lambda", float("nan")), ("lambda", float("inf")),
-               ("lambda", -1.0), ("lambda", True),
+               ("lambda", -1.0), ("lambda", True), ("lambda", 0.5),
                ("matrix", [str(x) for x in payload["matrix"]]), ("matrix", payload["matrix"][1:]),
                ("matrix", [True] * len(payload["matrix"])), ("matrix", 1.0),
                ("config_digest", 5), ("config_digest", None)]
@@ -489,8 +494,9 @@ class TestPlots:
     def test_unknown_schema_rejected(self, tmp_path):
         csv = tmp_path / "odd.csv"
         csv.write_text("alpha,beta\n1,2\n")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as err:
             render_plot(csv, tmp_path / "odd.svg")
+        assert str(err.value) == f"csv: {csv}: unrecognised schema ['alpha', 'beta']"
 
 
 MALFORMED_TRACES = {
@@ -500,6 +506,7 @@ MALFORMED_TRACES = {
     "nan": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,nan,0.1\n2e-06,0.15,0.05\n",
     "inf": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,-inf,0.05\n",
     "missing": None,  # no file at the path
+    "non_utf8": b"t,v_cd\n0.0,\xff\xfe\n1e-6,0.2\n",
 }
 
 #: Well-formed traces whose first two time stamps give no positive sample period.
@@ -525,8 +532,9 @@ class TestMalformedCsv:
     @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
     def test_plot(self, tmp_path, capsys, case):
         csv = tmp_path / "trace.csv"
-        if MALFORMED_TRACES[case] is not None:
-            csv.write_text(MALFORMED_TRACES[case])
+        text = MALFORMED_TRACES[case]
+        if text is not None:
+            csv.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "t.svg")]) == 1
         assert f"error: csv: {csv}:" in capsys.readouterr().err
         assert not (tmp_path / "t.svg").exists()
@@ -536,7 +544,7 @@ class TestMalformedCsv:
         csv = tmp_path / "trace.csv"
         text = {**MALFORMED_TRACES, **BAD_TIME_STAMPS}[case]
         if text is not None:
-            csv.write_text(text)
+            csv.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["spectrum", "--trace", str(csv), "--tap", "v_cd",
                      "--out", str(tmp_path), "--profile", "desk"]) == 1
         field = "dt" if case in BAD_TIME_STAMPS else f"csv: {csv}"
@@ -871,6 +879,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
         assert not out.exists()
+
+    # at 10 and 20 ohm a cell's carrier needs more than the desk sampling rate
+    SAMPLING_SWEEP = ["sweep", "--profile", "desk", "--task", "polynomial", "--n-cases", "8",
+                      "--r-start", "10", "--r-stop", "30", "--r-step", "10",
+                      "--vc-start", "0.7", "--vc-stop", "0.7", "--vc-step", "0.2"]
+
+    def test_sweep_cell_errors_cross_the_worker_pool(self, tmp_path):
+        for jobs in ("1", "2"):
+            assert main([*self.SAMPLING_SWEEP, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        text = (tmp_path / "1" / "sweep.csv").read_bytes()
+        assert text == (tmp_path / "2" / "sweep.csv").read_bytes()
+        assert text.count(b",nan\n") == 2
+
+    def test_bifurcate_error_crosses_the_worker_pool(self, tmp_path, capsys):
+        argv = ["bifurcate", "--param", "c1", "--start=-1e-9", "--stop=1e-8", "--steps", "4",
+                "--t-end", "1e-3", "--jobs", "2", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: circuit.c1: must be strictly positive")
+        assert "Traceback" not in err
 
     def test_simulate_drives_with_a_negative_amplitude(self, tmp_path):
         argv = ["simulate", "--t-end", "0.0002", "--dt", "1e-6", "--drive-frequency", "1000"]

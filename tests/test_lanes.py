@@ -19,7 +19,15 @@ from chuarc.circuit import (
     kennedy_circuit,
 )
 from chuarc.config import default_config
-from chuarc.errors import IntegrationError
+from chuarc.errors import (
+    ChuaRcError,
+    ConfigurationError,
+    GenerationError,
+    InputDomainError,
+    IntegrationError,
+    LayoutError,
+    MetricError,
+)
 from chuarc.pipeline import (
     StateMatrix,
     carrier_wave,
@@ -165,8 +173,7 @@ def per_case_states(cfg, dataset):
     states = []
     for raw in dataset.inputs:
         parts = [reference_state([c], reservoir, cfg.circuit) for c in raw]
-        states.append(StateMatrix(values=np.hstack([p.values for p in parts]),
-                                  n_mask=sum(p.n_mask for p in parts), n_taps=2))
+        states.append(StateMatrix(values=np.hstack([p.values for p in parts])))
     return states
 
 
@@ -174,7 +181,6 @@ def assert_same_states(got, want, key):
     assert len(got) == len(want), key
     for a, b in zip(got, want):
         assert np.array_equal(a.values, b.values), key
-        assert (a.n_mask, a.n_taps) == (b.n_mask, b.n_taps), key
 
 
 class TestSimulateCases:
@@ -291,7 +297,7 @@ class TestSharedPrefixes:
         dataset = experiment.build_dataset(cfg)
         reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
-        monkeypatch.setattr(pipeline, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(pipeline, "BUFFER_BYTES", slab_bytes)
         got = run_cases(dataset.inputs, reservoir, cfg.circuit,
                         per_coordinate=dataset.multi_input)
         assert_same_states(got, per_case_states(cfg, dataset), slab_bytes)
@@ -427,3 +433,18 @@ class TestDivergence:
         exc = pickle.loads(pickle.dumps(IntegrationError(17, case_index=4)))
         assert (exc.step_index, exc.case_index) == (17, 4)
         assert str(exc) == "non-finite state at step 17 in case 4"
+        # every error class crosses a process pool with its type, message and fields
+        errors = [ChuaRcError("base"), InputDomainError("input values must lie in [0, 6.0]"),
+                  ConfigurationError("circuit.c1", "must be strictly positive"),
+                  IntegrationError(3, "overflow"), LayoutError("state matrix must be rectangular"),
+                  MetricError("undefined"), GenerationError(0.25, "attempt budget exhausted")]
+        classes, todo = set(), [ChuaRcError]
+        while todo:
+            cls = todo.pop()
+            classes.add(cls)
+            todo += cls.__subclasses__()
+        assert {type(e) for e in errors} == classes
+        for exc in errors:
+            copy = pickle.loads(pickle.dumps(exc))
+            assert type(copy) is type(exc)
+            assert (str(copy), copy.__dict__) == (str(exc), exc.__dict__)
