@@ -21,15 +21,7 @@ from .circuit import (
     power_spectrum,
 )
 from .config import ExperimentConfig, config_digest, default_config, parse_config
-from .errors import (
-    ChuaRcError,
-    ConfigurationError,
-    GenerationError,
-    InputDomainError,
-    IntegrationError,
-    LayoutError,
-    MetricError,
-)
+from .errors import ChuaRcError, ConfigurationError, GenerationError, IntegrationError
 from .experiment import (
     MetricsReport,
     SweepGrid,

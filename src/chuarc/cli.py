@@ -11,14 +11,13 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import circuit as circ
 from . import experiment as exp
 from . import lwe as lwe_mod
 from . import plots, tasks
 from .config import PROFILES, config_digest, parse_config, read_config, seed_for, serialize_config
-from .errors import ChuaRcError, ConfigurationError, InputDomainError
+from .errors import ChuaRcError, ConfigurationError
 from .pipeline import nmse, predict
 
 ENV_JOBS = "CHUARC_JOBS"
@@ -54,13 +53,12 @@ def _load_config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    out = exp.make_out_dir(cfg.out_dir)
     dt = 1.0 / cfg.reservoir.sample_rate if args.dt is None else args.dt
     drive = None
     if args.drive_amplitude != 0.0:
         drive = circ.sine_drive(args.drive_amplitude, args.drive_frequency, args.t_end, 1.0 / dt)
     trace = circ.integrate(cfg.circuit, circ.DEFAULT_INITIAL_STATE, drive, args.t_end, dt)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.csv"
     circ.trace_to_csv(trace, path, config_digest(cfg))
     print(f"wrote {path} ({trace.n_samples} samples)")
@@ -71,6 +69,7 @@ def _cmd_bifurcate(args) -> int:
     cfg = _load_config(args)
     if args.steps < 2:
         raise ConfigurationError("steps", f"must be >= 2, got {args.steps}")
+    out = exp.make_out_dir(cfg.out_dir)
     values = [args.start + i * (args.stop - args.start) / (args.steps - 1)
               for i in range(args.steps)]
     points = circ.bifurcation_scan(
@@ -84,8 +83,6 @@ def _cmd_bifurcate(args) -> int:
         t_end=args.t_end,
         jobs=args.jobs,
     )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"bifurcation_{args.param}.csv"
     circ.bifurcation_to_csv(points, path, config_digest(cfg))
     failed = [p.value for p in points if p.error]
@@ -95,12 +92,11 @@ def _cmd_bifurcate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
+    out = exp.make_out_dir(cfg.out_dir)
     _, table, _ = plots._read_csv(args.trace, ["t", args.tap])
     if len(table) < 2:
         raise ConfigurationError("trace", "need at least 2 samples")
     freqs, mags = circ.power_spectrum(table[:, 1], float(table[1, 0] - table[0, 0]))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "spectrum.csv"
     circ.spectrum_to_csv(freqs, mags, path, config_digest(cfg))
     print(f"wrote {path} ({len(freqs)} bins)")
@@ -109,8 +105,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_dataset(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = exp.make_out_dir(cfg.out_dir)
     if cfg.task.kind.startswith("lwe"):
         # the cases the experiment harness trains on for this master seed
         seed = seed_for(cfg.master_seed, "dataset")
@@ -168,8 +163,7 @@ def _cmd_sweep(args) -> int:
     )
     if args.svg and len(set(grid.n_masks or ())) > 1:
         raise ConfigurationError("sweep.n_masks", f"--svg draws one mask count, got {args.n_masks}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = exp.make_out_dir(cfg.out_dir)
     path = out / "sweep.csv"
     cells = exp.run_sweep(cfg, grid, jobs=args.jobs, out_path=path)
     failed = sum(1 for c in cells if c.error)
@@ -296,7 +290,7 @@ def main(argv=None) -> int:
             elif args.jobs < 1:
                 raise ConfigurationError("jobs", f"must be >= 1, got {args.jobs}")
         return args.func(args)
-    except (ConfigurationError, InputDomainError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ChuaRcError as exc:

@@ -11,12 +11,8 @@ class ChuaRcError(Exception):
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
-class InputDomainError(ChuaRcError, ValueError):
-    """A raw input value falls outside the documented domain."""
-
-
 class ConfigurationError(ChuaRcError, ValueError):
-    """A configuration value violates an invariant.
+    """A configuration value, command-line flag or library argument is bad input.
 
     ``field`` names the offending entry (dotted path for nested configs).
     """
@@ -32,20 +28,11 @@ class IntegrationError(ChuaRcError, RuntimeError):
     ``case_index`` names the dataset case when the kernel ran one.
     """
 
-    def __init__(self, step_index: int, message: str = "non-finite state",
-                 case_index: int | None = None):
+    def __init__(self, step_index: int, case_index: int | None = None):
         self.step_index = step_index
         self.case_index = case_index
         where = "" if case_index is None else f" in case {case_index}"
-        super().__init__(f"{message} at step {step_index}{where}")
-
-
-class LayoutError(ChuaRcError, ValueError):
-    """Trace samples do not line up with the expected slot layout."""
-
-
-class MetricError(ChuaRcError, ValueError):
-    """A score is undefined for the given inputs (e.g. zero target spread)."""
+        super().__init__(f"non-finite state at step {step_index}{where}")
 
 
 class GenerationError(ChuaRcError, RuntimeError):

@@ -19,7 +19,7 @@ from . import tasks
 from .cells import repr_cells, text_cells, write_csv
 from .circuit import _map
 from .config import ExperimentConfig, carrier_frequency, config_digest, seed_for
-from .errors import ChuaRcError, ConfigurationError, IntegrationError
+from .errors import ChuaRcError, ConfigurationError, GenerationError, IntegrationError
 from .pipeline import NmseReport, ReadoutWeight, nmse, predict, run_cases, train_readout
 
 
@@ -38,6 +38,16 @@ class MetricsReport:
     n_train: int
     runtime_s: float
     config_digest: str
+
+
+def make_out_dir(path) -> Path:
+    """The directory ``path``, made if missing; one that cannot be made raises
+    ConfigurationError (out_dir)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError("out_dir", f"{path}: {exc.strerror}") from None
+    return Path(path)
 
 
 def _effective_reservoir(cfg: ExperimentConfig, value_max: float):
@@ -92,19 +102,18 @@ def run_experiment(
     and score every case once; the metrics are those of the val_idx rows.
 
     Writes per-case CSV and the trained weight under cfg.out_dir when
-    ``write_artifacts`` is set. Per-case simulation failures abort the run
-    after flushing a failure manifest with whatever completed.
+    ``write_artifacts`` is set. A diverging case or an exhausted generation
+    budget aborts the run after flushing a failure manifest; bad input
+    raises ConfigurationError and writes none.
     """
     started = time.perf_counter()
     digest = config_digest(cfg)
 
-    out_dir = Path(cfg.out_dir)
-    if write_artifacts:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(cfg.out_dir) if write_artifacts else None
     try:
         dataset = build_dataset(cfg)
         states = simulate_cases(cfg, dataset, jobs=jobs)
-    except ChuaRcError as exc:
+    except (IntegrationError, GenerationError) as exc:
         if write_artifacts:
             manifest = {"config_digest": digest, "task": cfg.task.kind,
                         "n_cases": cfg.n_cases, "error": str(exc)}

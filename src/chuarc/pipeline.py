@@ -24,13 +24,7 @@ from .circuit import (
     integrate,
     integrate_lanes,
 )
-from .errors import (
-    ConfigurationError,
-    InputDomainError,
-    IntegrationError,
-    LayoutError,
-    MetricError,
-)
+from .errors import ConfigurationError, IntegrationError
 
 CARRIERS = ("square", "sine", "dc")
 
@@ -115,7 +109,7 @@ def normalize(values, cfg: ReservoirConfig) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     # a NaN fails both comparisons, so it is rejected with the out-of-range values
     if not np.all((x >= 0.0) & (x <= cfg.value_max)):
-        raise InputDomainError(f"input values must lie in [0, {cfg.value_max}]")
+        raise ConfigurationError("values", f"must lie in [0, {cfg.value_max}]")
     return cfg.v_min + (x / cfg.value_max) * (cfg.v_max - cfg.v_min)
 
 
@@ -165,7 +159,7 @@ class StateMatrix:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 2:
-            raise LayoutError("state matrix must be rectangular")
+            raise ConfigurationError("state", "must be a rectangular matrix")
 
     @property
     def n_rows(self) -> int:
@@ -181,14 +175,13 @@ def demultiplex(trace: Trace, n_values: int, n_mask: int, middle_fraction: float
 
     The trace must contain exactly n_values*n_mask equal slots per tap
     (value-major mask blocks); from every slot the central middle_fraction of
-    samples is kept. Raises LayoutError on a slot/sample mismatch.
+    samples is kept. A slot/sample mismatch raises ConfigurationError (trace).
     """
     n_slots = n_values * n_mask
     n = trace.n_samples
     if n_slots <= 0 or n % n_slots != 0:
-        raise LayoutError(
-            f"{n} samples do not divide into {n_slots} slots ({n_values} values x {n_mask} masks)"
-        )
+        raise ConfigurationError("trace", f"{n} samples do not divide into {n_slots} slots"
+                                          f" ({n_values} values x {n_mask} masks)")
     spp = n // n_slots
     n_keep, lo = _slot_window(spp, middle_fraction)
     out = np.empty((n_values * n_keep, len(trace.channels) * n_mask))
@@ -510,7 +503,7 @@ def nmse(estimates, targets) -> NmseReport:
     """
     est, tgt = _per_case(estimates), _per_case(targets)
     if est.shape != tgt.shape:
-        raise MetricError(f"estimates {est.shape} and targets {tgt.shape} must have equal shapes")
+        raise ConfigurationError("estimates", f"shape {est.shape} differs from the targets' {tgt.shape}")
     denom = tgt.shape[1] * np.sum(tgt**2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.sum((est - tgt) ** 2, axis=1) / denom
@@ -534,9 +527,9 @@ def nrmse(estimates, targets) -> float:
     est = np.asarray(estimates, dtype=float)
     tgt = np.asarray(targets, dtype=float)
     if est.shape != tgt.shape or tgt.size < 2:
-        raise MetricError("need >= 2 equal-length estimates and targets")
+        raise ConfigurationError("targets", "need >= 2, of the estimates' length")
     sigma = float(tgt.std())
     if sigma == 0.0:
-        raise MetricError("target set has zero spread; NRMSE undefined")
+        raise ConfigurationError("targets", "zero spread; NRMSE undefined")
     rmse = math.sqrt(float(np.mean((est - tgt) ** 2)))
     return rmse / sigma

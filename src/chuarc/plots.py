@@ -128,8 +128,12 @@ def _axis(columns, lo_px, hi_px):
 
 @contextmanager
 def _output(path):
-    """The binary file at ``path``, removed again if writing it fails."""
-    fh = open(path, "wb")
+    """The binary file at ``path``, removed again if writing it fails; one
+    that cannot be opened raises ConfigurationError (out_svg)."""
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise ConfigurationError("out_svg", f"{path}: {exc.strerror}") from None
     try:
         with fh:
             yield fh

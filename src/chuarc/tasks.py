@@ -14,7 +14,7 @@ import numpy as np
 
 from . import lwe
 from .cells import repr_cells, text_cells, write_csv
-from .errors import ConfigurationError, InputDomainError
+from .errors import ConfigurationError
 
 TASK_KINDS = (
     "circles",
@@ -48,8 +48,10 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigurationError("task.kind", f"must be one of {TASK_KINDS}")
-        if self.x_range[0] >= self.x_range[1]:
-            raise ConfigurationError("task.x_range", "must be an increasing interval")
+        if not 0.0 <= self.x_range[0] < self.x_range[1]:
+            raise ConfigurationError("task.x_range", "must be an increasing interval from 0 or above")
+        if self.pair_max < 1:
+            raise ConfigurationError("task.pair_max", "must be >= 1")
         for name in ("modulo_base", "poly_mod_base"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"task.{name}", "modulo bases must be positive")
@@ -79,7 +81,7 @@ def poly_mod_teacher(x: float, base: float = 50.0) -> float:
 def pair_teachers(x1: float, x2: float, pair_max: int = 40) -> tuple:
     """(sum, product, mod(2*x2 - x1, 3)) for a two-value input."""
     if not (0 <= x1 <= pair_max and 0 <= x2 <= pair_max):
-        raise InputDomainError(f"pair inputs must lie in [0, {pair_max}]")
+        raise ConfigurationError("pair", f"inputs must lie in [0, {pair_max}]")
     return (x1 + x2, x1 * x2, modulo_teacher(2.0 * x2 - x1, 3.0))
 
 

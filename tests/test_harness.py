@@ -161,6 +161,9 @@ class TestConfig:
         ({"lwe": {"error_mode": {"kind": "uniform", "lo": 3, "hi": 1}}}, "lwe.error_mode.lo"),
         ({"out_dir": None}, "out_dir"),
         ({"out_dir": ["x"]}, "out_dir"),
+        ({"task": {"kind": "polynomial", "x_range": [-1, 3]}}, "task.x_range"),
+        ({"task": {"kind": "pair-sum", "pair_max": -1}}, "task.pair_max"),
+        ({"task": {"kind": "pair-sum", "pair_max": 0}}, "task.pair_max"),
     ])
     def test_bad_value_or_key_names_its_path(self, raw, field):
         with pytest.raises(ConfigurationError) as err:
@@ -759,6 +762,7 @@ class TestCli:
         ('{"reservoir": {"use_envelope": true}}', "reservoir.use_envelope"),
         ('{"reservoir": {"seed": 5}}', "reservoir.seed"),
         ('{"reservoir": {"value_max": 1.0}}', "reservoir.value_max"),
+        ('{"task": {"kind": "polynomial", "x_range": [-1, 3]}, "n_cases": 20}', "task.x_range"),
     ])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch, raw, field):
         monkeypatch.chdir(tmp_path)
@@ -790,6 +794,52 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["dataset", "--config", str(cfg_path)]) == 2
+
+    def test_diverging_case_exits_2_with_a_manifest(self, tmp_path, capsys):
+        # a 1 nF diode-side capacitor is too stiff for the 1 us step; the pinned
+        # carrier keeps the drive from following c1 into a slower, stable regime
+        cfg = {"profile": "desk", "task": {"kind": "polynomial"}, "n_cases": 12,
+               "circuit": {"c1": 1e-9},
+               "reservoir": {"n_mask": 8, "theta": 2, "v_min": 0.1, "v_max": 60.0,
+                             "f_carrier": 6189.533187268906}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        message = "non-finite state at step 347 in case 7"
+        assert capsys.readouterr().err == f"failure: {message}\n"
+        assert json.loads((out / "failure_manifest.json").read_text())["error"] == message
+
+    @pytest.mark.parametrize("task, n_cases, field", [("circles", "1", "n_points"),
+                                                      ("polynomial", "2", "val_fraction")])
+    def test_bad_input_writes_no_failure_manifest(self, tmp_path, capsys, task, n_cases, field):
+        out = tmp_path / "out"
+        assert main(["train", "--task", task, "--n-cases", n_cases, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+        assert not (out / "failure_manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-end", "0.0002", "--dt", "1e-6"],
+        ["bifurcate", "--param", "r_variable", "--start", "1500", "--stop", "2000", "--steps", "2"],
+        ["spectrum", "--trace", "trace.csv"],
+        ["dataset", "--n-cases", "12"],
+        ["train", "--n-cases", "12"],
+        ["sweep", "--n-cases", "12", "--r-start", "1600", "--r-stop", "1600"],
+    ])
+    def test_unwritable_out_dir_exits_1(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*argv, "--out", str(blocker / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out_dir: {blocker / 'sub'}: ") and "Traceback" not in err
+
+    def test_unwritable_out_svg_exits_1(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path), "--t-end", "0.0002", "--dt", "1e-6"]) == 0
+        svg = tmp_path / "missing" / "x.svg"
+        assert main(["plot", "--csv", str(tmp_path / "trace.csv"), "--out-svg", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: out_svg: {svg}: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["dataset", "train", "eval", "sweep"])
     @pytest.mark.parametrize("n_cases", ["0", "-3"])

@@ -3,6 +3,8 @@
 A name that nothing in ``src/chuarc`` or ``perfbench`` mentions outside its
 own definition (the re-exports of ``__init__.py`` do not count) is code that
 only its tests reach. Delete it, or add it to KEEP with the reason it stays.
+Likewise an error class that no ``except`` clause or ``isinstance`` call of
+the package names is only a second name for its base.
 """
 
 import ast
@@ -45,3 +47,22 @@ def test_every_top_level_name_has_a_caller():
     found = orphans()
     assert found - set(KEEP) == set(), "no caller: delete these, or keep them with a reason"
     assert set(KEEP) - found == set(), "these have callers now: take them off KEEP"
+
+
+def _names(node) -> set:
+    """The names and attribute names within an expression."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_error_type_is_told_apart():
+    errors = ast.parse((PACKAGE / "errors.py").read_text()).body
+    classes = {node.name for node in errors if isinstance(node, ast.ClassDef)}
+    told = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                told |= _names(node.type)
+            elif isinstance(node, ast.Call) and _names(node.func) == {"isinstance"}:
+                told |= _names(node.args[1])
+    assert classes - told == set(), "caught nowhere: fold these into their base"

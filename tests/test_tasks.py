@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from chuarc.errors import ConfigurationError, InputDomainError
+from chuarc.errors import ConfigurationError
 from chuarc.lwe import LweParams
 from chuarc.tasks import (
     TaskSpec,
@@ -75,7 +75,7 @@ class TestPairs:
         assert len({tuple(i) for i in ds.inputs}) == 1681
 
     def test_domain_enforced(self):
-        with pytest.raises(InputDomainError):
+        with pytest.raises(ConfigurationError, match="^pair: "):
             pair_teachers(-1.0, 5.0)
 
 
