@@ -11,7 +11,6 @@ from .circuit import (
     ChuaParams,
     CircuitState,
     DiodePwl,
-    DriveSignal,
     Trace,
     bifurcation_scan,
     derivatives,

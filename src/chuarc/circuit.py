@@ -1,9 +1,12 @@
 """Driven Chua circuit kernel: piecewise-linear diode, RK4 integration,
 bifurcation scans and spectra.
 
-State ordering throughout is (i_l, v_c2, v_c1): inductor current and the
-two capacitor voltages. Two voltage taps are recorded: the diode-side
-capacitor voltage ("v_cd") and the inductor terminal voltage ("v_l").
+The scalar kernel orders the state (i_l, v_c2, v_c1): inductor current and
+the two capacitor voltages; the lockstep kernel ``integrate_lanes`` takes
+and returns it as (v_c2, v_c1, i_l). A drive is a 1-D array with one sample
+per step of dt. Two voltage taps are recorded, in the order of TAPS: the
+diode-side capacitor voltage ("v_cd") and the inductor terminal voltage
+("v_l").
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .errors import ConfigurationError, IntegrationError
 
 TAP_DIODE = "v_cd"
 TAP_INDUCTOR = "v_l"
+#: Row order of the (tap, sample) channels array of every kernel.
+TAPS = (TAP_DIODE, TAP_INDUCTOR)
 
 # Kennedy-style component values: 18 mH radial inductor (17 ohm series
 # resistance), 10 nF / 100 nF capacitors, dual op-amp negative-impedance
@@ -128,41 +133,26 @@ class CircuitState:
 DEFAULT_INITIAL_STATE = CircuitState(i_l=0.0, v_c2=0.0, v_c1=0.1)
 
 
-@dataclass(frozen=True)
-class DriveSignal:
-    """Sampled input voltage applied in series with the inductor."""
-
-    samples: np.ndarray  # volts
-    sample_rate: float  # Hz
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.sample_rate <= 0.0:
-            raise ConfigurationError("drive.sample_rate", "must be positive")
-        if self.samples.size == 0:
-            raise ConfigurationError("drive.samples", "must be nonempty")
-
-
-def sine_drive(amplitude: float, frequency: float, duration: float, sample_rate: float) -> DriveSignal:
-    """Plain sinusoidal drive, sampled at ``sample_rate``."""
+def sine_drive(amplitude: float, frequency: float, duration: float, dt: float) -> np.ndarray:
+    """Plain sinusoidal drive volts, one sample per step of ``dt``."""
+    sample_rate = 1.0 / dt
     n = max(1, int(round(duration * sample_rate)))
     t = np.arange(n) / sample_rate
-    return DriveSignal(amplitude * np.sin(2.0 * math.pi * frequency * t), sample_rate)
+    return amplitude * np.sin(2.0 * math.pi * frequency * t)
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled multi-tap voltage record."""
+    """Uniformly sampled voltage record of the two taps."""
 
     dt: float  # seconds
-    tap_names: tuple
-    channels: np.ndarray  # shape (len(tap_names), n_samples), volts
+    channels: np.ndarray  # shape (len(TAPS), n_samples), volts
 
     def __post_init__(self):
         object.__setattr__(self, "channels", np.asarray(self.channels, dtype=float))
         if self.dt <= 0.0:
             raise ConfigurationError("trace.dt", "must be positive")
-        if self.channels.ndim != 2 or self.channels.shape[0] != len(self.tap_names):
+        if self.channels.ndim != 2 or self.channels.shape[0] != len(TAPS):
             raise ConfigurationError("trace.channels", "one row per tap required")
 
     @property
@@ -174,7 +164,9 @@ class Trace:
         return np.arange(self.n_samples) * self.dt
 
     def channel(self, tap: str) -> np.ndarray:
-        return self.channels[self.tap_names.index(tap)]
+        if tap not in TAPS:
+            raise ConfigurationError("tap", f"must be one of {TAPS}, got {tap!r}")
+        return self.channels[TAPS.index(tap)]
 
 
 def derivatives(state: CircuitState, p: ChuaParams, v_in: float = 0.0) -> tuple:
@@ -191,14 +183,13 @@ def derivatives(state: CircuitState, p: ChuaParams, v_in: float = 0.0) -> tuple:
     return (d_il, d_v2, d_v1)
 
 
-def _drive_lookup(drive: DriveSignal, dt: float, n_steps: int) -> np.ndarray:
-    """The drive at the n_steps + 1 step boundaries, one sample per step.
-
-    The drive must be sampled at 1/dt; past its end the last sample is held.
-    """
-    if abs(drive.sample_rate * dt - 1.0) > 1e-9:
-        raise ConfigurationError("drive.sample_rate", f"must be 1/dt, got {drive.sample_rate!r} Hz")
-    return drive.samples[np.minimum(np.arange(n_steps + 1), drive.samples.size - 1)]
+def _drive_lookup(drive, n_steps: int) -> np.ndarray:
+    """The drive at the n_steps + 1 step boundaries, one sample per step;
+    past its end the last sample is held."""
+    drive = np.asarray(drive, dtype=float)
+    if drive.ndim != 1 or drive.size == 0:
+        raise ConfigurationError("drive", f"must be a nonempty 1-D array, got shape {drive.shape}")
+    return drive[np.minimum(np.arange(n_steps + 1), drive.size - 1)]
 
 
 def _rk4_constants(p: ChuaParams, dt: float) -> tuple:
@@ -216,33 +207,34 @@ def _rk4_constants(p: ChuaParams, dt: float) -> tuple:
 def integrate(
     p: ChuaParams,
     init: CircuitState,
-    drive: DriveSignal | None,
+    drive: np.ndarray | None,
     t_end: float,
     dt: float = 1e-8,
 ) -> Trace:
     """Fixed-step classical RK4 integration of the driven circuit.
 
-    Returns a two-tap trace sampled at every step boundary (n_steps + 1
-    samples including the initial state). Tap "v_cd" is the diode-side
-    capacitor voltage; tap "v_l" is v_c2 - r_series*i_l - v_in, the voltage
-    seen at the inductor terminal. Deterministic: identical inputs give
-    bit-identical traces.
+    ``drive`` holds the input volts, one sample per step of ``dt``; past its
+    end the last sample is held. Returns a two-tap trace sampled at every
+    step boundary (n_steps + 1 samples including the initial state). Tap
+    "v_cd" is the diode-side capacitor voltage; tap "v_l" is
+    v_c2 - r_series*i_l - v_in, the voltage seen at the inductor terminal.
+    Deterministic: identical inputs give bit-identical traces.
 
     Raises IntegrationError (with the failing step index) if the state
     becomes non-finite.
     """
-    if dt <= 0.0:
-        raise ConfigurationError("dt", "must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ConfigurationError("dt", f"must be finite and positive, got {dt!r}")
+    if not 0.0 <= t_end < math.inf:
+        raise ConfigurationError("t_end", f"must be finite and non-negative, got {t_end!r}")
     n_steps = int(round(t_end / dt))
-    if n_steps < 0:
-        raise ConfigurationError("t_end", "must not be negative")
     if drive is None:
         # one shared 0.0, not a list of n_steps + 1 float objects
         vin, last = itertools.repeat(0.0, n_steps), 0.0
     else:
         # plain Python floats keep the scalar RK4 loop fast; the drive at
         # the final tap is popped, since a slice of vin would copy it
-        vin = _drive_lookup(drive, dt, n_steps).tolist()
+        vin = _drive_lookup(drive, n_steps).tolist()
         last = vin.pop()
 
     gi, gm, go, bi, bo, i_bi, i_bo, inv_l, inv_c2, inv_c1, inv_rc2, inv_rc1, rs, h, hh, h6 = (
@@ -356,7 +348,7 @@ def integrate(
     v_cd.extend(v_l)
     del v_l
     channels = np.frombuffer(v_cd).reshape(2, -1)
-    return Trace(dt=dt, tap_names=(TAP_DIODE, TAP_INDUCTOR), channels=channels)
+    return Trace(dt=dt, channels=channels)
 
 
 def integrate_lanes(
@@ -522,7 +514,7 @@ def _scan_point(args) -> BifurcationPoint:
             p = replace(p, **{vary: value})
         drive = None
         if amplitude and drive_freq:
-            drive = sine_drive(amplitude, drive_freq, t_end, 1.0 / dt)
+            drive = sine_drive(amplitude, drive_freq, t_end, dt)
         trace = integrate(p, DEFAULT_INITIAL_STATE, drive, t_end, dt)
         ext = steady_state_extrema(trace.channel(tap))
         return BifurcationPoint(value=value, extrema=ext)
@@ -550,6 +542,8 @@ def bifurcation_scan(
     """
     if vary not in SWEEPABLE:
         raise ConfigurationError("vary", f"must be one of {SWEEPABLE}")
+    if tap not in TAPS:
+        raise ConfigurationError("tap", f"must be one of {TAPS}, got {tap!r}")
     values = [float(v) for v in values]
     if len(values) < 2:
         raise ConfigurationError("values", "at least 2 scan points required")
@@ -603,8 +597,8 @@ def trace_to_csv(trace: Trace, path, config_digest: str | None = None) -> None:
     Times carry 13 significant digits (`%.12e`); voltages are written as
     their repr, which round-trips exactly.
     """
-    write_csv(path, ("t", *trace.tap_names), (trace.times, *trace.channels), config_digest,
-              render=(e12_cells,) + (repr_cells,) * len(trace.tap_names))
+    write_csv(path, ("t", *TAPS), (trace.times, *trace.channels), config_digest,
+              render=(e12_cells,) + (repr_cells,) * len(TAPS))
 
 
 def bifurcation_to_csv(points: list, path, config_digest: str | None = None) -> None:

@@ -57,7 +57,7 @@ def _cmd_simulate(args) -> int:
     dt = 1.0 / cfg.reservoir.sample_rate if args.dt is None else args.dt
     drive = None
     if args.drive_amplitude != 0.0:
-        drive = circ.sine_drive(args.drive_amplitude, args.drive_frequency, args.t_end, 1.0 / dt)
+        drive = circ.sine_drive(args.drive_amplitude, args.drive_frequency, args.t_end, dt)
     trace = circ.integrate(cfg.circuit, circ.DEFAULT_INITIAL_STATE, drive, args.t_end, dt)
     path = out / "trace.csv"
     circ.trace_to_csv(trace, path, config_digest(cfg))
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, default=41)
-    p.add_argument("--tap", default=circ.TAP_DIODE, choices=(circ.TAP_DIODE, circ.TAP_INDUCTOR))
+    p.add_argument("--tap", default=circ.TAP_DIODE, choices=circ.TAPS)
     p.add_argument("--drive-amplitude", type=float, default=0.0)
     p.add_argument("--drive-frequency", type=float, default=0.0)
     p.add_argument("--dt", type=float, default=1e-6)

@@ -2,9 +2,9 @@
 
 Input values are normalised into a voltage window, multiplexed with a
 near-unity random mask, sample-held, and amplitude-modulated onto a fixed
-carrier. The kernel trace is demultiplexed back into one channel per
-(tap, mask) pair, and a linear readout with a bias column is trained by
-accumulated least squares.
+carrier. The kernel's (tap, sample) channels are demultiplexed back into
+one channel per (tap, mask) pair, and a linear readout with a bias column
+is trained by accumulated least squares.
 """
 
 from __future__ import annotations
@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    DEFAULT_INITIAL_STATE,
-    TAP_DIODE,
-    TAP_INDUCTOR,
-    ChuaParams,
-    DriveSignal,
-    Trace,
-    integrate,
-    integrate_lanes,
-)
+from .circuit import DEFAULT_INITIAL_STATE, ChuaParams, integrate, integrate_lanes
 from .errors import ConfigurationError, IntegrationError
 
 CARRIERS = ("square", "sine", "dc")
@@ -170,22 +161,26 @@ class StateMatrix:
         return self.values.shape[1]
 
 
-def demultiplex(trace: Trace, n_values: int, n_mask: int, middle_fraction: float = 0.8) -> StateMatrix:
-    """Regroup a trace into per-(tap, mask) channels.
+def demultiplex(channels, n_values: int, n_mask: int, middle_fraction: float = 0.8) -> StateMatrix:
+    """Regroup a (tap, sample) channels array into per-(tap, mask) channels.
 
-    The trace must contain exactly n_values*n_mask equal slots per tap
-    (value-major mask blocks); from every slot the central middle_fraction of
-    samples is kept. A slot/sample mismatch raises ConfigurationError (trace).
+    Each tap must contain exactly n_values*n_mask equal slots (value-major
+    mask blocks); from every slot the central middle_fraction of samples is
+    kept. An array that is not 2-D, or a slot/sample mismatch, raises
+    ConfigurationError (trace).
     """
+    channels = np.asarray(channels, dtype=float)
+    if channels.ndim != 2:
+        raise ConfigurationError("trace", f"must be a (tap, sample) array, got shape {channels.shape}")
     n_slots = n_values * n_mask
-    n = trace.n_samples
+    n = channels.shape[1]
     if n_slots <= 0 or n % n_slots != 0:
         raise ConfigurationError("trace", f"{n} samples do not divide into {n_slots} slots"
                                           f" ({n_values} values x {n_mask} masks)")
     spp = n // n_slots
     n_keep, lo = _slot_window(spp, middle_fraction)
-    out = np.empty((n_values * n_keep, len(trace.channels) * n_mask))
-    for k, samples in enumerate(trace.channels):
+    out = np.empty((n_values * n_keep, len(channels) * n_mask))
+    for k, samples in enumerate(channels):
         # (n_values, n_mask, spp) -> kept window -> channels stacked per mask
         blocks = samples.reshape(n_values, n_mask, spp)[:, :, lo:lo + n_keep]
         out[:, k * n_mask:(k + 1) * n_mask] = blocks.transpose(0, 2, 1).reshape(
@@ -200,15 +195,9 @@ def _slot_window(spp: int, middle_fraction: float) -> tuple:
     return n_keep, (spp - n_keep) // 2
 
 
-def _passthrough_kernel(drive: DriveSignal, circuit: ChuaParams, dt: float) -> Trace:
+def _passthrough_kernel(drive: np.ndarray, circuit: ChuaParams, dt: float) -> np.ndarray:
     """Identity kernel for pipeline algebra checks: both taps echo the drive."""
-    return Trace(dt=dt, tap_names=(TAP_DIODE, TAP_INDUCTOR),
-                 channels=np.vstack([drive.samples, drive.samples]))
-
-
-def _chua_kernel(drive: DriveSignal, circuit: ChuaParams, dt: float) -> Trace:
-    t_end = drive.samples.size * dt
-    return integrate(circuit, DEFAULT_INITIAL_STATE, drive, t_end, dt)
+    return np.vstack([drive, drive])
 
 
 #: Narrowest lane group (cases, times coordinates for multi-input tasks) that
@@ -253,11 +242,12 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     are copied to every lane of that prefix through a slab of at most
     BUFFER_BYTES. Narrower groups and a ``kernel`` override run lane by lane
     through the scalar kernel. Both give the same bits. A
-    ``kernel(drive, circuit, dt) -> Trace`` override receives the drive of the
-    real message only (n_values * n_mask * spp samples) and must return at
-    least that many samples per tap. A lane that turns non-finite within the
-    integrated steps raises IntegrationError naming the lowest failing case
-    and the step of its scalar run.
+    ``kernel(drive, circuit, dt)`` override receives the 1-D drive of the real
+    message only (n_values * n_mask * spp samples) and must return a
+    (2, >= that many) channels array, rows in the order of circuit.TAPS. A
+    lane that turns non-finite within the integrated steps raises
+    IntegrationError naming the lowest failing case and the step of its
+    scalar run.
     """
     cases = [list(raw) for raw in cases]
     if not cases or len({len(raw) for raw in cases}) != 1:
@@ -281,13 +271,17 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     def scalar(lane):
         case, coord = divmod(lane, n_coords)
         levels = multiplex(messages[lane], mask)
-        drive = DriveSignal(sample_hold(levels, spp) * carrier, cfg.sample_rate)
+        drive = sample_hold(levels, spp) * carrier
         try:
-            trace = (kernel or _chua_kernel)(drive, circuit, dt)
+            channels = (integrate(circuit, DEFAULT_INITIAL_STATE, drive, n_real * dt, dt).channels
+                        if kernel is None else np.asarray(kernel(drive, circuit, dt), dtype=float))
         except IntegrationError as exc:
             raise IntegrationError(exc.step_index, case_index=case) from None
-        trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=trace.channels[:, :n_real])
-        out[case, :, coord] = demultiplex(trimmed, n_values, n_mask, cfg.middle_fraction).values
+        if channels.ndim != 2 or channels.shape[0] != 2 or channels.shape[1] < n_real:
+            raise ConfigurationError("trace", f"the kernel must return a (2, >= {n_real}) array,"
+                                              f" got shape {channels.shape}")
+        out[case, :, coord] = demultiplex(channels[:, :n_real], n_values, n_mask,
+                                          cfg.middle_fraction).values
 
     if kernel is not None or n_lanes < LANE_CROSSOVER:
         for lane in range(n_lanes):

@@ -27,7 +27,6 @@ from chuarc.circuit import (
     DEFAULT_INITIAL_STATE,
     ChuaParams,
     CircuitState,
-    DriveSignal,
     bifurcation_scan,
     bifurcation_to_csv,
     integrate,
@@ -135,7 +134,7 @@ def integrate_channels(driven: bool) -> bytes:
         # 1 us steps
         level = np.where((np.arange(400) // 50) % 2 == 0, 0.5, -0.5)
         trace = integrate(kennedy_circuit(), DEFAULT_INITIAL_STATE,
-                          DriveSignal(np.repeat(level, 10), 1e6), 4e-3, 1e-6)
+                          np.repeat(level, 10), 4e-3, 1e-6)
     else:
         trace = integrate(kennedy_circuit(1700.0), DEFAULT_INITIAL_STATE, None, 1e-3, 1e-7)
     return np.ascontiguousarray(trace.channels).view(np.int64).tobytes()
@@ -322,7 +321,7 @@ def test_integrate_matches_the_closure_kernel(init, r, c1, r_series, seed):
     p = ChuaParams(r_variable=r, c1=c1, c2=100e-9, l=18e-3, r_series=r_series)
     state = CircuitState(*init)
     levels = np.random.default_rng(seed).uniform(-2.0, 2.0, 30)
-    drive = DriveSignal(np.repeat(levels, 10), 1e6)
+    drive = np.repeat(levels, 10)
     # each level drives ten 1 us steps, and the kernel holds the last sample for the final tap
     want = closure_integrate(p, state, np.repeat(levels, 10).tolist() + [levels[-1]], 1e-6)
     try:

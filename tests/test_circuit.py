@@ -12,10 +12,11 @@ from chuarc.circuit import (
     DEFAULT_INITIAL_STATE,
     TAP_DIODE,
     TAP_INDUCTOR,
+    TAPS,
     ChuaParams,
     CircuitState,
     DiodePwl,
-    DriveSignal,
+    Trace,
     bifurcation_scan,
     derivatives,
     diode_current,
@@ -225,7 +226,7 @@ class TestIntegrate:
         assert tr.channel(TAP_DIODE)[-1] == pytest.approx(manual[2], rel=1e-12)
 
         # nonzero drive pins the solver to the same sign convention
-        drive = DriveSignal(np.array([0.3, 0.3]), sample_rate=1.0 / dt)
+        drive = np.array([0.3, 0.3])
         manual_driven = step(s0, 0.3)
         tr_driven = integrate(p, s0, drive, dt, dt)
         assert tr_driven.channel(TAP_DIODE)[-1] == pytest.approx(manual_driven[2], rel=1e-12)
@@ -233,11 +234,20 @@ class TestIntegrate:
             manual_driven[1] - p.r_series * manual_driven[0] - 0.3, rel=1e-12
         )
 
-    def test_drive_must_be_sampled_at_one_over_dt(self):
-        drive = DriveSignal(np.array([0.5, -0.25, 0.75]), sample_rate=1e5)
+    @pytest.mark.parametrize("drive", [np.array([]), np.zeros((2, 3))], ids=["empty", "2-d"])
+    def test_drive_must_be_a_nonempty_1d_array(self, drive):
         with pytest.raises(ConfigurationError) as err:
             integrate(kennedy_circuit(), CircuitState(0.0, 0.0, 0.0), drive, 6e-6, 1e-6)
-        assert err.value.field == "drive.sample_rate"
+        assert err.value.field == "drive"
+
+    @pytest.mark.parametrize("t_end, dt, field", [
+        (1e-6, math.nan, "dt"), (1e-6, math.inf, "dt"), (1e-6, 0.0, "dt"), (1e-6, -1e-8, "dt"),
+        (math.nan, 1e-8, "t_end"), (math.inf, 1e-8, "t_end"), (-math.inf, 1e-8, "t_end"),
+    ])
+    def test_time_grid_must_be_finite(self, t_end, dt, field):
+        with pytest.raises(ConfigurationError) as err:
+            integrate(kennedy_circuit(), DEFAULT_INITIAL_STATE, None, t_end, dt)
+        assert err.value.field == field
 
 
 class TestBifurcation:
@@ -279,6 +289,16 @@ class TestBifurcation:
         )
         assert pts[0].error is None
         assert pts[1].error is not None and pts[1].extrema.size == 0
+
+    def test_unknown_tap_fails_before_any_point_runs(self, monkeypatch):
+        def no_integration(*args):
+            raise AssertionError("a point was integrated")
+
+        monkeypatch.setattr("chuarc.circuit.integrate", no_integration)
+        with pytest.raises(ConfigurationError) as err:
+            bifurcation_scan("r_variable", [1800.0, 1900.0], kennedy_circuit(), tap="v_x",
+                             t_end=1e-5, dt=1e-6, jobs=2)
+        assert err.value.field == "tap"
 
     def test_monotone_range_required(self):
         with pytest.raises(ConfigurationError):
@@ -332,11 +352,14 @@ class TestSpectrum:
 
 
 class TestTypeInvariants:
-    def test_drive_signal_requires_samples_and_rate(self):
+    def test_trace_holds_one_row_per_tap(self):
+        trace = Trace(1e-6, np.arange(6.0).reshape(2, 3))
+        assert [trace.channel(tap).tolist() for tap in TAPS] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        with pytest.raises(ConfigurationError) as err:
+            trace.channel("v_x")
+        assert err.value.field == "tap"
         with pytest.raises(ConfigurationError):
-            DriveSignal(np.array([]), 1e6)
-        with pytest.raises(ConfigurationError):
-            DriveSignal(np.zeros(4), 0.0)
+            Trace(1e-6, np.zeros((3, 4)))
 
     def test_state_must_be_finite(self):
         with pytest.raises(ConfigurationError):

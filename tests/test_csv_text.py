@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chuarc import cells
-from chuarc.circuit import Trace, trace_to_csv
+from chuarc.circuit import TAPS, Trace, trace_to_csv
 
 
 def text(matrix):
@@ -122,7 +122,7 @@ def test_e12_text_equals_python_for_any_float(values):
 
 def reference_trace_csv(trace, digest):
     """The row-by-row writer the chunked one replaced."""
-    lines = [f"# config_digest={digest}\n", ",".join(("t", *trace.tap_names)) + "\n"]
+    lines = [f"# config_digest={digest}\n", ",".join(("t", *TAPS)) + "\n"]
     for t, *taps in zip(trace.times.tolist(), *trace.channels.tolist()):
         lines.append(f"{t:.12e}" + "".join(f",{v!r}" for v in taps) + "\n")
     return "".join(lines)
@@ -134,7 +134,7 @@ def test_trace_csv_matches_row_by_row_writer(tmp_path, monkeypatch, chunk):
     rng = np.random.default_rng(5)
     channels = rng.normal(size=(2, 503)) * 10.0 ** rng.integers(-300, 300, size=(2, 503))
     channels[0, :3] = [-0.0, 0.0, 5e-324]
-    trace = Trace(dt=1e-7, tap_names=("v_cd", "v_l"), channels=channels)
+    trace = Trace(dt=1e-7, channels=channels)
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path, config_digest="cafe")
     assert path.read_text() == reference_trace_csv(trace, "cafe")

@@ -12,8 +12,6 @@ from chuarc import experiment, pipeline
 from chuarc.circuit import (
     DEFAULT_INITIAL_STATE,
     CircuitState,
-    DriveSignal,
-    Trace,
     integrate,
     integrate_lanes,
     kennedy_circuit,
@@ -69,7 +67,7 @@ class TestIntegrateLanes:
         taps, finite = lane_trace(p, DEFAULT_INITIAL_STATE, levels, carrier, dt)
         assert finite.all()
         for lane in range(levels.shape[1]):
-            drive = DriveSignal(np.repeat(levels[:, lane], hold) * carrier, 1.0 / dt)
+            drive = np.repeat(levels[:, lane], hold) * carrier
             trace = integrate(p, DEFAULT_INITIAL_STATE, drive, carrier.size * dt, dt)
             assert np.array_equal(bits(taps[:, :, lane]), bits(trace.channels[:, :-1]))
 
@@ -81,7 +79,7 @@ class TestIntegrateLanes:
         carrier = np.ones(50)
         taps, _ = lane_trace(p, init, levels, carrier, dt)
         for lane in range(2):
-            drive = DriveSignal(levels[0, lane] * carrier, 1.0 / dt)
+            drive = levels[0, lane] * carrier
             trace = integrate(p, init, drive, carrier.size * dt, dt)
             assert np.array_equal(bits(taps[:, :, lane]), bits(trace.channels[:, :-1]))
 
@@ -142,7 +140,7 @@ def reference_drive(raw, cfg, with_dummy=False):
     n_env = (len(raw) + 1) * cfg.n_mask * cfg.theta
     envelope = np.repeat(multiplex(normalize(message, cfg), make_mask(cfg)), cfg.theta)
     held = np.repeat(envelope, samples_per_envelope_point(n_env, cfg))
-    return DriveSignal(held * carrier_wave(held.size, cfg), cfg.sample_rate)
+    return held * carrier_wave(held.size, cfg)
 
 
 def reference_state(raw, cfg, circuit):
@@ -150,10 +148,9 @@ def reference_state(raw, cfg, circuit):
     integrate its steps, demultiplex."""
     drive = reference_drive(raw, cfg)
     dt = 1.0 / cfg.sample_rate
-    n_real = drive.samples.size
+    n_real = drive.size
     trace = integrate(circuit, DEFAULT_INITIAL_STATE, drive, n_real * dt, dt)
-    trimmed = Trace(dt=dt, tap_names=trace.tap_names, channels=trace.channels[:, :n_real])
-    return demultiplex(trimmed, len(raw), cfg.n_mask, cfg.middle_fraction)
+    return demultiplex(trace.channels[:, :n_real], len(raw), cfg.n_mask, cfg.middle_fraction)
 
 
 def per_case_states(cfg, dataset):
@@ -305,7 +302,7 @@ class TestSharedPrefixes:
             with pytest.raises(IntegrationError) as err:
                 reference_state(raw, reservoir, cfg.circuit)
             steps.append(err.value.step_index)
-        per_value = reference_drive(inputs[0], reservoir).samples.size // 3
+        per_value = reference_drive(inputs[0], reservoir).size // 3
         assert steps[0] == steps[1] < 2 * per_value
         assert steps[2] < steps[0]
         monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
@@ -342,10 +339,10 @@ class TestDivergence:
         reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         assert self.first_scalar_failure(cfg, dataset) == (7, 347)
         drive = reference_drive(dataset.inputs[6], reservoir, with_dummy=True)
-        n_real = reference_drive(dataset.inputs[6], reservoir).samples.size
+        n_real = reference_drive(dataset.inputs[6], reservoir).size
         dt = 1.0 / reservoir.sample_rate
         with pytest.raises(IntegrationError) as err:
-            integrate(cfg.circuit, DEFAULT_INITIAL_STATE, drive, drive.samples.size * dt, dt)
+            integrate(cfg.circuit, DEFAULT_INITIAL_STATE, drive, drive.size * dt, dt)
         assert err.value.step_index == 439 >= n_real
         inputs = dataset.inputs[:7]
         want = [reference_state(raw, reservoir, cfg.circuit) for raw in inputs]

@@ -1,14 +1,16 @@
 """Every top-level function and class of chuarc has a caller.
 
-A name that nothing in ``src/chuarc`` or ``perfbench`` mentions outside its
-own definition (the re-exports of ``__init__.py`` do not count) is code that
-only its tests reach. Delete it, or add it to KEEP with the reason it stays.
+A name that no code in ``src/chuarc`` or ``perfbench`` names outside its own
+definition (the re-exports of ``__init__.py``, strings, comments and
+docstrings do not count) is code that only its tests reach. Delete it, or add
+it to KEEP with the reason it stays.
 Likewise an error class that no ``except`` clause or ``isinstance`` call of
 the package names is only a second name for its base.
 """
 
 import ast
-import re
+import io
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,6 +19,7 @@ PACKAGE = ROOT / "src" / "chuarc"
 #: names that stay without a caller, each with its reason
 KEEP = {
     "derivatives": "the acceptance tests import it",
+    "run_case": "the acceptance tests import it",
     "_passthrough_kernel": "the acceptance tests import it",
     "nrmse": "ROADMAP item 8's baselines give it a caller",
     "multibit_encrypt": "README API",
@@ -24,21 +27,26 @@ KEEP = {
 }
 
 
+def names(source: str) -> list:
+    """(line, name) of every NAME token of ``source``: the names its code uses."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return [(tok.start[0], tok.string) for tok in tokens if tok.type == tokenize.NAME]
+
+
 def orphans() -> set:
     """Top-level names of the package modules with no reference elsewhere."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources = {p: p.read_text() for p in modules + sorted((ROOT / "perfbench").glob("*.py"))}
+    used = {p: names(text) for p, text in sources.items()}
     found = set()
     for path in modules:
-        lines = sources[path].splitlines(keepends=True)
+        elsewhere = {name for p in used if p != path for _, name in used[p]}
         for node in ast.parse(sources[path]).body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            rest = "".join(lines[:first - 1] + lines[node.end_lineno:])
-            texts = [rest] + [text for p, text in sources.items() if p != path]
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(text) for text in texts):
+            rest = {name for line, name in used[path] if not first <= line <= node.end_lineno}
+            if node.name not in rest | elsewhere:
                 found.add(node.name)
     return found
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chuarc import pipeline
-from chuarc.circuit import TAP_DIODE, TAP_INDUCTOR, Trace, kennedy_circuit
+from chuarc.circuit import kennedy_circuit
 from chuarc.errors import ConfigurationError
 from chuarc.pipeline import (
     Mask,
@@ -141,13 +141,10 @@ class TestCarrierWave:
 
 
 def labeled_trace(n_values, n_mask, spp, tap_offset=100.0):
-    """Synthetic trace whose sample value encodes its slot's mask index."""
+    """Synthetic (tap, sample) channels whose sample value encodes its slot's
+    mask index."""
     per_tap = np.repeat(np.tile(np.arange(n_mask, dtype=float), n_values), spp)
-    return Trace(
-        dt=1e-6,
-        tap_names=(TAP_DIODE, TAP_INDUCTOR),
-        channels=np.vstack([per_tap, per_tap + tap_offset]),
-    )
+    return np.vstack([per_tap, per_tap + tap_offset])
 
 
 class TestDemultiplex:
@@ -166,15 +163,17 @@ class TestDemultiplex:
 
     def test_full_fraction_single_mask_is_raw_sequence(self):
         samples = np.arange(12, dtype=float)
-        tr = Trace(dt=1e-6, tap_names=(TAP_DIODE, TAP_INDUCTOR),
-                   channels=np.vstack([samples, samples]))
-        sm = demultiplex(tr, n_values=3, n_mask=1, middle_fraction=1.0)
+        sm = demultiplex(np.vstack([samples, samples]), n_values=3, n_mask=1, middle_fraction=1.0)
         assert np.array_equal(sm.values[:, 0], samples)
 
     def test_layout_mismatch_rejected(self):
         tr = labeled_trace(n_values=3, n_mask=4, spp=10)  # 120 samples
         with pytest.raises(ConfigurationError, match="^trace: "):
             demultiplex(tr, n_values=7, n_mask=4)
+
+    def test_a_one_dimensional_array_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="^trace: "):
+            demultiplex(np.zeros(120), n_values=3, n_mask=4)
 
     def test_row_count(self):
         tr = labeled_trace(n_values=3, n_mask=4, spp=10)
@@ -184,9 +183,7 @@ class TestDemultiplex:
     def test_kept_window_is_centred(self):
         # a ramp inside the single slot exposes the exact window position
         ramp = np.arange(10, dtype=float)
-        tr = Trace(dt=1e-6, tap_names=(TAP_DIODE, TAP_INDUCTOR),
-                   channels=np.vstack([ramp, ramp]))
-        sm = demultiplex(tr, n_values=1, n_mask=1, middle_fraction=0.4)
+        sm = demultiplex(np.vstack([ramp, ramp]), n_values=1, n_mask=1, middle_fraction=0.4)
         assert np.array_equal(sm.values[:, 0], [3.0, 4.0, 5.0, 6.0])
 
 
@@ -314,6 +311,14 @@ class TestRunCase:
         sm = run_case(raw, cfg, kennedy_circuit(), kernel=_passthrough_kernel)
         # dummy normalises to v_min; with passthrough no kept sample shows it
         assert np.all(sm.values > cfg.v_min + 1e-9)
+
+    @pytest.mark.parametrize("kernel", [
+        lambda drive, circuit, dt: drive,
+        lambda drive, circuit, dt: np.vstack([drive, drive])[:, :-1],
+    ], ids=["one-dimensional", "too-few-samples"])
+    def test_kernel_must_return_two_taps_of_the_whole_drive(self, kernel):
+        with pytest.raises(ConfigurationError, match="^trace: "):
+            run_case([1.0, 4.0], small_cfg(), kennedy_circuit(), kernel=kernel)
 
 
 class TestNmse:

@@ -162,7 +162,7 @@ def test_unscalable_ranges_raise_before_any_file(tmp_path, xs, ys):
 
 def _trace_csv(path, n):
     rng = np.random.default_rng(3)
-    trace_to_csv(Trace(1e-6, ("v_cd", "v_l"), np.cumsum(rng.normal(size=(2, n)), axis=1)), path, "ab")
+    trace_to_csv(Trace(1e-6, np.cumsum(rng.normal(size=(2, n)), axis=1)), path, "ab")
     return path
 
 
