@@ -54,17 +54,16 @@ class DiodePwl:
             raise ConfigurationError("circuit.diode", "breakpoints must satisfy 0 < bp_inner < bp_outer")
 
     @classmethod
-    def from_nic_branches(cls, branches=NIC_BRANCHES, esat: float = DEFAULT_ESAT) -> "DiodePwl":
-        """Derive the PWL coefficients from two op-amp NIC resistor triples.
+    def from_nic_branches(cls) -> "DiodePwl":
+        """Derive the PWL coefficients from the two op-amp NIC resistor
+        triples of NIC_BRANCHES, saturating at DEFAULT_ESAT.
 
         Each branch (r1, r2, r3) contributes conductance -r2/(r1*r3) while the
         op amp is linear and +1/r1 once it saturates; saturation onset is at
         esat*r3/(r2 + r3) volts.
         """
-        if len(branches) != 2:
-            raise ConfigurationError("diode", "exactly two NIC branches define a 5-segment diode")
         params = sorted(
-            ((esat * r3 / (r2 + r3), -r2 / (r1 * r3), 1.0 / r1) for r1, r2, r3 in branches),
+            ((DEFAULT_ESAT * r3 / (r2 + r3), -r2 / (r1 * r3), 1.0 / r1) for r1, r2, r3 in NIC_BRANCHES),
         )
         (bp_in, g_in, s_in), (bp_out, g_out, s_out) = params
         return cls(
@@ -150,8 +149,8 @@ class Trace:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", np.asarray(self.channels, dtype=float))
-        if self.dt <= 0.0:
-            raise ConfigurationError("trace.dt", "must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigurationError("trace.dt", f"must be finite and positive, got {self.dt!r}")
         if self.channels.ndim != 2 or self.channels.shape[0] != len(TAPS):
             raise ConfigurationError("trace.channels", "one row per tap required")
 
@@ -227,6 +226,8 @@ def integrate(
         raise ConfigurationError("dt", f"must be finite and positive, got {dt!r}")
     if not 0.0 <= t_end < math.inf:
         raise ConfigurationError("t_end", f"must be finite and non-negative, got {t_end!r}")
+    if not t_end / dt < math.inf:
+        raise ConfigurationError("t_end", f"must span a finite number of steps of dt {dt!r}, got {t_end!r}")
     n_steps = int(round(t_end / dt))
     if drive is None:
         # one shared 0.0, not a list of n_steps + 1 float objects
@@ -507,11 +508,8 @@ SWEEPABLE = ("r_variable", "c1", "drive_amplitude")
 
 
 def _scan_point(args) -> BifurcationPoint:
-    vary, value, p, drive_freq, drive_amplitude, tap, t_end, dt = args
+    value, p, drive_freq, amplitude, tap, t_end, dt = args
     try:
-        amplitude = value if vary == "drive_amplitude" else drive_amplitude
-        if vary != "drive_amplitude":
-            p = replace(p, **{vary: value})
         drive = None
         if amplitude and drive_freq:
             drive = sine_drive(amplitude, drive_freq, t_end, dt)
@@ -555,7 +553,12 @@ def bifurcation_scan(
     if t_end is None:
         t_end = 20.0 / drive_frequency if drive_frequency > 0.0 else 40e-3
 
-    tasks = [(vary, v, fixed, drive_frequency, drive_amplitude, tap, t_end, dt) for v in values]
+    # every point's circuit is built, and so checked, before any point runs
+    if vary == "drive_amplitude":
+        tasks = [(v, fixed, drive_frequency, v, tap, t_end, dt) for v in values]
+    else:
+        tasks = [(v, replace(fixed, **{vary: v}), drive_frequency, drive_amplitude, tap, t_end, dt)
+                 for v in values]
     return _map(_scan_point, tasks, jobs)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import circuit as circ
@@ -20,21 +19,10 @@ from .config import PROFILES, config_digest, parse_config, read_config, seed_for
 from .errors import ChuaRcError, ConfigurationError
 from .pipeline import nmse, predict
 
-ENV_JOBS = "CHUARC_JOBS"
-
 #: A sweep axis spans fewer steps than this. Every axis value adds a row or a
 #: column of whole experiments, so a longer axis is a mistyped step, and its
 #: values would be built before any cell runs.
 MAX_AXIS_STEPS = 10_000
-
-
-def default_jobs() -> int:
-    """The worker count in CHUARC_JOBS (1 when unset); a value that is not an
-    integer >= 1 raises ConfigurationError."""
-    value = os.environ.get(ENV_JOBS, "1")
-    if not (value.strip().isdecimal() and int(value) >= 1):
-        raise ConfigurationError(ENV_JOBS, f"must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _load_config(args):
@@ -186,9 +174,17 @@ def _cmd_show_config(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with bad usage exiting 1, as any other bad input does; the
+    subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chuarc",
-                                     description="Chua-circuit reservoir computer laboratory")
+    parser = _Parser(prog="chuarc", description="Chua-circuit reservoir computer laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_jobs=True):
@@ -199,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
         if with_jobs:
-            p.add_argument("--jobs", type=int, default=None,
-                           help="worker processes, at least 1 (default: env CHUARC_JOBS, or 1)")
+            p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
 
     p = sub.add_parser("simulate", help="integrate the circuit and dump a trace CSV")
     common(p, with_jobs=False)
@@ -226,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="DFT magnitude of one tap of a trace CSV")
     common(p, with_jobs=False)
     p.add_argument("--trace", required=True)
-    p.add_argument("--tap", default=circ.TAP_DIODE)
+    p.add_argument("--tap", default=circ.TAP_DIODE, choices=circ.TAPS)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("dataset", help="generate a task dataset (CSV, or JSON for LWE)")
@@ -277,18 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or bad usage (1), returned as exit codes
+        return exc.code
     try:
         for dest, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigurationError(dest, f"must be finite, got {value!r}")
         if getattr(args, "dt", None) is not None and args.dt <= 0.0:
             raise ConfigurationError("dt", f"must be positive, got {args.dt!r}")
-        if hasattr(args, "jobs"):
-            if args.jobs is None:
-                args.jobs = default_jobs()
-            elif args.jobs < 1:
-                raise ConfigurationError("jobs", f"must be >= 1, got {args.jobs}")
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigurationError("jobs", f"must be >= 1, got {args.jobs}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,9 +34,9 @@ from .tasks import TaskSpec
 PROFILES = {"full": (1920.0, 1e8, 10, 2900), "desk": (1800.0, 1e6, 4, 320)}
 
 
-def carrier_frequency(r_variable: float, c1: float, omega: float = 0.7) -> float:
-    """Drive frequency tied to the circuit's RC corner: omega / (2*pi*R*C1)."""
-    return omega / (2.0 * math.pi * r_variable * c1)
+def carrier_frequency(r_variable: float, c1: float) -> float:
+    """Drive frequency tied to the circuit's RC corner: 0.7 / (2*pi*R*C1)."""
+    return 0.7 / (2.0 * math.pi * r_variable * c1)
 
 
 @dataclass(frozen=True)
@@ -80,27 +80,22 @@ def default_config(profile: str = "full", task_kind: str = "polynomial") -> Expe
 
 
 def _number(value, path: str) -> float:
-    """A finite float from a JSON number or a numeric string."""
-    if not isinstance(value, (int, float, str)) or isinstance(value, bool):
+    """A finite float from a JSON number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigurationError(path, f"must be a number, got {value!r}")
     try:
         x = float(value)
-    except (ValueError, OverflowError):
-        raise ConfigurationError(path, f"must be a number, got {value!r}") from None
+    except OverflowError:  # the int's repr may exceed Python's digit limit too
+        raise ConfigurationError(path, "must be finite, got an integer beyond the float range") from None
     if not math.isfinite(x):
         raise ConfigurationError(path, f"must be finite, got {value!r}")
     return x
 
 
 def _integer(value, path: str) -> int:
-    """An int from a JSON number or numeric string with an integral value."""
+    """An int from a JSON number with an integral value."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
     x = _number(value, path)
     if not x.is_integer():
         raise ConfigurationError(path, f"must be an integer, got {value!r}")

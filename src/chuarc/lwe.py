@@ -143,12 +143,9 @@ def encrypt_bit(pk: PublicKey, phi: int, params: LweParams, rng: np.random.Gener
 
 
 def decrypt_bit(ciphertext, s: int, q: int) -> tuple:
-    """Decrypt (u, v) to (raw value, bit): raw = (v - u*s) mod q, bit set when
-    raw exceeds q/2. Accepts a Ciphertext or a (u, v) pair."""
-    if isinstance(ciphertext, Ciphertext):
-        u, v = ciphertext.u, ciphertext.v
-    else:
-        u, v = ciphertext
+    """Decrypt the pair (u, v) to (raw value, bit): raw = (v - u*s) mod q,
+    bit set when raw exceeds q/2."""
+    u, v = ciphertext
     raw = int((v - u * s) % q)
     return raw, 1 if raw > q / 2.0 else 0
 
@@ -214,7 +211,7 @@ def multibit_encrypt(bits, pk: PublicKey, params: LweParams, rng: np.random.Gene
 
 def multibit_decrypt(ciphertexts, s: int, q: int) -> list:
     """Decrypt a ciphertext sequence to its bit values."""
-    return [decrypt_bit(c, s, q)[1] for c in ciphertexts]
+    return [decrypt_bit((c.u, c.v), s, q)[1] for c in ciphertexts]
 
 
 def save_dataset(cases, pk: PublicKey, seed: int, path) -> None:

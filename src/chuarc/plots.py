@@ -237,7 +237,8 @@ def _heatmap_svg(out_path, xs, ys, values, x_label, y_label, title, digest):
                   + "".join(cells) + "</svg>").encode())
 
 
-def _histogram_svg(out_path, values, x_label, title, digest, n_bins=20):
+def _histogram_svg(out_path, values, x_label, title, digest):
+    n_bins = 20
     vmin = min(values)
     vmax, width = _span(vmin, max(values), n_bins)
     edges = [vmin + i * width for i in range(n_bins + 1)]

@@ -241,9 +241,9 @@ def build_dataset(
     )
 
 
-def confusion_matrix(true_labels, predicted_labels, n_classes: int = 2) -> np.ndarray:
-    """Counts[i, j] of true class i predicted as class j."""
-    counts = np.zeros((n_classes, n_classes), dtype=int)
+def confusion_matrix(true_labels, predicted_labels) -> np.ndarray:
+    """Counts[i, j] of true class i predicted as class j, over classes 0 and 1."""
+    counts = np.zeros((2, 2), dtype=int)
     for t, p in zip(true_labels, predicted_labels):
         counts[int(t), int(p)] += 1
     return counts

@@ -243,6 +243,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("t_end, dt, field", [
         (1e-6, math.nan, "dt"), (1e-6, math.inf, "dt"), (1e-6, 0.0, "dt"), (1e-6, -1e-8, "dt"),
         (math.nan, 1e-8, "t_end"), (math.inf, 1e-8, "t_end"), (-math.inf, 1e-8, "t_end"),
+        (1e300, 1e-20, "t_end"),  # finite, but t_end / dt overflows to infinity
     ])
     def test_time_grid_must_be_finite(self, t_end, dt, field):
         with pytest.raises(ConfigurationError) as err:
@@ -299,6 +300,15 @@ class TestBifurcation:
             bifurcation_scan("r_variable", [1800.0, 1900.0], kennedy_circuit(), tap="v_x",
                              t_end=1e-5, dt=1e-6, jobs=2)
         assert err.value.field == "tap"
+
+    def test_a_bad_circuit_fails_before_any_point_runs(self, monkeypatch):
+        def no_points(*args):
+            raise AssertionError("the points were mapped")
+
+        monkeypatch.setattr("chuarc.circuit._map", no_points)
+        with pytest.raises(ConfigurationError) as err:
+            bifurcation_scan("c1", [-1e-9, 1e-8], kennedy_circuit(), t_end=1e-5, dt=1e-6, jobs=2)
+        assert err.value.field == "circuit.c1"
 
     def test_monotone_range_required(self):
         with pytest.raises(ConfigurationError):
@@ -360,6 +370,12 @@ class TestTypeInvariants:
         assert err.value.field == "tap"
         with pytest.raises(ConfigurationError):
             Trace(1e-6, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-6])
+    def test_trace_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ConfigurationError) as err:
+            Trace(dt, np.zeros((2, 3)))
+        assert err.value.field == "trace.dt"
 
     def test_state_must_be_finite(self):
         with pytest.raises(ConfigurationError):

@@ -164,6 +164,11 @@ class TestConfig:
         ({"task": {"kind": "polynomial", "x_range": [-1, 3]}}, "task.x_range"),
         ({"task": {"kind": "pair-sum", "pair_max": -1}}, "task.pair_max"),
         ({"task": {"kind": "pair-sum", "pair_max": 0}}, "task.pair_max"),
+        # a number is a JSON number, never a numeric string
+        ({"reservoir": {"theta": "4"}}, "reservoir.theta"),
+        ({"circuit": {"c1": "1e-8"}}, "circuit.c1"),
+        ({"n_cases": "30"}, "n_cases"),
+        ({"circuit": {"c1": 10**5000}}, "circuit.c1"),  # beyond float, and too long to repr
     ])
     def test_bad_value_or_key_names_its_path(self, raw, field):
         with pytest.raises(ConfigurationError) as err:
@@ -210,9 +215,9 @@ class TestConfig:
         cfg = parse_config({"profile": "full", "task": {"kind": "pair-modlin"}})
         assert cfg.n_cases == 2900 and experiment.build_dataset(cfg).n_cases == 1681
 
-    def test_integral_numbers_and_numeric_strings_keep_their_digest(self):
+    def test_integral_numbers_keep_their_digest(self):
         plain = parse_config({"reservoir": {"n_mask": 8, "theta": 4}, "n_cases": 30})
-        loose = parse_config({"reservoir": {"n_mask": 8.0, "theta": "4"}, "n_cases": "30"})
+        loose = parse_config({"reservoir": {"n_mask": 8.0, "theta": 4.0}, "n_cases": 30.0})
         assert config_digest(plain) == config_digest(loose)
         assert loose.reservoir.n_mask == 8 and isinstance(loose.reservoir.n_mask, int)
 
@@ -862,43 +867,38 @@ class TestCli:
         assert err.startswith("error: sweep.n_masks: ") and "Traceback" not in err
         assert not (out / "sweep.csv").exists()
 
-    def test_jobs_env_var_default(self, monkeypatch):
-        from chuarc.cli import default_jobs
-
-        monkeypatch.delenv("CHUARC_JOBS", raising=False)
-        assert default_jobs() == 1
-        monkeypatch.setenv("CHUARC_JOBS", "3")
-        assert default_jobs() == 3
-        for junk in ("junk", "0", "-2", "1.5", ""):
-            monkeypatch.setenv("CHUARC_JOBS", junk)
-            with pytest.raises(ConfigurationError, match="^CHUARC_JOBS: "):
-                default_jobs()
-
     BIFURCATE = ["bifurcate", "--param", "r_variable", "--start", "1900", "--stop", "2000",
                  "--steps", "2", "--t-end", "0.001", "--dt", "1e-6", "--profile", "desk"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_1(self, tmp_path, capsys, monkeypatch, jobs):
-        monkeypatch.setenv("CHUARC_JOBS", "2")
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
         assert main([*self.BIFURCATE, "--out", str(tmp_path), "--jobs", jobs]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: jobs: must be >= 1, got {jobs}") and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["bifurcate", "train", "eval", "sweep"])
-    def test_bad_jobs_env_var_exits_1(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setenv("CHUARC_JOBS", "junk")
-        argv = self.BIFURCATE if command == "bifurcate" else [command, "--profile", "desk"]
-        if command == "eval":
-            argv = [*argv, "--weight", str(tmp_path / "w.json")]
-        assert main([*argv, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: CHUARC_JOBS: must be an integer >= 1, got 'junk'")
-        assert "Traceback" not in err and not list(tmp_path.iterdir())
-
     def test_jobs_flag_overrides_a_bad_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHUARC_JOBS", "junk")
         assert main([*self.BIFURCATE, "--out", str(tmp_path), "--jobs", "1"]) == 0
+
+    def test_no_env_var_sets_the_worker_count(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHUARC_JOBS", "junk")
+        assert main([*self.BIFURCATE, "--out", str(tmp_path)]) == 0
+        assert build_parser().parse_args(self.BIFURCATE).jobs == 1
+
+    # argparse's own usage errors exit 1 like every other bad input, not 2
+    @pytest.mark.parametrize("argv", [
+        ["train", "--task", "narma"],
+        ["spectrum", "--trace", "trace.csv", "--tap", "t"],
+        ["bifurcate", "--start", "1", "--stop", "2"],
+        ["train", "--jobs", "two"],
+        ["calibrate"],
+    ], ids=["unknown-task", "time-column-tap", "missing-param", "non-integer-jobs", "unknown-command"])
+    def test_bad_usage_exits_1(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chuarc") and "error: " in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, field", [
         ([*BIFURCATE, "--steps", "1"], "steps"),

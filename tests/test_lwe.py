@@ -124,10 +124,6 @@ class TestDecrypt:
             raw, bit = decrypt_bit((0, v), s=2, q=7)
             assert bit == 0 and raw == v
 
-    def test_accepts_ciphertext_object(self):
-        ct = Ciphertext(u=27, v=23, k=(1, 2, 3, 4, 5))
-        assert decrypt_bit(ct, s=11, q=29) == (16, 1)
-
 
 def encrypt_inputs(n_cases, seed, params):
     return build_dataset(TaskSpec(kind="lwe-encrypt"), n_cases=n_cases, seed=seed,
