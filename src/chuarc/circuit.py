@@ -1,12 +1,11 @@
 """Driven Chua circuit kernel: piecewise-linear diode, RK4 integration,
 bifurcation scans and spectra.
 
-The scalar kernel orders the state (i_l, v_c2, v_c1): inductor current and
-the two capacitor voltages; the lockstep kernel ``integrate_lanes`` takes
-and returns it as (v_c2, v_c1, i_l). A drive is a 1-D array with one sample
-per step of dt. Two voltage taps are recorded, in the order of TAPS: the
-diode-side capacitor voltage ("v_cd") and the inductor terminal voltage
-("v_l").
+Every kernel boundary orders the state as CircuitState does: (i_l, v_c2,
+v_c1), the inductor current and the two capacitor voltages. A drive is a
+1-D array with one sample per step of dt. Two voltage taps are recorded, in
+the order of TAPS: the diode-side capacitor voltage ("v_cd") and the
+inductor terminal voltage ("v_l").
 """
 
 from __future__ import annotations
@@ -363,13 +362,13 @@ def integrate_lanes(
 ) -> np.ndarray:
     """Lockstep RK4 over independent lanes that share the circuit and carrier.
 
-    ``start`` is (3, n_lanes): each lane's (v_c2, v_c1, i_l) before step 0.
+    ``start`` is (3, n_lanes): each lane's (i_l, v_c2, v_c1) before step 0.
     ``levels`` is (n_levels, n_lanes); each level is held for
     len(carrier) // n_levels steps, and lane k is driven at step s by
     levels[s // hold, k] * carrier[s]. At every step s with ``keep[s]`` true,
     ``sink(s, v_cd, v_l)`` receives the two taps of all lanes before that
     step; the arrays are reused, so the sink must copy them. Returns the
-    (3, n_lanes) state after the last step.
+    (3, n_lanes) state after the last step, in the order of ``start``.
 
     Every lane repeats the IEEE operations of ``integrate`` in the same order
     (see the note on the diode's sign below), so each one matches the scalar
@@ -378,6 +377,8 @@ def integrate_lanes(
     the caller tests the returned state.
     """
     n_levels, n_lanes = levels.shape
+    if start.shape != (3, n_lanes):
+        raise ConfigurationError("start", f"must be (3, {n_lanes}) for {n_lanes} lanes, got {start.shape}")
     n_steps = carrier.size
     if n_levels == 0 or n_steps % n_levels != 0:
         raise ConfigurationError("levels", "carrier length must be a whole number of levels")
@@ -385,25 +386,22 @@ def integrate_lanes(
     gi, gm, go, bi, bo, i_bi, i_bo, inv_l, inv_c2, inv_c1, inv_rc2, inv_rc1, rs, h, hh, h6 = (
         _rk4_constants(p, dt))
 
-    # Each evaluation point is a (6, n_lanes) block: the state (v_c2, v_c1,
-    # i_l), then v_c2 - v_c1 and the outer and middle diode segments.
-    # Neighbouring rows pair up so that one ufunc call over two rows does the
-    # work of two scalar expressions; every element still sees the scalar
-    # operation sequence. Constants are 0-d arrays, which numpy applies
-    # faster than Python floats.
+    # Each evaluation point is a (6, n_lanes) block: the state as (v_c2,
+    # v_c1, i_l), then v_c2 - v_c1 and the outer and middle diode segments.
+    # That order, unlike start's, pairs neighbouring rows, so one ufunc call
+    # over two contiguous rows does the work of two scalar expressions; every
+    # element still sees the scalar operation sequence. Constants are 0-d
+    # arrays, which numpy applies faster than Python floats.
     def rows(b):
         return b[0], b[1], b[2], b[3], b[4], b[5], b[4:6], b[2:4], b[3:5]
 
     def col(*values):
         return np.repeat(np.array(values)[:, None], n_lanes, axis=1)
 
-    def const(x):
-        return np.array(x)
-
     seg_g, seg_i = col(go, gm), col(i_bo, i_bi)
     lhs_c, rhs_c = col(inv_c2, inv_rc1), col(inv_rc2, inv_c1)
     bi, bo, gi, rs, inv_l, hh, h, h6, one, two = map(
-        const, (bi, bo, gi, rs, inv_l, hh, h, h6, 1.0, 2.0))
+        np.array, (bi, bo, gi, rs, inv_l, hh, h, h6, 1.0, 2.0))
     k = np.empty((4, 3, n_lanes))  # rates of (v_c2, v_c1, i_l) at the 4 stages
     k1, k2, k3, k4, k23 = k[0], k[1], k[2], k[3], k[1:3]
     acc, tmp = np.empty((3, n_lanes)), np.empty((3, n_lanes))
@@ -444,7 +442,7 @@ def integrate_lanes(
         mul(t1, inv_l, out[1])
 
     y, ys = np.empty((6, n_lanes)), np.empty((6, n_lanes))
-    y[:3] = start
+    y[:3] = start[[1, 2, 0]]
     state, stage = y[:3], ys[:3]
     y_rows, ys_rows = rows(y), rows(ys)
     out1, out2, out3, out4 = ((kk[0:2], kk[2]) for kk in (k1, k2, k3, k4))
@@ -474,7 +472,7 @@ def integrate_lanes(
             add(acc, k4, acc)
             mul(acc, h6, acc)
             add(state, acc, state)
-    return state.copy()
+    return state[[2, 0, 1]]
 
 
 def steady_state_extrema(samples: np.ndarray) -> np.ndarray:

@@ -101,13 +101,10 @@ def _cmd_dataset(args) -> int:
         path = out / "lwe_cases.json"
         lwe_mod.save_dataset(cases, pk, seed, path)
         lwe_mod.save_keypair(cfg.lwe, pk, out / "lwe_key.json", out / "lwe_secret.json")
-        n_cases = len(cases)
     else:
-        dataset = exp.build_dataset(cfg)
         path = out / f"dataset_{cfg.task.kind}.csv"
-        tasks.dataset_to_csv(dataset, path, config_digest(cfg))
-        n_cases = dataset.n_cases
-    print(f"wrote {path} ({n_cases} cases)")
+        tasks.dataset_to_csv(exp.build_dataset(cfg), path, config_digest(cfg))
+    print(f"wrote {path} ({cfg.n_cases} cases)")
     return 0
 
 

@@ -56,8 +56,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ConfigurationError("profile", f"must be one of {tuple(PROFILES)}")
-        if self.n_cases < 1:
-            raise ConfigurationError("n_cases", "need at least 1 case")
+        self.task.check_n_cases(self.n_cases)
+        if (self.lwe is not None) != self.task.kind.startswith("lwe"):
+            raise ConfigurationError("lwe", f"must be set exactly for lwe tasks; task is {self.task.kind}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigurationError("val_fraction", "must lie strictly between 0 and 1")
 
@@ -67,14 +68,14 @@ def default_config(profile: str = "full", task_kind: str = "polynomial") -> Expe
     with what the profile sets on top (see the module docstring)."""
     # an unknown profile takes the full values; ExperimentConfig rejects it
     r_variable, sample_rate, theta, n_cases = PROFILES.get(profile, PROFILES["full"])
-    circuit = kennedy_circuit(r_variable)
+    circuit, task = kennedy_circuit(r_variable), TaskSpec(kind=task_kind)
     return ExperimentConfig(
         circuit=circuit,
         reservoir=ReservoirConfig(theta=theta, sample_rate=sample_rate,
                                   f_carrier=carrier_frequency(r_variable, circuit.c1)),
-        task=TaskSpec(kind=task_kind),
+        task=task,
         lwe=lwe_mod.LweParams() if task_kind.startswith("lwe") else None,
-        n_cases=n_cases,
+        n_cases=min(n_cases, task.max_cases()),
         profile=profile,
     )
 

@@ -10,7 +10,7 @@ is trained by accumulated least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -317,8 +317,7 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
     n_keep, lo = window
     steps = n_mask * spp
     keep = [lo <= s % spp < lo + n_keep for s in range(steps)]
-    s0 = DEFAULT_INITIAL_STATE
-    state = np.array([[s0.v_c2], [s0.v_c1], [s0.i_l]])  # (3, prefix)
+    state = np.array(astuple(DEFAULT_INITIAL_STATE))[:, None]  # (3, prefix)
     prefix = np.zeros(n_lanes, dtype=np.int64)  # lane -> prefix of its values so far
     # the slab holds whole slots, or rows of one slot, at 2 taps x 8 bytes per
     # row and prefix; a copy between lanes moves 2 taps x 8 bytes per kept

@@ -60,6 +60,15 @@ class TaskSpec:
         if not 0.0 < self.inner_radius < self.outer_radii[0]:
             raise ConfigurationError("task.inner_radius", "inner disk must sit inside the outer annulus")
 
+    def max_cases(self) -> float:
+        """The distinct cases the task draws: the (pair_max + 1)**2 pairs of a pair task, else no bound."""
+        return (self.pair_max + 1) ** 2 if self.kind.startswith("pair") else math.inf
+
+    def check_n_cases(self, n_cases: int) -> None:
+        """ConfigurationError (n_cases) unless 1 <= n_cases <= max_cases()."""
+        if not 1 <= n_cases <= self.max_cases():
+            raise ConfigurationError("n_cases", f"{n_cases} outside [1, {self.max_cases()}] for {self.kind}")
+
 
 def polynomial_teacher(x: float) -> float:
     """Degree-9 benchmark polynomial with roots at 0, 1, 2, 3, 4, -1, -2, -3, -10."""
@@ -182,9 +191,8 @@ def build_dataset(
     val_fraction: float = 0.2,
     lwe_params: lwe.LweParams | None = None,
 ) -> Dataset:
-    """Generate inputs and teachers for one task kind, reproducibly from the seed."""
-    if n_cases < 1:
-        raise ConfigurationError("n_cases", "need at least 1 case")
+    """Generate n_cases inputs and teachers for one task kind, reproducibly from the seed."""
+    spec.check_n_cases(n_cases)
     kind = spec.kind
     labels = None
     multi_input = False
@@ -202,8 +210,7 @@ def build_dataset(
     elif kind in ("pair-sum", "pair-product", "pair-modlin"):
         rng = np.random.default_rng([seed, 0x70616972])
         side = spec.pair_max + 1
-        total = side * side
-        chosen = rng.choice(total, size=min(n_cases, total), replace=False)
+        chosen = rng.choice(side * side, size=n_cases, replace=False)
         pairs = [(int(c // side), int(c % side)) for c in chosen]
         inputs = [[float(a), float(b)] for a, b in pairs]
         col = {"pair-sum": 0, "pair-product": 1, "pair-modlin": 2}[kind]
@@ -230,8 +237,6 @@ def build_dataset(
             teachers = [[float(c.decrypt_value)] for c in cases]
             labels = [c.phi for c in cases]
         value_max = float(params.q - 1)
-    else:  # pragma: no cover - guarded by TaskSpec
-        raise ConfigurationError("task.kind", f"unhandled kind {kind}")
 
     train_idx, val_idx = split_indices(len(inputs), val_fraction, seed)
     return Dataset(

@@ -16,6 +16,7 @@ recorded with.
 import hashlib
 import math
 import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from chuarc.circuit import (
     bifurcation_scan,
     bifurcation_to_csv,
     integrate,
+    integrate_lanes,
     kennedy_circuit,
 )
 from chuarc.cli import main
@@ -317,17 +319,29 @@ _volts = st.one_of(st.sampled_from([0.0, -0.0, 1.0833, -1.0833, 7.5454, -7.5454]
        r_series=st.sampled_from([0.0, 17.0]), seed=st.integers(0, 2**16))
 def test_integrate_matches_the_closure_kernel(init, r, c1, r_series, seed):
     """Bit for bit, on the taps and on the failing step, across diode segments,
-    signed zeros, drives and diverging circuits."""
+    signed zeros, drives and diverging circuits; a one-lane integrate_lanes
+    run from the same state, in the same field order, gives the same taps and
+    ends non-finite exactly when integrate raises."""
     p = ChuaParams(r_variable=r, c1=c1, c2=100e-9, l=18e-3, r_series=r_series)
     state = CircuitState(*init)
     levels = np.random.default_rng(seed).uniform(-2.0, 2.0, 30)
     drive = np.repeat(levels, 10)
     # each level drives ten 1 us steps, and the kernel holds the last sample for the final tap
     want = closure_integrate(p, state, np.repeat(levels, 10).tolist() + [levels[-1]], 1e-6)
+    lane_taps = np.empty((2, 300))
+
+    def sink(step, v_cd, v_l):
+        lane_taps[:, step] = v_cd[0], v_l[0]
+
+    end = integrate_lanes(p, np.array(astuple(state))[:, None], levels[:, None], np.ones(300),
+                          1e-6, [True] * 300, sink)
     try:
         got = integrate(p, state, drive, 300e-6, 1e-6).channels
     except IntegrationError as err:
         assert err.step_index == want
+        assert not np.isfinite(end).all()
     else:
         assert not isinstance(want, int)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(lane_taps.view(np.int64), want[:, :-1].view(np.int64))
+        assert np.isfinite(end).all()

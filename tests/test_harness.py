@@ -53,18 +53,24 @@ def tiny_config(tmp_path, kind="polynomial", **overrides) -> ExperimentConfig:
     return replace(cfg, reservoir=replace(cfg.reservoir, n_mask=8, theta=2), **fields)
 
 
+#: the task of a config that carries an lwe section
+LWE_TASK = {"kind": "lwe-encrypt"}
+
+
 @st.composite
 def _raw_configs(draw):
     """A config object over any profile and task kind, with a pinned or
-    derived carrier and LWE parameters absent or with either error mode."""
+    derived carrier, a case count within the task's max_cases, and for an
+    LWE task, LWE parameters absent or with either error mode."""
+    kind = draw(st.sampled_from(TASK_KINDS))
     raw = {"profile": draw(st.sampled_from(("full", "desk"))),
-           "task": {"kind": draw(st.sampled_from(TASK_KINDS))},
+           "task": {"kind": kind},
            "circuit": {"r_variable": draw(st.floats(1000.0, 3000.0))},
-           "n_cases": draw(st.integers(1, 5000)),
+           "n_cases": draw(st.integers(1, 41**2 if kind.startswith("pair") else 5000)),
            "master_seed": draw(st.integers(0, 2**63))}
     if draw(st.booleans()):
         raw["reservoir"] = {"f_carrier": draw(st.floats(100.0, 2e4))}
-    errors = draw(st.sampled_from((None, "uniform", "gaussian")))
+    errors = draw(st.sampled_from((None, "uniform", "gaussian"))) if kind.startswith("lwe") else None
     if errors == "uniform":
         lo = draw(st.integers(-3, 3))
         raw["lwe"] = {"q": 11, "error_mode": {"kind": "uniform", "lo": lo,
@@ -144,21 +150,25 @@ class TestConfig:
         ({"reservoir": {"theta": 2.7}}, "reservoir.theta"),
         ({"n_cases": "12.5"}, "n_cases"),
         ({"master_seed": True}, "master_seed"),
-        ({"lwe": {"q": 7.5}}, "lwe.q"),
+        ({"task": LWE_TASK, "lwe": {"q": 7.5}}, "lwe.q"),
         ({"task": {"x_range": [0.1, "inf"]}}, "task.x_range[1]"),
         ({"reservoir": {"use_envelope": "yes"}}, "reservoir.use_envelope"),
         ({"circuit": {"r_varaible": 1800.0}}, "circuit.r_varaible"),
         ({"circuit": {"diode": {"g_iner": -1e-3}}}, "circuit.diode.g_iner"),
         ({"reservoir": {"n_taps": 2}}, "reservoir.n_taps"),
-        ({"lwe": {"error_mode": {"kind": "gausian"}}}, "lwe.error_mode.kind"),
-        ({"lwe": {"error_mode": {"kind": "gaussian"}}}, "lwe.error_mode.alpha"),
+        ({"task": LWE_TASK, "lwe": {"error_mode": {"kind": "gausian"}}}, "lwe.error_mode.kind"),
+        ({"task": LWE_TASK, "lwe": {"error_mode": {"kind": "gaussian"}}}, "lwe.error_mode.alpha"),
         ({"tsak": {"kind": "circles"}}, "tsak"),
-        ({"lwe": {"error_mode": {"kind": "uniform", "alpha": 1.0}}}, "lwe.error_mode.alpha"),
-        ({"lwe": {"error_mode": {"kind": "gaussian", "alpha": 1, "lo": 5}}}, "lwe.error_mode.lo"),
+        ({"task": LWE_TASK, "lwe": {"error_mode": {"kind": "uniform", "alpha": 1.0}}},
+         "lwe.error_mode.alpha"),
+        ({"task": LWE_TASK, "lwe": {"error_mode": {"kind": "gaussian", "alpha": 1, "lo": 5}}},
+         "lwe.error_mode.lo"),
         ({"task": {"inner_radius": 5}}, "task.inner_radius"),
         ({"task": {"poly_mod_base": -1}}, "task.poly_mod_base"),
-        ({"lwe": {"error_mode": {"kind": "gaussian", "alpha": -1}}}, "lwe.error_mode.alpha"),
-        ({"lwe": {"error_mode": {"kind": "uniform", "lo": 3, "hi": 1}}}, "lwe.error_mode.lo"),
+        ({"task": LWE_TASK, "lwe": {"error_mode": {"kind": "gaussian", "alpha": -1}}},
+         "lwe.error_mode.alpha"),
+        ({"task": LWE_TASK, "lwe": {"error_mode": {"kind": "uniform", "lo": 3, "hi": 1}}},
+         "lwe.error_mode.lo"),
         ({"out_dir": None}, "out_dir"),
         ({"out_dir": ["x"]}, "out_dir"),
         ({"task": {"kind": "polynomial", "x_range": [-1, 3]}}, "task.x_range"),
@@ -169,6 +179,13 @@ class TestConfig:
         ({"circuit": {"c1": "1e-8"}}, "circuit.c1"),
         ({"n_cases": "30"}, "n_cases"),
         ({"circuit": {"c1": 10**5000}}, "circuit.c1"),  # beyond float, and too long to repr
+        ({"n_cases": 0}, "n_cases"),
+        # more cases than the (pair_max + 1)**2 distinct pairs
+        ({"task": {"kind": "pair-sum"}, "n_cases": 1682}, "n_cases"),
+        ({"task": {"kind": "pair-sum", "pair_max": 2}, "n_cases": 10}, "n_cases"),
+        # an lwe section is read only by the LWE tasks
+        ({"profile": "desk", "task": {"kind": "polynomial"}, "lwe": {"q": 29}}, "lwe"),
+        ({"task": {"kind": "circles"}, "lwe": {}}, "lwe"),
     ])
     def test_bad_value_or_key_names_its_path(self, raw, field):
         with pytest.raises(ConfigurationError) as err:
@@ -193,16 +210,33 @@ class TestConfig:
             assert "reservoir.sample_rate" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("raw, field", [
+        ({"profile": "desk", "task": {"kind": "pair-sum"}, "n_cases": 2000}, "n_cases"),
+        ({"profile": "desk", "task": {"kind": "polynomial"}, "lwe": {"q": 29}}, "lwe"),
+    ])
+    def test_a_config_error_stops_the_command_before_any_artefact(self, tmp_path, capsys,
+                                                                  command, raw, field):
+        # a sweep that reached its cells would write an all-failed sweep.csv and exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_sample_rate_of_exactly_twice_the_carrier_is_accepted(self):
         cfg = parse_config({"reservoir": {"f_carrier": 500.0, "sample_rate": 1000.0}})
         assert cfg.reservoir.sample_rate == 2.0 * cfg.reservoir.f_carrier
 
-    # recorded before the sample-rate check existed: a valid config keeps its digest
+    # recorded before the sample-rate check existed: a valid config keeps its
+    # digest. full pair-modlin was recorded again when the full profile's 2900
+    # cases became the 1681 distinct pairs of a pair task.
     DIGESTS = {
         ("desk", "circles"): "0ed60b5dc31be41d", ("desk", "polynomial"): "35a80142cc511f77",
         ("desk", "pair-sum"): "26534bd09b0607ae", ("desk", "lwe-encrypt"): "1211299048541e37",
         ("full", "circles"): "9e4a5c7f42f74cdd", ("full", "polynomial"): "58ca0353cd49581c",
-        ("full", "pair-modlin"): "25bffd9de1f64368", ("full", "lwe-decrypt"): "8a39c35e8019296a",
+        ("full", "pair-modlin"): "641401ffeb849ed6", ("full", "lwe-decrypt"): "8a39c35e8019296a",
     }
 
     @pytest.mark.parametrize("profile, kind", sorted(DIGESTS))
@@ -211,9 +245,13 @@ class TestConfig:
         assert config_digest(cfg) == self.DIGESTS[profile, kind]
 
     def test_pair_task_caps_the_case_count_at_its_distinct_pairs(self):
-        # the full profile's 2900 cases exceed the 1681 distinct pairs at pair_max 40
+        # the full profile's 2900 cases exceed the 1681 distinct pairs at
+        # pair_max 40: its default is the cap, and no more cases are accepted
         cfg = parse_config({"profile": "full", "task": {"kind": "pair-modlin"}})
-        assert cfg.n_cases == 2900 and experiment.build_dataset(cfg).n_cases == 1681
+        assert cfg.n_cases == 1681 and experiment.build_dataset(cfg).n_cases == 1681
+        with pytest.raises(ConfigurationError) as err:
+            replace(cfg, n_cases=1682)
+        assert err.value.field == "n_cases"
 
     def test_integral_numbers_keep_their_digest(self):
         plain = parse_config({"reservoir": {"n_mask": 8, "theta": 4}, "n_cases": 30})

@@ -3,7 +3,7 @@ the scalar kernel and with the per-case pipeline chain, for either backend, any
 lane grouping and worker count, and failures that name the case."""
 
 import pickle
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ def bits(x):
 
 def lane_start(init, n_lanes):
     """``init`` as the (3, n_lanes) start state of integrate_lanes."""
-    return np.repeat([[init.v_c2], [init.v_c1], [init.i_l]], n_lanes, axis=1)
+    return np.repeat(np.array(astuple(init))[:, None], n_lanes, axis=1)
 
 
 def lane_trace(p, init, levels, carrier, dt):
@@ -101,6 +101,15 @@ class TestIntegrateLanes:
             state = integrate_lanes(p, state, levels[2 * part:2 * part + 2], carrier[steps], dt,
                                     [True] * (2 * hold), sink)
         assert np.array_equal(bits(taps), bits(whole))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 4), (4, 4), (3,)])
+    def test_a_start_of_another_shape_is_rejected(self, shape):
+        # a (3, 1) start would broadcast to every lane
+        levels, carrier = np.full((1, 4), 0.5), np.ones(10)
+        with pytest.raises(ConfigurationError) as err:
+            integrate_lanes(kennedy_circuit(), np.zeros(shape), levels, carrier, 1e-6,
+                            [True] * 10, lambda *taps: None)
+        assert err.value.field == "start"
 
     def test_divergence_is_reported_per_lane(self):
         p = replace(kennedy_circuit(1800.0), c1=1e-14)

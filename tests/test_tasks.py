@@ -74,6 +74,14 @@ class TestPairs:
         assert ds.n_cases == 1681
         assert len({tuple(i) for i in ds.inputs}) == 1681
 
+    @pytest.mark.parametrize("pair_max, n_cases", [(40, 1682), (2, 10)])
+    def test_more_cases_than_distinct_pairs_are_rejected(self, pair_max, n_cases):
+        spec = TaskSpec(kind="pair-product", pair_max=pair_max)
+        assert build_dataset(spec, n_cases=n_cases - 1, seed=3).n_cases == spec.max_cases()
+        with pytest.raises(ConfigurationError) as err:
+            build_dataset(spec, n_cases=n_cases, seed=3)
+        assert err.value.field == "n_cases"
+
     def test_domain_enforced(self):
         with pytest.raises(ConfigurationError, match="^pair: "):
             pair_teachers(-1.0, 5.0)
