@@ -94,7 +94,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_dataset(args) -> int:
     cfg = _load_config(args)
     out = exp.make_out_dir(cfg.out_dir)
-    if cfg.task.kind.startswith("lwe"):
+    if cfg.task.is_lwe:
         # the cases the experiment harness trains on for this master seed
         seed = seed_for(cfg.master_seed, "dataset")
         pk, cases = tasks.lwe_cases(cfg.lwe, cfg.n_cases, seed)

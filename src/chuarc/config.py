@@ -57,7 +57,7 @@ class ExperimentConfig:
         if self.profile not in PROFILES:
             raise ConfigurationError("profile", f"must be one of {tuple(PROFILES)}")
         self.task.check_n_cases(self.n_cases)
-        if (self.lwe is not None) != self.task.kind.startswith("lwe"):
+        if (self.lwe is not None) != self.task.is_lwe:
             raise ConfigurationError("lwe", f"must be set exactly for lwe tasks; task is {self.task.kind}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigurationError("val_fraction", "must lie strictly between 0 and 1")
@@ -74,7 +74,7 @@ def default_config(profile: str = "full", task_kind: str = "polynomial") -> Expe
         reservoir=ReservoirConfig(theta=theta, sample_rate=sample_rate,
                                   f_carrier=carrier_frequency(r_variable, circuit.c1)),
         task=task,
-        lwe=lwe_mod.LweParams() if task_kind.startswith("lwe") else None,
+        lwe=lwe_mod.LweParams() if task.is_lwe else None,
         n_cases=min(n_cases, task.max_cases()),
         profile=profile,
     )
@@ -207,16 +207,20 @@ def parse_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or a dict.
 
     Missing fields fall back to the profile defaults (an empty object gives
-    the full bench setup). An unknown key, a value of the wrong type, a
+    the full bench setup); a profile's case count is capped at the parsed
+    task's max_cases(), unless n_cases is set. An unknown key, a value of the wrong type, a
     non-finite number, a non-integral value for an integer field, a
     sample rate below twice the carrier frequency, a reservoir.seed or
     reservoir.value_max other than its default, and any invariant
-    violation raise ConfigurationError naming the offending field path.
-    """
+    violation raise ConfigurationError naming the offending field path."""
     raw = read_config(source)
-    task = raw.get("task", {})
+    profile, task = _string(raw.get("profile", "full"), "profile"), raw.get("task", {})
     kind = task.get("kind", "polynomial") if isinstance(task, dict) else "polynomial"
-    base = default_config(_string(raw.get("profile", "full"), "profile"), _string(kind, "task.kind"))
+    base = default_config(profile, _string(kind, "task.kind"))
+    if "n_cases" not in raw:
+        # the case count follows the parsed task unless set explicitly
+        task = _decode(TaskSpec, task, "task", base.task)
+        base = replace(base, task=task, n_cases=min(PROFILES[profile][3], task.max_cases()))
     cfg = _decode(ExperimentConfig, raw, "", base)
     # a run takes these from the data and the master seed; the schema keeps
     # them for the config digest, so only their defaults parse

@@ -60,6 +60,11 @@ class TaskSpec:
         if not 0.0 < self.inner_radius < self.outer_radii[0]:
             raise ConfigurationError("task.inner_radius", "inner disk must sit inside the outer annulus")
 
+    @property
+    def is_lwe(self) -> bool:
+        """Whether the task encrypts or decrypts LWE messages: only these take an lwe section."""
+        return self.kind.startswith("lwe")
+
     def max_cases(self) -> float:
         """The distinct cases the task draws: the (pair_max + 1)**2 pairs of a pair task, else no bound."""
         return (self.pair_max + 1) ** 2 if self.kind.startswith("pair") else math.inf
@@ -184,18 +189,12 @@ def lwe_cases(params: lwe.LweParams, n_cases: int, seed: int) -> tuple:
     return pk, lwe.generate_testcases(params, n_cases, rng, pk=pk)
 
 
-def build_dataset(
-    spec: TaskSpec,
-    n_cases: int,
-    seed: int,
-    val_fraction: float = 0.2,
-    lwe_params: lwe.LweParams | None = None,
-) -> Dataset:
+def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float = 0.2,
+                  lwe_params: lwe.LweParams | None = None) -> Dataset:
     """Generate n_cases inputs and teachers for one task kind, reproducibly from the seed."""
     spec.check_n_cases(n_cases)
     kind = spec.kind
-    labels = None
-    multi_input = False
+    labels, multi_input = None, False
 
     if kind in ("polynomial", "modulo", "poly-mod"):
         xs = np.linspace(spec.x_range[0], spec.x_range[1], n_cases)
@@ -217,16 +216,14 @@ def build_dataset(
         teachers = [[pair_teachers(a, b, spec.pair_max)[col]] for a, b in pairs]
         value_max = float(spec.pair_max)
     elif kind == "circles":
-        points, point_labels = concentric_circles(
-            n_cases, seed, spec.inner_radius, spec.outer_radii
-        )
+        points, point_labels = concentric_circles(n_cases, seed, spec.inner_radius, spec.outer_radii)
         shift = spec.outer_radii[1]
         inputs = [[float(p[0] + shift), float(p[1] + shift)] for p in points]
         teachers = [[class_teacher(l)] for l in point_labels]
         labels = [int(l) for l in point_labels]
         value_max = 2.0 * shift
         multi_input = True
-    elif kind in ("lwe-encrypt", "lwe-decrypt"):
+    elif spec.is_lwe:
         params = lwe_params or lwe.LweParams()
         _, cases = lwe_cases(params, n_cases, seed)
         if kind == "lwe-encrypt":
@@ -241,8 +238,7 @@ def build_dataset(
     train_idx, val_idx = split_indices(len(inputs), val_fraction, seed)
     return Dataset(
         kind=kind, inputs=inputs, teachers=np.array(teachers, dtype=float), value_max=value_max,
-        train_idx=train_idx, val_idx=val_idx,
-        multi_input=multi_input, labels=labels,
+        train_idx=train_idx, val_idx=val_idx, multi_input=multi_input, labels=labels,
     )
 
 

@@ -253,6 +253,13 @@ class TestConfig:
             replace(cfg, n_cases=1682)
         assert err.value.field == "n_cases"
 
+    @pytest.mark.parametrize("profile, pair_max, n_cases", [("desk", 16, 289), ("full", 60, 2900)])
+    def test_default_case_count_follows_the_parsed_pair_max(self, profile, pair_max, n_cases):
+        # the profile's default is capped at the pairs the configured pair_max
+        # draws, not at those of the default pair_max of 40
+        cfg = parse_config({"profile": profile, "task": {"kind": "pair-sum", "pair_max": pair_max}})
+        assert cfg.n_cases == n_cases and experiment.build_dataset(cfg).n_cases == n_cases
+
     def test_integral_numbers_keep_their_digest(self):
         plain = parse_config({"reservoir": {"n_mask": 8, "theta": 4}, "n_cases": 30})
         loose = parse_config({"reservoir": {"n_mask": 8.0, "theta": 4.0}, "n_cases": 30.0})

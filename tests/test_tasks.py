@@ -9,6 +9,7 @@ import pytest
 from chuarc.errors import ConfigurationError
 from chuarc.lwe import LweParams
 from chuarc.tasks import (
+    TASK_KINDS,
     TaskSpec,
     build_dataset,
     classify,
@@ -57,6 +58,10 @@ class TestModulo:
     def test_positive_base_required(self):
         with pytest.raises(ConfigurationError):
             modulo_teacher(1.0, 0.0)
+
+
+def test_only_the_two_lwe_kinds_are_lwe_tasks():
+    assert [k for k in TASK_KINDS if TaskSpec(kind=k).is_lwe] == ["lwe-encrypt", "lwe-decrypt"]
 
 
 class TestPairs:
