@@ -41,13 +41,12 @@ def _load_config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out = exp.make_out_dir(cfg.out_dir)
     dt = 1.0 / cfg.reservoir.sample_rate if args.dt is None else args.dt
     drive = None
     if args.drive_amplitude != 0.0:
         drive = circ.sine_drive(args.drive_amplitude, args.drive_frequency, args.t_end, dt)
     trace = circ.integrate(cfg.circuit, circ.DEFAULT_INITIAL_STATE, drive, args.t_end, dt)
-    path = out / "trace.csv"
+    path = exp.make_out_dir(cfg.out_dir) / "trace.csv"
     circ.trace_to_csv(trace, path, config_digest(cfg))
     print(f"wrote {path} ({trace.n_samples} samples)")
     return 0
@@ -57,7 +56,6 @@ def _cmd_bifurcate(args) -> int:
     cfg = _load_config(args)
     if args.steps < 2:
         raise ConfigurationError("steps", f"must be >= 2, got {args.steps}")
-    out = exp.make_out_dir(cfg.out_dir)
     values = [args.start + i * (args.stop - args.start) / (args.steps - 1)
               for i in range(args.steps)]
     points = circ.bifurcation_scan(
@@ -71,7 +69,7 @@ def _cmd_bifurcate(args) -> int:
         t_end=args.t_end,
         jobs=args.jobs,
     )
-    path = out / f"bifurcation_{args.param}.csv"
+    path = exp.make_out_dir(cfg.out_dir) / f"bifurcation_{args.param}.csv"
     circ.bifurcation_to_csv(points, path, config_digest(cfg))
     failed = [p.value for p in points if p.error]
     print(f"wrote {path} ({len(points)} points, {len(failed)} failed)")
@@ -80,12 +78,11 @@ def _cmd_bifurcate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
-    out = exp.make_out_dir(cfg.out_dir)
     _, table, _ = plots._read_csv(args.trace, ["t", args.tap])
     if len(table) < 2:
         raise ConfigurationError("trace", "need at least 2 samples")
     freqs, mags = circ.power_spectrum(table[:, 1], float(table[1, 0] - table[0, 0]))
-    path = out / "spectrum.csv"
+    path = exp.make_out_dir(cfg.out_dir) / "spectrum.csv"
     circ.spectrum_to_csv(freqs, mags, path, config_digest(cfg))
     print(f"wrote {path} ({len(freqs)} bins)")
     return 0

@@ -27,7 +27,7 @@ from . import lwe as lwe_mod
 from .circuit import ChuaParams, kennedy_circuit
 from .errors import ConfigurationError
 from .pipeline import ReservoirConfig
-from .tasks import TaskSpec
+from .tasks import TaskSpec, check_split
 
 #: What each profile sets over the dataclass defaults and the Kennedy
 #: circuit: (r_variable, sample_rate, theta, n_cases).
@@ -59,25 +59,29 @@ class ExperimentConfig:
         self.task.check_n_cases(self.n_cases)
         if (self.lwe is not None) != self.task.is_lwe:
             raise ConfigurationError("lwe", f"must be set exactly for lwe tasks; task is {self.task.kind}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigurationError("val_fraction", "must lie strictly between 0 and 1")
+        check_split(self.n_cases, self.val_fraction)
+
+
+def _derive(profile: str, circuit: ChuaParams, task: TaskSpec,
+            reservoir: ReservoirConfig) -> ExperimentConfig:
+    """The profile's config for this circuit and task: f_carrier follows the
+    circuit, the lwe section is there exactly for an LWE task, and the
+    profile's case count is capped at task.max_cases()."""
+    f_carrier = carrier_frequency(circuit.r_variable, circuit.c1)
+    return ExperimentConfig(
+        circuit=circuit, reservoir=replace(reservoir, f_carrier=f_carrier), task=task,
+        lwe=lwe_mod.LweParams() if task.is_lwe else None, profile=profile,
+        n_cases=min(PROFILES.get(profile, PROFILES["full"])[3], task.max_cases()),
+    )
 
 
 def default_config(profile: str = "full", task_kind: str = "polynomial") -> ExperimentConfig:
     """Built-in defaults: the dataclass defaults and the Kennedy circuit,
     with what the profile sets on top (see the module docstring)."""
     # an unknown profile takes the full values; ExperimentConfig rejects it
-    r_variable, sample_rate, theta, n_cases = PROFILES.get(profile, PROFILES["full"])
-    circuit, task = kennedy_circuit(r_variable), TaskSpec(kind=task_kind)
-    return ExperimentConfig(
-        circuit=circuit,
-        reservoir=ReservoirConfig(theta=theta, sample_rate=sample_rate,
-                                  f_carrier=carrier_frequency(r_variable, circuit.c1)),
-        task=task,
-        lwe=lwe_mod.LweParams() if task.is_lwe else None,
-        n_cases=min(n_cases, task.max_cases()),
-        profile=profile,
-    )
+    r_variable, sample_rate, theta, _ = PROFILES.get(profile, PROFILES["full"])
+    return _derive(profile, kennedy_circuit(r_variable), TaskSpec(kind=task_kind),
+                   ReservoirConfig(theta=theta, sample_rate=sample_rate))
 
 
 def _number(value, path: str) -> float:
@@ -206,32 +210,25 @@ def read_config(source) -> dict:
 def parse_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or a dict.
 
-    Missing fields fall back to the profile defaults (an empty object gives
-    the full bench setup); a profile's case count is capped at the parsed
-    task's max_cases(), unless n_cases is set. An unknown key, a value of the wrong type, a
-    non-finite number, a non-integral value for an integer field, a
-    sample rate below twice the carrier frequency, a reservoir.seed or
-    reservoir.value_max other than its default, and any invariant
-    violation raise ConfigurationError naming the offending field path."""
+    The circuit and the task are read over the profile's defaults, the rest
+    over what _derive makes of them; an empty object gives the full bench
+    setup. An unknown key, a value of the wrong type, a non-finite number, a
+    non-integral value for an integer field, a sample rate below twice the
+    carrier frequency, a reservoir.seed or reservoir.value_max off its
+    default, and any invariant violation raise ConfigurationError naming the field path."""
     raw = read_config(source)
-    profile, task = _string(raw.get("profile", "full"), "profile"), raw.get("task", {})
-    kind = task.get("kind", "polynomial") if isinstance(task, dict) else "polynomial"
-    base = default_config(profile, _string(kind, "task.kind"))
-    if "n_cases" not in raw:
-        # the case count follows the parsed task unless set explicitly
-        task = _decode(TaskSpec, task, "task", base.task)
-        base = replace(base, task=task, n_cases=min(PROFILES[profile][3], task.max_cases()))
-    cfg = _decode(ExperimentConfig, raw, "", base)
+    profile = _string(raw.get("profile", "full"), "profile")
+    defaults = default_config(profile)
+    circuit = _decode(ChuaParams, raw.get("circuit", {}), "circuit", defaults.circuit)
+    task = _decode(TaskSpec, raw.get("task", {}), "task", defaults.task)
+    rest = {key: value for key, value in raw.items() if key not in ("circuit", "task")}
+    cfg = _decode(ExperimentConfig, rest, "", _derive(profile, circuit, task, defaults.reservoir))
     # a run takes these from the data and the master seed; the schema keeps
     # them for the config digest, so only their defaults parse
     for name in ("seed", "value_max"):
         default = getattr(ReservoirConfig, name)
         if getattr(cfg.reservoir, name) != default:
             raise ConfigurationError(f"reservoir.{name}", f"is set at run time and must stay {default!r}")
-    if "f_carrier" not in raw.get("reservoir", {}):
-        # the carrier frequency follows the circuit unless pinned explicitly
-        cfg = replace(cfg, reservoir=replace(
-            cfg.reservoir, f_carrier=carrier_frequency(cfg.circuit.r_variable, cfg.circuit.c1)))
     # carrier_wave checks this again, for the per-resistance carrier of a sweep cell
     if cfg.reservoir.sample_rate < 2.0 * cfg.reservoir.f_carrier:
         raise ConfigurationError("reservoir.sample_rate",

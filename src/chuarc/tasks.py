@@ -16,17 +16,14 @@ from . import lwe
 from .cells import repr_cells, text_cells, write_csv
 from .errors import ConfigurationError
 
-TASK_KINDS = (
-    "circles",
-    "polynomial",
-    "modulo",
-    "poly-mod",
-    "pair-sum",
-    "pair-product",
-    "pair-modlin",
-    "lwe-encrypt",
-    "lwe-decrypt",
-)
+#: The family of each task kind: its inputs, teachers, case bounds and CSV schema.
+FAMILIES = {
+    "circles": "circles",
+    "polynomial": "line", "modulo": "line", "poly-mod": "line",
+    "pair-sum": "pair", "pair-product": "pair", "pair-modlin": "pair",
+    "lwe-encrypt": "lwe", "lwe-decrypt": "lwe",
+}
+TASK_KINDS = tuple(FAMILIES)
 
 #: teacher values used for the two circle classes (class index + 1, keeping
 #: targets away from zero so the error metric stays finite)
@@ -63,16 +60,17 @@ class TaskSpec:
     @property
     def is_lwe(self) -> bool:
         """Whether the task encrypts or decrypts LWE messages: only these take an lwe section."""
-        return self.kind.startswith("lwe")
+        return FAMILIES[self.kind] == "lwe"
 
     def max_cases(self) -> float:
         """The distinct cases the task draws: the (pair_max + 1)**2 pairs of a pair task, else no bound."""
-        return (self.pair_max + 1) ** 2 if self.kind.startswith("pair") else math.inf
+        return (self.pair_max + 1) ** 2 if FAMILIES[self.kind] == "pair" else math.inf
 
     def check_n_cases(self, n_cases: int) -> None:
-        """ConfigurationError (n_cases) unless 1 <= n_cases <= max_cases()."""
-        if not 1 <= n_cases <= self.max_cases():
-            raise ConfigurationError("n_cases", f"{n_cases} outside [1, {self.max_cases()}] for {self.kind}")
+        """ConfigurationError (n_cases) outside [1, max_cases()], or [2, ...] for circles' two classes."""
+        low, high = (2 if FAMILIES[self.kind] == "circles" else 1), self.max_cases()
+        if not low <= n_cases <= high:
+            raise ConfigurationError("n_cases", f"{n_cases} outside [{low}, {high}] for {self.kind}")
 
 
 def polynomial_teacher(x: float) -> float:
@@ -164,19 +162,26 @@ class Dataset:
         return len(self.inputs)
 
 
+def check_split(n: int, val_fraction: float) -> int:
+    """The validation count round(n * val_fraction) of an n-case split: ConfigurationError
+    (val_fraction) unless 0 < val_fraction < 1 and, for n > 1, the count lies in [1, n - 1]."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigurationError("val_fraction", "must lie strictly between 0 and 1")
+    n_val = int(round(n * val_fraction))
+    if n > 1 and not 1 <= n_val <= n - 1:
+        raise ConfigurationError("val_fraction", f"degenerate split for {n} cases")
+    return n_val
+
+
 def split_indices(n: int, val_fraction: float, seed: int) -> tuple:
     """Uniform random disjoint partition into (train, val) index arrays.
 
     A single-case dataset trains and validates on that one case (the
     interpolation sanity check).
     """
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigurationError("val_fraction", "must lie strictly between 0 and 1")
+    n_val = check_split(n, val_fraction)
     if n == 1:
         return np.array([0]), np.array([0])
-    n_val = int(round(n * val_fraction))
-    if n_val == 0 or n_val == n:
-        raise ConfigurationError("val_fraction", f"degenerate split for {n} cases")
     rng = np.random.default_rng([seed, 0x73706C69])
     order = rng.permutation(n)
     return np.sort(order[n_val:]), np.sort(order[:n_val])
@@ -193,10 +198,10 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
                   lwe_params: lwe.LweParams | None = None) -> Dataset:
     """Generate n_cases inputs and teachers for one task kind, reproducibly from the seed."""
     spec.check_n_cases(n_cases)
-    kind = spec.kind
+    kind, family = spec.kind, FAMILIES[spec.kind]
     labels, multi_input = None, False
 
-    if kind in ("polynomial", "modulo", "poly-mod"):
+    if family == "line":
         xs = np.linspace(spec.x_range[0], spec.x_range[1], n_cases)
         inputs = [[float(x)] for x in xs]
         if kind == "polynomial":
@@ -206,7 +211,7 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
         else:
             teachers = [[poly_mod_teacher(float(x), spec.poly_mod_base)] for x in xs]
         value_max = float(spec.x_range[1])
-    elif kind in ("pair-sum", "pair-product", "pair-modlin"):
+    elif family == "pair":
         rng = np.random.default_rng([seed, 0x70616972])
         side = spec.pair_max + 1
         chosen = rng.choice(side * side, size=n_cases, replace=False)
@@ -215,7 +220,7 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
         col = {"pair-sum": 0, "pair-product": 1, "pair-modlin": 2}[kind]
         teachers = [[pair_teachers(a, b, spec.pair_max)[col]] for a, b in pairs]
         value_max = float(spec.pair_max)
-    elif kind == "circles":
+    elif family == "circles":
         points, point_labels = concentric_circles(n_cases, seed, spec.inner_radius, spec.outer_radii)
         shift = spec.outer_radii[1]
         inputs = [[float(p[0] + shift), float(p[1] + shift)] for p in points]
@@ -223,9 +228,10 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
         labels = [int(l) for l in point_labels]
         value_max = 2.0 * shift
         multi_input = True
-    elif spec.is_lwe:
-        params = lwe_params or lwe.LweParams()
-        _, cases = lwe_cases(params, n_cases, seed)
+    else:
+        if lwe_params is None:
+            raise ConfigurationError("lwe", f"required for {kind}")
+        _, cases = lwe_cases(lwe_params, n_cases, seed)
         if kind == "lwe-encrypt":
             inputs = [list(c.a_samples) + list(c.b_samples) + [c.phi] for c in cases]
             teachers = [[float(c.u), float(c.v)] for c in cases]
@@ -233,7 +239,7 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
             inputs = [[float(c.u), float(c.v)] for c in cases]
             teachers = [[float(c.decrypt_value)] for c in cases]
             labels = [c.phi for c in cases]
-        value_max = float(params.q - 1)
+        value_max = float(lwe_params.q - 1)
 
     train_idx, val_idx = split_indices(len(inputs), val_fraction, seed)
     return Dataset(
@@ -252,21 +258,21 @@ def confusion_matrix(true_labels, predicted_labels) -> np.ndarray:
 
 def dataset_to_csv(dataset: Dataset, path, config_digest: str | None = None) -> None:
     """Write a task dataset with per-kind headers."""
-    kind = dataset.kind
+    family = FAMILIES[dataset.kind]
     inputs = list(zip(*dataset.inputs))
     render = None
-    if kind in ("polynomial", "modulo", "poly-mod"):
+    if family == "line":
         header = ("x", "y_teacher")
         columns = (inputs[0], dataset.teachers[:, 0])
-    elif kind in ("pair-sum", "pair-product", "pair-modlin"):
+    elif family == "pair":
         header = ("x1", "x2", "sum", "product", "modlin")
         pair_max = int(dataset.value_max)  # build_dataset's spec.pair_max
         targets = zip(*(pair_teachers(inp[0], inp[1], pair_max) for inp in dataset.inputs))
         columns = (inputs[0], inputs[1], *targets)
-    elif kind == "circles":
+    elif family == "circles":
         header = ("x", "y", "class")
         columns = (inputs[0], inputs[1], [str(label).encode("ascii") for label in dataset.labels])
         render = (repr_cells, repr_cells, text_cells)
     else:
-        raise ConfigurationError("task.kind", f"no CSV schema for {kind} (use the JSON dataset)")
+        raise ConfigurationError("task.kind", f"no CSV schema for {dataset.kind} (use the JSON dataset)")
     write_csv(path, header, columns, config_digest, render)

@@ -39,7 +39,7 @@ from chuarc.experiment import (
 )
 from chuarc.pipeline import nmse, predict, train_readout
 from chuarc.plots import render_plot
-from chuarc.tasks import TASK_KINDS
+from chuarc.tasks import TASK_KINDS, TaskSpec, check_split
 
 #: where the chuarc under test is imported from, for subprocesses
 SRC = str(Path(experiment.__file__).resolve().parents[1])
@@ -57,20 +57,31 @@ def tiny_config(tmp_path, kind="polynomial", **overrides) -> ExperimentConfig:
 LWE_TASK = {"kind": "lwe-encrypt"}
 
 
+def _allowed(spec, n_cases) -> bool:
+    """Whether the task and the default 0.2 split take n_cases."""
+    try:
+        spec.check_n_cases(n_cases)
+        check_split(n_cases, 0.2)
+    except ConfigurationError:
+        return False
+    return True
+
+
 @st.composite
 def _raw_configs(draw):
     """A config object over any profile and task kind, with a pinned or
-    derived carrier, a case count within the task's max_cases, and for an
-    LWE task, LWE parameters absent or with either error mode."""
-    kind = draw(st.sampled_from(TASK_KINDS))
+    derived carrier, a case count that the task and the split allow, and for
+    an LWE task, LWE parameters absent or with either error mode."""
+    spec = TaskSpec(kind=draw(st.sampled_from(TASK_KINDS)))
+    n_cases = st.integers(1, min(spec.max_cases(), 5000)).filter(lambda n: _allowed(spec, n))
     raw = {"profile": draw(st.sampled_from(("full", "desk"))),
-           "task": {"kind": kind},
+           "task": {"kind": spec.kind},
            "circuit": {"r_variable": draw(st.floats(1000.0, 3000.0))},
-           "n_cases": draw(st.integers(1, 41**2 if kind.startswith("pair") else 5000)),
+           "n_cases": draw(n_cases),
            "master_seed": draw(st.integers(0, 2**63))}
     if draw(st.booleans()):
         raw["reservoir"] = {"f_carrier": draw(st.floats(100.0, 2e4))}
-    errors = draw(st.sampled_from((None, "uniform", "gaussian"))) if kind.startswith("lwe") else None
+    errors = draw(st.sampled_from((None, "uniform", "gaussian"))) if spec.is_lwe else None
     if errors == "uniform":
         lo = draw(st.integers(-3, 3))
         raw["lwe"] = {"q": 11, "error_mode": {"kind": "uniform", "lo": lo,
@@ -214,6 +225,8 @@ class TestConfig:
     @pytest.mark.parametrize("raw, field", [
         ({"profile": "desk", "task": {"kind": "pair-sum"}, "n_cases": 2000}, "n_cases"),
         ({"profile": "desk", "task": {"kind": "polynomial"}, "lwe": {"q": 29}}, "lwe"),
+        ({"profile": "desk", "task": {"kind": "circles"}, "n_cases": 1}, "n_cases"),
+        ({"profile": "desk", "task": {"kind": "polynomial"}, "n_cases": 2}, "val_fraction"),
     ])
     def test_a_config_error_stops_the_command_before_any_artefact(self, tmp_path, capsys,
                                                                   command, raw, field):
@@ -860,14 +873,27 @@ class TestCli:
         assert capsys.readouterr().err == f"failure: {message}\n"
         assert json.loads((out / "failure_manifest.json").read_text())["error"] == message
 
-    @pytest.mark.parametrize("task, n_cases, field", [("circles", "1", "n_points"),
+    @pytest.mark.parametrize("task, n_cases, field", [("circles", "1", "n_cases"),
                                                       ("polynomial", "2", "val_fraction")])
     def test_bad_input_writes_no_failure_manifest(self, tmp_path, capsys, task, n_cases, field):
         out = tmp_path / "out"
         assert main(["train", "--task", task, "--n-cases", n_cases, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
-        assert not (out / "failure_manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["simulate", "--t-end", "-1"], "t_end"),
+        (["spectrum", "--trace", "nope.csv"], "csv"),
+        (["bifurcate", "--param", "c1", "--start=-1e-9", "--stop", "1e-8", "--steps", "3",
+          "--t-end", "1e-3"], "circuit.c1"),
+    ], ids=["simulate", "spectrum", "bifurcate"])
+    def test_bad_input_makes_no_out_dir(self, tmp_path, capsys, monkeypatch, argv, field):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--t-end", "0.0002", "--dt", "1e-6"],
@@ -877,7 +903,10 @@ class TestCli:
         ["train", "--n-cases", "12"],
         ["sweep", "--n-cases", "12", "--r-start", "1600", "--r-stop", "1600"],
     ])
-    def test_unwritable_out_dir_exits_1(self, tmp_path, capsys, argv):
+    def test_unwritable_out_dir_exits_1(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "spectrum":  # a real trace, so that only the out directory fails
+            assert main(["simulate", "--t-end", "0.0002", "--dt", "1e-6", "--out", "."]) == 0
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert main([*argv, "--out", str(blocker / "sub")]) == 1

@@ -9,6 +9,7 @@ import pytest
 from chuarc.errors import ConfigurationError
 from chuarc.lwe import LweParams
 from chuarc.tasks import (
+    FAMILIES,
     TASK_KINDS,
     TaskSpec,
     build_dataset,
@@ -62,6 +63,31 @@ class TestModulo:
 
 def test_only_the_two_lwe_kinds_are_lwe_tasks():
     assert [k for k in TASK_KINDS if TaskSpec(kind=k).is_lwe] == ["lwe-encrypt", "lwe-decrypt"]
+
+
+@pytest.mark.parametrize("kind", TASK_KINDS)
+def test_each_kind_follows_its_family(tmp_path, kind):
+    from chuarc.tasks import dataset_to_csv
+
+    spec, family = TaskSpec(kind=kind), FAMILIES[kind]
+    assert tuple(FAMILIES) == TASK_KINDS
+    assert spec.is_lwe == (family == "lwe")
+    assert math.isfinite(spec.max_cases()) == (family == "pair")
+    # circles draw both classes; an even split takes the 2 cases
+    smallest, params = (2 if family == "circles" else 1), (LweParams() if spec.is_lwe else None)
+    with pytest.raises(ConfigurationError, match="^n_cases: "):
+        build_dataset(spec, n_cases=smallest - 1, seed=4, lwe_params=params)
+    ds = build_dataset(spec, n_cases=smallest, seed=4, val_fraction=0.5, lwe_params=params)
+    assert ds.n_cases == smallest
+    path = tmp_path / "d.csv"
+    if spec.is_lwe:
+        with pytest.raises(ConfigurationError, match="^task.kind: "):
+            dataset_to_csv(ds, path)
+        with pytest.raises(ConfigurationError, match="^lwe: "):
+            build_dataset(spec, n_cases=smallest, seed=4)
+    else:
+        dataset_to_csv(ds, path)
+        assert len(path.read_text().splitlines()) == 1 + smallest
 
 
 class TestPairs:
@@ -203,7 +229,7 @@ class TestDatasetCsv:
     def test_lwe_kind_has_no_csv_schema(self, tmp_path):
         from chuarc.tasks import dataset_to_csv
 
-        ds = build_dataset(TaskSpec(kind="lwe-encrypt"), n_cases=4, seed=22)
+        ds = build_dataset(TaskSpec(kind="lwe-encrypt"), n_cases=4, seed=22, lwe_params=LweParams())
         with pytest.raises(ConfigurationError):
             dataset_to_csv(ds, tmp_path / "x.csv")
 
