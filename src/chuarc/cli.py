@@ -90,17 +90,18 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_dataset(args) -> int:
     cfg = _load_config(args)
-    out = exp.make_out_dir(cfg.out_dir)
     if cfg.task.is_lwe:
         # the cases the experiment harness trains on for this master seed
         seed = seed_for(cfg.master_seed, "dataset")
         pk, cases = tasks.lwe_cases(cfg.lwe, cfg.n_cases, seed)
+        out = exp.make_out_dir(cfg.out_dir)
         path = out / "lwe_cases.json"
         lwe_mod.save_dataset(cases, pk, seed, path)
         lwe_mod.save_keypair(cfg.lwe, pk, out / "lwe_key.json", out / "lwe_secret.json")
     else:
-        path = out / f"dataset_{cfg.task.kind}.csv"
-        tasks.dataset_to_csv(exp.build_dataset(cfg), path, config_digest(cfg))
+        dataset = exp.build_dataset(cfg)
+        path = exp.make_out_dir(cfg.out_dir) / f"dataset_{cfg.task.kind}.csv"
+        tasks.dataset_to_csv(dataset, path, config_digest(cfg))
     print(f"wrote {path} ({cfg.n_cases} cases)")
     return 0
 

@@ -143,22 +143,38 @@ def samples_per_envelope_point(n_envelope: int, cfg: ReservoirConfig) -> int:
 @dataclass(frozen=True)
 class StateMatrix:
     """Demultiplexed kernel activations: one row per kept timestep, one
-    column per (tap, mask) channel, tap-major."""
+    column per (tap, mask) channel, tap-major.
 
-    values: np.ndarray  # (n_rows, n_channels) volts
+    The matrix is held as 2-D blocks stacked along ``axis`` (0: rows, 1:
+    columns). ``run_cases`` gives a case one block per value or coordinate,
+    which cases with a shared message prefix hold as one object, and
+    ``values`` stacks them on demand; ``shape`` is the stack's, set once.
+    """
+
+    blocks: tuple  # 2-D volts, stacked along axis
+    axis: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 2:
+        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
+        if not blocks or {b.ndim for b in blocks} != {2} or len({b.shape[1 - self.axis]
+                                                                 for b in blocks}) != 1:
             raise ConfigurationError("state", "must be a rectangular matrix")
+        shape = list(blocks[0].shape)
+        shape[self.axis] = sum(b.shape[self.axis] for b in blocks)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "shape", tuple(shape))
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
 
     @property
     def n_channels(self) -> int:
-        return self.values.shape[1]
+        return self.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:  # (n_rows, n_channels)
+        return np.concatenate(self.blocks, axis=self.axis)
 
 
 def demultiplex(channels, n_values: int, n_mask: int, middle_fraction: float = 0.8) -> StateMatrix:
@@ -186,7 +202,7 @@ def demultiplex(channels, n_values: int, n_mask: int, middle_fraction: float = 0
         out[:, k * n_mask:(k + 1) * n_mask] = blocks.transpose(0, 2, 1).reshape(
             n_values * n_keep, n_mask
         )
-    return StateMatrix(out)
+    return StateMatrix((out,), 0)
 
 
 def _slot_window(spp: int, middle_fraction: float) -> tuple:
@@ -208,10 +224,9 @@ def _passthrough_kernel(drive: np.ndarray, circuit: ChuaParams, dt: float) -> np
 #: for host noise).
 LANE_CROSSOVER = 32
 
-#: Byte budget of three buffers: the lockstep sink's slab (the kept taps of
-#: a value's prefixes, whole slots or rows of one slot, at least one row of
-#: every prefix), each copy of a value's taps from a prefix's first lane to its
-#: other lanes, and the readout's blocks of cases (their rows with the bias
+#: Byte budget of two buffers: the lockstep sink's slab (the kept taps of a
+#: value's prefixes, whole slots or rows of one slot, at least one row of
+#: every prefix) and the readout's blocks of cases (their rows with the bias
 #: column, plus the Grams in train_readout; at least one case).
 BUFFER_BYTES = 1 << 18
 
@@ -232,16 +247,17 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     With ``per_coordinate`` each coordinate of a case drives its own lane and
     the case's state matrix concatenates the coordinates' channels. Lane k is
     driven at step s by the multiplexed message's level s // spp times
-    carrier[s], and the kept taps fill one (case, row, coordinate, channel)
-    array, so each case's values are a view of it.
+    carrier[s]. Each lane's kept taps are 2-D (kept step, channel) blocks
+    stacked along rows, and a case's StateMatrix holds the blocks of its
+    lanes: stacked along rows, or along columns with ``per_coordinate``.
 
     Groups of at least LANE_CROSSOVER lanes run as lanes of one lockstep
     kernel, value by value: lanes whose messages share a prefix share its
     states bit for bit, so each value integrates one lane per distinct
-    (prefix, value) pair, from the end state of its prefix, and its kept taps
-    are copied to every lane of that prefix through a slab of at most
-    BUFFER_BYTES. Narrower groups and a ``kernel`` override run lane by lane
-    through the scalar kernel. Both give the same bits. A
+    (prefix, value) pair, from the end state of its prefix, into one stored
+    block per pair that every lane of the prefix holds (``_run_prefixes``).
+    Narrower groups and a ``kernel`` override run lane by lane through the
+    scalar kernel, one block per lane. Both give the same bits. A
     ``kernel(drive, circuit, dt)`` override receives the 1-D drive of the real
     message only (n_values * n_mask * spp samples) and must return a
     (2, >= that many) channels array, rows in the order of circuit.TAPS. A
@@ -266,67 +282,62 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
     n_real = n_values * n_mask * spp
     carrier = carrier_wave(n_real, cfg)
     n_keep, lo = _slot_window(spp, cfg.middle_fraction)
-    out = np.empty((n_cases, n_values * n_keep, n_coords, 2 * n_mask))
+    blocks = [[] for _ in range(n_lanes)]  # lane -> its blocks, stacked along rows
 
     def scalar(lane):
-        case, coord = divmod(lane, n_coords)
         levels = multiplex(messages[lane], mask)
         drive = sample_hold(levels, spp) * carrier
         try:
             channels = (integrate(circuit, DEFAULT_INITIAL_STATE, drive, n_real * dt, dt).channels
                         if kernel is None else np.asarray(kernel(drive, circuit, dt), dtype=float))
         except IntegrationError as exc:
-            raise IntegrationError(exc.step_index, case_index=case) from None
+            raise IntegrationError(exc.step_index, case_index=lane // n_coords) from None
         if channels.ndim != 2 or channels.shape[0] != 2 or channels.shape[1] < n_real:
             raise ConfigurationError("trace", f"the kernel must return a (2, >= {n_real}) array,"
                                               f" got shape {channels.shape}")
-        out[case, :, coord] = demultiplex(channels[:, :n_real], n_values, n_mask,
-                                          cfg.middle_fraction).values
+        blocks[lane] += demultiplex(channels[:, :n_real], n_values, n_mask,
+                                    cfg.middle_fraction).blocks
 
     if kernel is not None or n_lanes < LANE_CROSSOVER:
         for lane in range(n_lanes):
             scalar(lane)
     else:
-        finite = _run_prefixes(messages, mask, circuit, carrier, dt, spp, (n_keep, lo),
-                               out.reshape(n_cases, n_values, n_keep, n_coords, 2, n_mask))
+        finite = _run_prefixes(messages, mask, circuit, carrier, dt, spp, (n_keep, lo), blocks)
         if not finite.all():
             lane = int(np.flatnonzero(~finite)[0])
             scalar(lane)
             raise AssertionError(f"lane {lane} diverged but its scalar rerun did not")
 
-    values = out.reshape(n_cases, n_values * n_keep, -1)
-    return [StateMatrix(v) for v in values]
+    return [StateMatrix([b for lane in blocks[c * n_coords:(c + 1) * n_coords] for b in lane],
+                        int(per_coordinate)) for c in range(n_cases)]
 
 
 def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float, spp: int,
-                  window: tuple, out) -> np.ndarray:
+                  window: tuple, blocks: list) -> np.ndarray:
     """The lockstep branch of ``run_cases``: walk the prefix tree of the lanes'
-    (lane, value) ``messages`` one value at a time, fill ``out``, viewed as
-    (case, value, kept step, coordinate, tap, slot), and return which lanes
-    ended finite.
+    (lane, value) ``messages`` one value at a time, append each lane's block of
+    the value to ``blocks[lane]``, and return which lanes ended finite.
 
     A prefix is keyed by its parent prefix and the bit pattern of the value's
     normalised level, so the lanes of one prefix hold bit-identical states.
-    The kept taps of a value's prefixes go to a slab, which is copied into
-    the prefixes' first lanes when it is full and at the end of the value;
-    the other lanes of each prefix then copy the value's block from its first
-    lane.
+    Each value stores the kept taps of its prefixes once, as a (prefix, kept
+    step, tap, slot) array; the sink fills a slab, which is flushed into that
+    store when it is full and at the end of the value. Every lane of a prefix
+    then appends the same view object of the prefix's block, so the block is
+    also pickled once with the lanes that share it.
     """
     n_lanes, n_values = messages.shape
-    n_coords, n_mask = out.shape[3], len(mask)
+    n_mask = len(mask)
     n_keep, lo = window
     steps = n_mask * spp
     keep = [lo <= s % spp < lo + n_keep for s in range(steps)]
     state = np.array(astuple(DEFAULT_INITIAL_STATE))[:, None]  # (3, prefix)
     prefix = np.zeros(n_lanes, dtype=np.int64)  # lane -> prefix of its values so far
     # the slab holds whole slots, or rows of one slot, at 2 taps x 8 bytes per
-    # row and prefix; a copy between lanes moves 2 taps x 8 bytes per kept
-    # step and slot
+    # row and prefix
     block_rows = max(1, BUFFER_BYTES // (16 * n_lanes))
     rows_per, slots_per = min(n_keep, block_rows), max(1, min(n_mask, block_rows // n_keep))
     slab = np.empty(slots_per * rows_per * 2 * n_lanes)
-    block_lanes = max(1, BUFFER_BYTES // (16 * n_keep * n_mask))
-    lanes = np.arange(n_lanes)
 
     for k in range(n_values):
         _, level = np.unique(np.ascontiguousarray(messages[:, k]).view(np.int64),
@@ -334,13 +345,13 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
         _, first, lane_prefix = np.unique(prefix * n_lanes + level.reshape(-1),
                                           return_index=True, return_inverse=True)
         parent, prefix, n_prefix = prefix[first], lane_prefix.reshape(-1), first.size
-        case, coord = np.divmod(first, n_coords)
         levels = np.ascontiguousarray(multiplex(messages[first, k, None], mask).T)
         taps = slab[:slots_per * rows_per * 2 * n_prefix].reshape(-1, 2, n_prefix)
+        store = np.empty((n_prefix, n_keep, 2, n_mask))
 
         def flush(j0, j1, r0, r1):
             rows = taps[:(j1 - j0) * (r1 - r0)].reshape(j1 - j0, r1 - r0, 2, n_prefix)
-            out[case, k, r0:r1, coord, :, j0:j1] = rows.transpose(3, 1, 2, 0)
+            store[:, r0:r1, :, j0:j1] = rows.transpose(3, 1, 2, 0)
 
         def sink(step, v_cd, v_l):
             slot, row = divmod(step, spp)
@@ -354,12 +365,9 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
 
         state = integrate_lanes(circuit, state[:, parent], levels,
                                 carrier[k * steps:(k + 1) * steps], dt, keep, sink)
-        # every other lane of a prefix copies the value's taps of its first lane
-        copies = np.flatnonzero(first[prefix] != lanes)
-        for b in range(0, copies.size, block_lanes):
-            dst = np.divmod(copies[b:b + block_lanes], n_coords)
-            src = np.divmod(first[prefix[copies[b:b + block_lanes]]], n_coords)
-            out[dst[0], k, :, dst[1]] = out[src[0], k, :, src[1]]
+        views = list(store.reshape(n_prefix, n_keep, 2 * n_mask))
+        for lane, p in enumerate(prefix.tolist()):
+            blocks[lane].append(views[p])
     return np.isfinite(state).all(axis=0)[prefix]
 
 
@@ -391,7 +399,7 @@ class ReadoutWeight:
 
 def _shape(states, field: str) -> tuple:
     """The (n_rows, n_channels) of all ``states``, else ConfigurationError naming ``field``."""
-    shapes = {sm.values.shape for sm in states}
+    shapes = {sm.shape for sm in states}
     if len(shapes) != 1:
         raise ConfigurationError(field, f"states must share one (n_rows, n_channels), got {sorted(shapes)}")
     return shapes.pop()
@@ -404,14 +412,14 @@ def _row_blocks(states, case_bytes: int = 0):
     BUFFER_BYTES: per case and row, the constant 1 and then the channel
     values, exactly the rows a lone case builds.
     """
-    n_rows, n_ch = states[0].values.shape
+    n_rows, n_ch = states[0].shape
     size = max(1, BUFFER_BYTES // (8 * n_rows * (1 + n_ch) + case_bytes))
     buf = np.empty((min(size, len(states)), n_rows, 1 + n_ch))
     buf[:, :, 0] = 1.0
     for start in range(0, len(states), size):
         rows = buf[:len(states) - start]
         for j, sm in enumerate(states[start:start + size]):
-            rows[j, :, 1:] = sm.values
+            np.concatenate(sm.blocks, axis=sm.axis, out=rows[j, :, 1:])
         yield start, rows
 
 

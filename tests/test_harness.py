@@ -852,11 +852,13 @@ class TestCli:
             "lwe": {"q": 2, "m": 8, "n_samples": 3, "s": 1,
                     "error_mode": {"kind": "uniform", "lo": 0, "hi": 0}},
             "n_cases": 4,
-            "out_dir": str(tmp_path),
+            "out_dir": str(tmp_path / "out"),
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["dataset", "--config", str(cfg_path)]) == 2
+        # the cases are generated before the output directory is made
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_case_exits_2_with_a_manifest(self, tmp_path, capsys):
         # a 1 nF diode-side capacitor is too stiff for the 1 us step; the pinned

@@ -3,6 +3,7 @@ the scalar kernel and with the per-case pipeline chain, for either backend, any
 lane grouping and worker count, and failures that name the case."""
 
 import pickle
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -171,7 +172,7 @@ def per_case_states(cfg, dataset):
     states = []
     for raw in dataset.inputs:
         parts = [reference_state([c], reservoir, cfg.circuit) for c in raw]
-        states.append(StateMatrix(values=np.hstack([p.values for p in parts])))
+        states.append(StateMatrix([b for p in parts for b in p.blocks], 1))
     return states
 
 
@@ -232,15 +233,25 @@ class TestSimulateCases:
         inputs = experiment.build_dataset(CONFIGS["duplicates"]).inputs
         assert len({tuple(raw) for raw in inputs}) < len(inputs)
 
-    def test_case_values_are_contiguous_views_of_one_block(self):
-        cfg = CONFIGS["circles"]
+    def test_cases_of_a_worker_group_share_their_prefix_blocks(self, monkeypatch):
+        # a worker's group comes back in one pickle call, which memoises each
+        # stored block by identity, so the cases that share it still do
+        cfg = CONFIGS["duplicates"]
         dataset = experiment.build_dataset(cfg)
-        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
-        states = run_cases(dataset.inputs, reservoir, cfg.circuit, per_coordinate=True)
-        base = states[0].values.base
-        assert base is not None
-        for sm in states:
-            assert sm.values.flags.c_contiguous and sm.values.base is base
+        monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
+        want = experiment.simulate_cases(cfg, dataset, jobs=1)
+        got = experiment.simulate_cases(cfg, dataset, jobs=2)
+        assert_same_states(got, want, 2)
+        half = dataset.n_cases // 2
+        shared = 0
+        for group in (range(half), range(half, dataset.n_cases)):
+            for i in group:
+                for j in group:
+                    for k in range(len(dataset.inputs[i])):
+                        same = dataset.inputs[i][:k + 1] == dataset.inputs[j][:k + 1]
+                        assert (got[i].blocks[k] is got[j].blocks[k]) == same, (i, j, k)
+                        shared += same and i != j
+        assert shared > 0
 
 
 def count_lane_steps(monkeypatch):
@@ -278,6 +289,40 @@ class TestSharedPrefixes:
         assert distinct == [7, 47, 164, 236, 257, 257, 258, 258, 258, 258, 516]
         assert counted == sum(distinct) * steps == 503_200
         assert 520 * len(distinct) * steps == 1_144_000
+
+    def test_each_distinct_prefix_is_stored_once(self):
+        # the desk-lwe benchmark's dataset (seed 0), as run_cases groups it
+        cfg = replace(default_config(profile="desk", task_kind="lwe-encrypt"), n_cases=520,
+                      master_seed=0)
+        dataset = experiment.build_dataset(cfg)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
+        states = run_cases(dataset.inputs, reservoir, cfg.circuit)
+        n_values = len(dataset.inputs[0])
+        distinct = [len({tuple(raw[:k + 1]) for raw in dataset.inputs}) for k in range(n_values)]
+        stored = [len({id(sm.blocks[k]) for sm in states}) for k in range(n_values)]
+        assert stored == distinct == [7, 47, 164, 236, 257, 257, 258, 258, 258, 258, 516]
+
+    def test_duplicate_cases_store_no_more_states(self):
+        # the second copy of a case shares every block of the first, so it adds
+        # at most bookkeeping to the peak, never a case's states
+        cfg = CONFIGS["duplicates"]
+        dataset = experiment.build_dataset(cfg)
+        n = dataset.n_cases
+        doubled = replace(dataset, inputs=dataset.inputs * 2,
+                          teachers=np.vstack([dataset.teachers] * 2),
+                          train_idx=np.concatenate([dataset.train_idx, dataset.train_idx + n]),
+                          val_idx=np.concatenate([dataset.val_idx, dataset.val_idx + n]))
+        peaks = []
+        for data in (dataset, doubled):
+            tracemalloc.start()
+            try:
+                states = experiment.simulate_cases(cfg, data, jobs=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(states) == 2 * n >= pipeline.LANE_CROSSOVER
+        case_bytes = 8 * states[0].n_rows * states[0].n_channels
+        assert peaks[1] - peaks[0] < n * case_bytes
 
     def test_lanes_without_shared_prefixes_are_each_integrated(self, monkeypatch):
         cfg = replace(default_config(profile="desk", task_kind="polynomial"), n_cases=40)

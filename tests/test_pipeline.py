@@ -189,7 +189,27 @@ class TestDemultiplex:
 
 def make_state(values):
     values = np.asarray(values, dtype=float)
-    return StateMatrix(values=values)
+    return StateMatrix((values,), 0)
+
+
+class TestStateMatrix:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_blocks_stack_along_their_axis(self, axis):
+        a, b = np.arange(6.0).reshape(2, 3), np.arange(6.0, 12.0).reshape(2, 3)
+        sm = StateMatrix([a, b], axis)
+        want = np.hstack([a, b]) if axis else np.vstack([a, b])
+        assert sm.shape == (sm.n_rows, sm.n_channels) == want.shape
+        assert np.array_equal(sm.values, want)
+
+    @pytest.mark.parametrize("blocks, axis", [
+        ([], 0),
+        ([np.zeros(3)], 0),
+        ([np.zeros((2, 3)), np.zeros((2, 4))], 0),  # channel counts differ
+        ([np.zeros((2, 3)), np.zeros((3, 3))], 1),  # row counts differ
+    ])
+    def test_blocks_that_do_not_stack_are_rejected(self, blocks, axis):
+        with pytest.raises(ConfigurationError, match="^state: "):
+            StateMatrix(blocks, axis)
 
 
 class TestTraining:
