@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 
@@ -131,10 +132,19 @@ class CircuitState:
 DEFAULT_INITIAL_STATE = CircuitState(i_l=0.0, v_c2=0.0, v_c1=0.1)
 
 
+def _step_count(steps: float) -> int:
+    """``steps`` rounded to a whole number of steps; ConfigurationError on
+    t_end when the two-tap trace of that many steps, 16 bytes per step
+    boundary, could not be addressed."""
+    if not steps < math.inf or 16 * (round(steps) + 1) > sys.maxsize:
+        raise ConfigurationError("t_end", f"spans {steps:.6g} steps of dt, too many for a two-tap trace")
+    return round(steps)
+
+
 def sine_drive(amplitude: float, frequency: float, duration: float, dt: float) -> np.ndarray:
     """Plain sinusoidal drive volts, one sample per step of ``dt``."""
     sample_rate = 1.0 / dt
-    n = max(1, int(round(duration * sample_rate)))
+    n = max(1, _step_count(duration * sample_rate))
     t = np.arange(n) / sample_rate
     return amplitude * np.sin(2.0 * math.pi * frequency * t)
 
@@ -225,9 +235,7 @@ def integrate(
         raise ConfigurationError("dt", f"must be finite and positive, got {dt!r}")
     if not 0.0 <= t_end < math.inf:
         raise ConfigurationError("t_end", f"must be finite and non-negative, got {t_end!r}")
-    if not t_end / dt < math.inf:
-        raise ConfigurationError("t_end", f"must span a finite number of steps of dt {dt!r}, got {t_end!r}")
-    n_steps = int(round(t_end / dt))
+    n_steps = _step_count(t_end / dt)
     if drive is None:
         # one shared 0.0, not a list of n_steps + 1 float objects
         vin, last = itertools.repeat(0.0, n_steps), 0.0
@@ -358,17 +366,16 @@ def integrate_lanes(
     carrier: np.ndarray,
     dt: float,
     keep,
-    sink,
-) -> np.ndarray:
+) -> tuple:
     """Lockstep RK4 over independent lanes that share the circuit and carrier.
 
     ``start`` is (3, n_lanes): each lane's (i_l, v_c2, v_c1) before step 0.
     ``levels`` is (n_levels, n_lanes); each level is held for
     len(carrier) // n_levels steps, and lane k is driven at step s by
-    levels[s // hold, k] * carrier[s]. At every step s with ``keep[s]`` true,
-    ``sink(s, v_cd, v_l)`` receives the two taps of all lanes before that
-    step; the arrays are reused, so the sink must copy them. Returns the
-    (3, n_lanes) state after the last step, in the order of ``start``.
+    levels[s // hold, k] * carrier[s]. ``keep`` holds one flag per step.
+    Returns ``(end, taps)``: the (3, n_lanes) state after the last step, in
+    the order of ``start``, and the (n_kept, 2, n_lanes) taps v_cd and v_l of
+    all lanes before each step s with ``keep[s]`` true, in step order.
 
     Every lane repeats the IEEE operations of ``integrate`` in the same order
     (see the note on the diode's sign below), so each one matches the scalar
@@ -386,93 +393,90 @@ def integrate_lanes(
     gi, gm, go, bi, bo, i_bi, i_bo, inv_l, inv_c2, inv_c1, inv_rc2, inv_rc1, rs, h, hh, h6 = (
         _rk4_constants(p, dt))
 
-    # Each evaluation point is a (6, n_lanes) block: the state as (v_c2,
-    # v_c1, i_l), then v_c2 - v_c1 and the outer and middle diode segments.
-    # That order, unlike start's, pairs neighbouring rows, so one ufunc call
-    # over two contiguous rows does the work of two scalar expressions; every
-    # element still sees the scalar operation sequence. Constants are 0-d
-    # arrays, which numpy applies faster than Python floats.
-    def rows(b):
-        return b[0], b[1], b[2], b[3], b[4], b[5], b[4:6], b[2:4], b[3:5]
-
+    # Each evaluation point is a (7, n_lanes) block: the state as (v_c2,
+    # v_c1, i_l), then v_c2 - v_c1 and the outer, middle and inner diode
+    # segments. That order, unlike start's, puts the operands of one
+    # expression in neighbouring rows, so one ufunc call over contiguous rows
+    # does the work of two or three scalar expressions; every element still
+    # sees the scalar operation sequence. Constants are 0-d arrays or
+    # columns, which numpy applies faster than Python floats.
     def col(*values):
         return np.repeat(np.array(values)[:, None], n_lanes, axis=1)
 
-    seg_g, seg_i = col(go, gm), col(i_bo, i_bi)
+    seg_g, seg_i = col(go, gm, gi), col(i_bo, i_bi)
     lhs_c, rhs_c = col(inv_c2, inv_rc1), col(inv_rc2, inv_c1)
-    bi, bo, gi, rs, inv_l, hh, h, h6, one, two = map(
-        np.array, (bi, bo, gi, rs, inv_l, hh, h, h6, 1.0, 2.0))
+    bi, bo, inv_c1, rs, inv_l, h, hh, h6, two = map(
+        np.array, (bi, bo, inv_c1, rs, inv_l, h, hh, h6, 2.0))
     k = np.empty((4, 3, n_lanes))  # rates of (v_c2, v_c1, i_l) at the 4 stages
-    k1, k2, k3, k4, k23 = k[0], k[1], k[2], k[3], k[1:3]
-    acc, tmp = np.empty((3, n_lanes)), np.empty((3, n_lanes))
-    pair, pair2 = np.empty((2, n_lanes)), np.empty((2, n_lanes))
-    a, sign, t1, t2, u = (np.empty(n_lanes) for _ in range(5))
+    acc, tmp, pair = np.empty((3, n_lanes)), np.empty((3, n_lanes)), np.empty((2, n_lanes))
+    u, t1, t2 = np.empty(n_lanes), np.empty(n_lanes), np.empty(n_lanes)
     inner, mid = np.empty(n_lanes, dtype=bool), np.empty(n_lanes, dtype=bool)
     add, sub, mul, le, copyto = np.add, np.subtract, np.multiply, np.less_equal, np.copyto
 
-    def rates(s, out):
-        v2, v1, il, dv, idio, seg, segs, lhs, rhs = s
-        # |v1| and a sign factor stand in for the scalar `v1 if v1 >= 0 else
-        # -v1` and `if v1 < 0: idio = -idio`. Only a differs, at v1 = -0.0:
-        # the scalar takes a = -0.0 and keeps the sign, this takes a = +0.0
-        # and negates, so gi*a is the same signed zero either way
-        np.abs(v1, a)
-        le(a, bi, inner)
-        le(a, bo, mid)
-        # outer and middle segments: i_b + g*(a - b)
-        sub(a, bo, idio)
-        sub(a, bi, seg)
-        mul(segs, seg_g, segs)
-        add(segs, seg_i, segs)
-        copyto(idio, seg, where=mid)
-        mul(a, gi, seg)
-        copyto(idio, seg, where=inner)
-        np.copysign(one, v1, sign)
-        mul(idio, sign, idio)
-        # il/c2 - (v2 - v1)/(r c2) and (v2 - v1)/(r c1) - i_d/c1
-        sub(v2, v1, dv)
-        mul(lhs, lhs_c, pair)
-        mul(rhs, rhs_c, pair2)
-        sub(pair, pair2, out[0])
-        # (-v2 - rs*il - u) / l
-        np.negative(v2, t1)
-        mul(il, rs, t2)
-        sub(t1, t2, t1)
-        sub(t1, u, t1)
-        mul(t1, inv_l, out[1])
-
-    y, ys = np.empty((6, n_lanes)), np.empty((6, n_lanes))
+    y, ys = np.empty((7, n_lanes)), np.empty((7, n_lanes))
     y[:3] = start[[1, 2, 0]]
-    state, stage = y[:3], ys[:3]
-    y_rows, ys_rows = rows(y), rows(ys)
-    out1, out2, out3, out4 = ((kk[0:2], kk[2]) for kk in (k1, k2, k3, k4))
+    state, point = y[:3], ys[:3]
+
+    # one entry per RK4 stage: the rows of its point, its rates, and the step
+    # that takes the state along those rates to the next stage's point (the
+    # last stage's rates go into the weighted sum instead)
+    def stage(b, kj, step):
+        return (b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[4:6], b[4:7], b[2:4], b[3:5],
+                kj[0:2], kj[2], kj, step)
+
+    stages = (stage(y, k[0], hh), stage(ys, k[1], hh), stage(ys, k[2], h), stage(ys, k[3], None))
+    taps = np.empty((sum(keep), 2, n_lanes))
+    kept = iter(taps)
     with np.errstate(all="ignore"):
         for i, c in enumerate(carrier.tolist()):
             mul(levels[i // hold], c, u)
             if keep[i]:
-                # v_l = v2 - rs*il - u
+                # v_cd = v1 and v_l = v2 - rs*il - u
+                v_cd, v_l = next(kept)
+                copyto(v_cd, y[1])
                 mul(y[2], rs, t1)
-                sub(y[0], t1, t1)
+                sub(y[0], t1, v_l)
+                sub(v_l, u, v_l)
+            for v2, v1, il, dv, idio, seg, a, segs, segs3, lhs, rhs, out, out_il, kj, step in stages:
+                # |v1| and a 1/c1 of v1's sign stand in for the scalar `v1 if
+                # v1 >= 0 else -v1` and `if v1 < 0: idio = -idio`: a sign flip
+                # commutes with rounding. Only a differs, at v1 = -0.0: the
+                # scalar takes a = -0.0 and keeps the sign, this takes a = +0.0
+                # and flips it, so gi*a/c1 is the same signed zero either way
+                np.abs(v1, a)
+                le(a, bi, inner)
+                le(a, bo, mid)
+                np.copysign(inv_c1, v1, rhs_c[1])
+                # outer, middle and inner segments: i_bo + go*(a - bo),
+                # i_bi + gm*(a - bi) and gi*a
+                sub(a, bo, idio)
+                sub(a, bi, seg)
+                mul(segs3, seg_g, segs3)
+                add(segs, seg_i, segs)
+                copyto(idio, seg, where=mid)
+                copyto(idio, a, where=inner)
+                # il/c2 - (v2 - v1)/(r c2) and (v2 - v1)/(r c1) - i_d/c1
+                sub(v2, v1, dv)
+                mul(lhs, lhs_c, out)
+                mul(rhs, rhs_c, pair)
+                sub(out, pair, out)
+                # (-v2 - rs*il - u) / l
+                np.negative(v2, t1)
+                mul(il, rs, t2)
+                sub(t1, t2, t1)
                 sub(t1, u, t1)
-                sink(i, y[1], t1)
-            rates(y_rows, out1)
-            mul(k1, hh, tmp)
-            add(state, tmp, stage)
-            rates(ys_rows, out2)
-            mul(k2, hh, tmp)
-            add(state, tmp, stage)
-            rates(ys_rows, out3)
-            mul(k3, h, tmp)
-            add(state, tmp, stage)
-            rates(ys_rows, out4)
+                mul(t1, inv_l, out_il)
+                if step is not None:
+                    mul(kj, step, tmp)
+                    add(state, tmp, point)
             # ((k1 + 2 k2) + 2 k3) + k4
-            mul(k23, two, k23)
-            add(k1, k2, acc)
-            add(acc, k3, acc)
-            add(acc, k4, acc)
+            mul(k[1:3], two, k[1:3])
+            add(k[0], k[1], acc)
+            add(acc, k[2], acc)
+            add(acc, k[3], acc)
             mul(acc, h6, acc)
             add(state, acc, state)
-    return state[[2, 0, 1]]
+    return state[[2, 0, 1]], taps
 
 
 def steady_state_extrema(samples: np.ndarray) -> np.ndarray:

@@ -224,10 +224,10 @@ def _passthrough_kernel(drive: np.ndarray, circuit: ChuaParams, dt: float) -> np
 #: for host noise).
 LANE_CROSSOVER = 32
 
-#: Byte budget of two buffers: the lockstep sink's slab (the kept taps of a
-#: value's prefixes, whole slots or rows of one slot, at least one row of
-#: every prefix) and the readout's blocks of cases (their rows with the bias
-#: column, plus the Grams in train_readout; at least one case).
+#: Byte budget of two buffers: the kept taps that one lockstep kernel call
+#: returns (whole slots of a value's prefixes; at least one slot) and the
+#: readout's blocks of cases (their rows with the bias column, plus the Grams
+#: in train_readout; at least one case).
 BUFFER_BYTES = 1 << 18
 
 
@@ -321,10 +321,11 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
     A prefix is keyed by its parent prefix and the bit pattern of the value's
     normalised level, so the lanes of one prefix hold bit-identical states.
     Each value stores the kept taps of its prefixes once, as a (prefix, kept
-    step, tap, slot) array; the sink fills a slab, which is flushed into that
-    store when it is full and at the end of the value. Every lane of a prefix
-    then appends the same view object of the prefix's block, so the block is
-    also pickled once with the lanes that share it.
+    step, tap, slot) array, which the kernel fills in chunks of whole slots
+    whose taps fit BUFFER_BYTES, each chunk continuing from the end state of
+    the last. Every lane of a prefix then appends the same view object of
+    the prefix's block, so the block is also pickled once with the lanes
+    that share it.
     """
     n_lanes, n_values = messages.shape
     n_mask = len(mask)
@@ -333,11 +334,6 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
     keep = [lo <= s % spp < lo + n_keep for s in range(steps)]
     state = np.array(astuple(DEFAULT_INITIAL_STATE))[:, None]  # (3, prefix)
     prefix = np.zeros(n_lanes, dtype=np.int64)  # lane -> prefix of its values so far
-    # the slab holds whole slots, or rows of one slot, at 2 taps x 8 bytes per
-    # row and prefix
-    block_rows = max(1, BUFFER_BYTES // (16 * n_lanes))
-    rows_per, slots_per = min(n_keep, block_rows), max(1, min(n_mask, block_rows // n_keep))
-    slab = np.empty(slots_per * rows_per * 2 * n_lanes)
 
     for k in range(n_values):
         _, level = np.unique(np.ascontiguousarray(messages[:, k]).view(np.int64),
@@ -346,25 +342,16 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
                                           return_index=True, return_inverse=True)
         parent, prefix, n_prefix = prefix[first], lane_prefix.reshape(-1), first.size
         levels = np.ascontiguousarray(multiplex(messages[first, k, None], mask).T)
-        taps = slab[:slots_per * rows_per * 2 * n_prefix].reshape(-1, 2, n_prefix)
         store = np.empty((n_prefix, n_keep, 2, n_mask))
-
-        def flush(j0, j1, r0, r1):
-            rows = taps[:(j1 - j0) * (r1 - r0)].reshape(j1 - j0, r1 - r0, 2, n_prefix)
-            store[:, r0:r1, :, j0:j1] = rows.transpose(3, 1, 2, 0)
-
-        def sink(step, v_cd, v_l):
-            slot, row = divmod(step, spp)
-            row -= lo
-            j, r = slot % slots_per, row % rows_per
-            taps[j * rows_per + r, 0] = v_cd
-            taps[j * rows_per + r, 1] = v_l
-            if ((r == rows_per - 1 or row == n_keep - 1)
-                    and (j == slots_per - 1 or slot == n_mask - 1)):
-                flush(slot - j, slot + 1, row - r, row + 1)
-
-        state = integrate_lanes(circuit, state[:, parent], levels,
-                                carrier[k * steps:(k + 1) * steps], dt, keep, sink)
+        state = state[:, parent]
+        # a slot's kept taps take 2 taps x 8 bytes per row and prefix
+        per_chunk = max(1, BUFFER_BYTES // (16 * n_keep * n_prefix))
+        for j0 in range(0, n_mask, per_chunk):
+            j1 = min(j0 + per_chunk, n_mask)
+            s0, s1 = k * steps + j0 * spp, k * steps + j1 * spp
+            state, taps = integrate_lanes(circuit, state, levels[j0:j1], carrier[s0:s1], dt,
+                                          keep[:s1 - s0])
+            store[..., j0:j1] = taps.reshape(j1 - j0, n_keep, 2, n_prefix).transpose(3, 1, 2, 0)
         views = list(store.reshape(n_prefix, n_keep, 2 * n_mask))
         for lane, p in enumerate(prefix.tolist()):
             blocks[lane].append(views[p])

@@ -28,6 +28,7 @@ from chuarc.circuit import (
     DEFAULT_INITIAL_STATE,
     ChuaParams,
     CircuitState,
+    DiodePwl,
     bifurcation_scan,
     bifurcation_to_csv,
     integrate,
@@ -309,7 +310,12 @@ def closure_integrate(p, init, vin, dt):
     return np.ascontiguousarray(np.array(taps).T)
 
 
-_volts = st.one_of(st.sampled_from([0.0, -0.0, 1.0833, -1.0833, 7.5454, -7.5454]),
+# the default diode's breakpoints, each with its two float neighbours and
+# negated: starts on and beside each boundary of the segment select
+_DIODE = DiodePwl.from_nic_branches()
+_BREAKS = [s * float(x) for b in (_DIODE.bp_inner, _DIODE.bp_outer)
+           for x in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)) for s in (1.0, -1.0)]
+_volts = st.one_of(st.sampled_from([0.0, -0.0, 1.0833, -1.0833, 7.5454, -7.5454, *_BREAKS]),
                    st.floats(-12.0, 12.0))
 
 
@@ -328,13 +334,8 @@ def test_integrate_matches_the_closure_kernel(init, r, c1, r_series, seed):
     drive = np.repeat(levels, 10)
     # each level drives ten 1 us steps, and the kernel holds the last sample for the final tap
     want = closure_integrate(p, state, np.repeat(levels, 10).tolist() + [levels[-1]], 1e-6)
-    lane_taps = np.empty((2, 300))
-
-    def sink(step, v_cd, v_l):
-        lane_taps[:, step] = v_cd[0], v_l[0]
-
-    end = integrate_lanes(p, np.array(astuple(state))[:, None], levels[:, None], np.ones(300),
-                          1e-6, [True] * 300, sink)
+    end, lane_taps = integrate_lanes(p, np.array(astuple(state))[:, None], levels[:, None],
+                                     np.ones(300), 1e-6, [True] * 300)
     try:
         got = integrate(p, state, drive, 300e-6, 1e-6).channels
     except IntegrationError as err:
@@ -343,5 +344,5 @@ def test_integrate_matches_the_closure_kernel(init, r, c1, r_series, seed):
     else:
         assert not isinstance(want, int)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.array_equal(lane_taps.view(np.int64), want[:, :-1].view(np.int64))
+        assert np.array_equal(lane_taps[:, :, 0].T.copy().view(np.int64), want[:, :-1].view(np.int64))
         assert np.isfinite(end).all()

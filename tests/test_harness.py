@@ -998,6 +998,11 @@ class TestCli:
         ([*BIFURCATE, "--drive-amplitude", "0.5", "--drive-frequency", "100", "--dt", "0"], "dt"),
         ([*BIFURCATE, "--drive-amplitude", "nan"], "drive_amplitude"),
         ([*BIFURCATE, "--start", "nan"], "start"),
+        # steps whose two-tap trace could not be addressed
+        (["simulate", "--t-end", "1", "--dt", "1e-300"], "t_end"),
+        (["simulate", "--t-end", "1", "--dt", "1e-300", "--drive-amplitude", "1"], "t_end"),
+        (["bifurcate", "--param", "r_variable", "--start", "1500", "--stop", "1600", "--steps", "2",
+          "--t-end", "1", "--dt", "1e-300"], "t_end"),
     ])
     def test_bad_axis_exits_1(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out"

@@ -44,15 +44,9 @@ def lane_start(init, n_lanes):
 def lane_trace(p, init, levels, carrier, dt):
     """Both taps of every lane at every step, as (2, n_steps, n_lanes), and
     which lanes' end states are finite."""
-    taps = np.empty((2, carrier.size, levels.shape[1]))
-
-    def sink(step, v_cd, v_l):
-        taps[0, step] = v_cd
-        taps[1, step] = v_l
-
-    end = integrate_lanes(p, lane_start(init, levels.shape[1]), levels, carrier, dt,
-                          [True] * carrier.size, sink)
-    return taps, np.isfinite(end).all(axis=0)
+    end, taps = integrate_lanes(p, lane_start(init, levels.shape[1]), levels, carrier, dt,
+                                [True] * carrier.size)
+    return taps.transpose(1, 0, 2), np.isfinite(end).all(axis=0)
 
 
 class TestIntegrateLanes:
@@ -84,6 +78,26 @@ class TestIntegrateLanes:
             trace = integrate(p, init, drive, carrier.size * dt, dt)
             assert np.array_equal(bits(taps[:, :, lane]), bits(trace.channels[:, :-1]))
 
+    def test_lanes_in_different_diode_segments_match_in_one_call(self):
+        # one call whose lanes start on either side of zero, in every segment
+        # and on both breakpoints, so the segment select differs lane by lane
+        p, dt, hold = kennedy_circuit(1800.0), 1e-6, 10
+        d = p.diode
+        v_c1 = [s * v for v in (0.0, 0.5, d.bp_inner, 3.0, d.bp_outer, 9.0) for s in (1.0, -1.0)]
+        start = np.array([[0.0] * len(v_c1), [0.0] * len(v_c1), v_c1])
+        levels = np.random.default_rng(6).uniform(0.4, 1.0, size=(20, len(v_c1)))
+        carrier = np.where(np.sin(np.arange(levels.shape[0] * hold) * 0.05) >= 0.0, 1.0, -1.0)
+        end, taps = integrate_lanes(p, start, levels, carrier, dt, [True] * carrier.size)
+        for lane, v in enumerate(v_c1):
+            init = CircuitState(v_c1=v)
+            drive = np.repeat(levels[:, lane], hold) * carrier
+            # the end state, continued by the scalar kernel, must carry on the
+            # scalar run of twice the horizon
+            whole = integrate(p, init, np.concatenate([drive, drive]), 2 * carrier.size * dt, dt)
+            rest = integrate(p, CircuitState(*end[:, lane]), drive, carrier.size * dt, dt)
+            assert np.array_equal(bits(taps[:, :, lane].T), bits(whole.channels[:, :carrier.size]))
+            assert np.array_equal(bits(rest.channels), bits(whole.channels[:, carrier.size:]))
+
     def test_a_run_continues_from_its_end_state(self):
         # the prefix walk of run_cases integrates a message value by value
         p, dt, hold = kennedy_circuit(1800.0), 1e-6, 4
@@ -95,12 +109,9 @@ class TestIntegrateLanes:
         taps = np.empty_like(whole)
         for part in range(3):
             steps = slice(part * 2 * hold, (part + 1) * 2 * hold)
-
-            def sink(step, v_cd, v_l, base=steps.start):
-                taps[:, base + step] = v_cd, v_l
-
-            state = integrate_lanes(p, state, levels[2 * part:2 * part + 2], carrier[steps], dt,
-                                    [True] * (2 * hold), sink)
+            state, part_taps = integrate_lanes(p, state, levels[2 * part:2 * part + 2],
+                                               carrier[steps], dt, [True] * (2 * hold))
+            taps[:, steps] = part_taps.transpose(1, 0, 2)
         assert np.array_equal(bits(taps), bits(whole))
 
     @pytest.mark.parametrize("shape", [(3, 1), (2, 4), (4, 4), (3,)])
@@ -108,8 +119,7 @@ class TestIntegrateLanes:
         # a (3, 1) start would broadcast to every lane
         levels, carrier = np.full((1, 4), 0.5), np.ones(10)
         with pytest.raises(ConfigurationError) as err:
-            integrate_lanes(kennedy_circuit(), np.zeros(shape), levels, carrier, 1e-6,
-                            [True] * 10, lambda *taps: None)
+            integrate_lanes(kennedy_circuit(), np.zeros(shape), levels, carrier, 1e-6, [True] * 10)
         assert err.value.field == "start"
 
     def test_divergence_is_reported_per_lane(self):
@@ -331,19 +341,19 @@ class TestSharedPrefixes:
         assert counted == 40 * steps
 
     # a slot of lwe-encrypt's 10 lanes keeps 2 steps, at 16 bytes per lane and
-    # step: one row of a slot per flush, 3 + 3 + 2 slots per value, and one
-    # flush per value
+    # step: one slot per kernel call, 3 + 3 + 2 slots per value at 10
+    # prefixes, and one call per value
     @pytest.mark.parametrize("name", ["lwe-encrypt", "circles"])
-    @pytest.mark.parametrize("slab_bytes", [1, 3 * 16 * 2 * 10, 1 << 30])
-    def test_any_slab_budget_gives_the_same_bits(self, name, slab_bytes, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, 3 * 16 * 2 * 10, 1 << 30])
+    def test_any_slab_budget_gives_the_same_bits(self, name, budget, monkeypatch):
         cfg = CONFIGS[name]
         dataset = experiment.build_dataset(cfg)
         reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
-        monkeypatch.setattr(pipeline, "BUFFER_BYTES", slab_bytes)
+        monkeypatch.setattr(pipeline, "BUFFER_BYTES", budget)
         got = run_cases(dataset.inputs, reservoir, cfg.circuit,
                         per_coordinate=dataset.multi_input)
-        assert_same_states(got, per_case_states(cfg, dataset), slab_bytes)
+        assert_same_states(got, per_case_states(cfg, dataset), budget)
 
     def test_a_diverging_shared_prefix_names_the_lower_case(self, monkeypatch):
         cfg = diverging_config()
