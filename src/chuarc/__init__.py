@@ -32,18 +32,14 @@ from .experiment import (
     simulate_cases,
 )
 from .lwe import (
-    Ciphertext,
     GaussianErrors,
     LweParams,
     LweTestCase,
     PublicKey,
     UniformErrors,
     decrypt_bit,
-    encrypt_bit,
     generate_testcases,
     keygen,
-    multibit_decrypt,
-    multibit_encrypt,
 )
 from .pipeline import (
     Mask,

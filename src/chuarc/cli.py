@@ -11,6 +11,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import circuit as circ
 from . import experiment as exp
 from . import lwe as lwe_mod
@@ -19,9 +21,10 @@ from .config import PROFILES, config_digest, parse_config, read_config, seed_for
 from .errors import ChuaRcError, ConfigurationError
 from .pipeline import nmse, predict
 
-#: A sweep axis spans fewer steps than this. Every axis value adds a row or a
-#: column of whole experiments, so a longer axis is a mistyped step, and its
-#: values would be built before any cell runs.
+#: A sweep axis spans fewer steps than this, and a bifurcation scan takes at
+#: most this many. Every sweep axis value adds a row or a column of whole
+#: experiments, and every scan point a circuit run, so a longer axis is a
+#: mistyped step or count, and its values would be built before any run starts.
 MAX_AXIS_STEPS = 10_000
 
 
@@ -54,8 +57,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bifurcate(args) -> int:
     cfg = _load_config(args)
-    if args.steps < 2:
-        raise ConfigurationError("steps", f"must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_AXIS_STEPS:
+        raise ConfigurationError("steps", f"must lie in [2, {MAX_AXIS_STEPS}], got {args.steps}")
     values = [args.start + i * (args.stop - args.start) / (args.steps - 1)
               for i in range(args.steps)]
     points = circ.bifurcation_scan(
@@ -81,7 +84,17 @@ def _cmd_spectrum(args) -> int:
     _, table, _ = plots._read_csv(args.trace, ["t", args.tap])
     if len(table) < 2:
         raise ConfigurationError("trace", "need at least 2 samples")
-    freqs, mags = circ.power_spectrum(table[:, 1], float(table[1, 0] - table[0, 0]))
+    times = table[:, 0]
+    dt = float(times[1] - times[0])
+    if dt > 0.0:
+        # 13 significant digits put a written stamp within 5e-13*|t_i| of its
+        # grid point; a missing, repeated or shifted sample is a whole step off
+        off = np.abs(times - times[0] - np.arange(len(times)) * dt) > 0.01 * dt
+        if off.any():
+            row = int(off.argmax())
+            raise ConfigurationError("dt", f"{args.trace}: data row {row + 1} has t = {float(times[row])!r},"
+                                           f" off the {dt!r} s grid of the first two rows")
+    freqs, mags = circ.power_spectrum(table[:, 1], dt)
     path = exp.make_out_dir(cfg.out_dir) / "spectrum.csv"
     circ.spectrum_to_csv(freqs, mags, path, config_digest(cfg))
     print(f"wrote {path} ({len(freqs)} bins)")

@@ -76,15 +76,6 @@ class PublicKey:
 
 
 @dataclass(frozen=True)
-class Ciphertext:
-    """One encrypted bit: modular sums u, v plus the 1-based sample indices."""
-
-    u: int
-    v: int
-    k: tuple
-
-
-@dataclass(frozen=True)
 class LweTestCase:
     """Complete per-bit record used to train and validate the reservoir."""
 
@@ -128,18 +119,6 @@ def encrypt_sums(a_samples, b_samples, phi: int, q: int) -> tuple:
     u = int(sum(a_samples) % q)
     v = int(math.floor((sum(b_samples) + (q / 2.0) * phi) % q))
     return u, v
-
-
-def encrypt_bit(pk: PublicKey, phi: int, params: LweParams, rng: np.random.Generator) -> Ciphertext:
-    """Encrypt one bit using a fresh random subset of the public key."""
-    m = len(pk.a)
-    if params.n_samples > m:
-        raise ConfigurationError("lwe.n_samples", "cannot exceed the public key length")
-    idx = rng.choice(m, size=params.n_samples, replace=False)
-    a_samples = [pk.a[i] for i in idx]
-    b_samples = [pk.b[i] for i in idx]
-    u, v = encrypt_sums(a_samples, b_samples, phi, params.q)
-    return Ciphertext(u=u, v=v, k=tuple(int(i) + 1 for i in idx))
 
 
 def decrypt_bit(ciphertext, s: int, q: int) -> tuple:
@@ -199,19 +178,6 @@ def generate_testcases(params: LweParams, n_cases: int, rng: np.random.Generator
         if ok:
             cases.extend(records[: n_cases - len(cases)])
     return cases
-
-
-def multibit_encrypt(bits, pk: PublicKey, params: LweParams, rng: np.random.Generator) -> list:
-    """Encrypt a bit sequence; every bit gets an independent fresh sample subset."""
-    bits = list(bits)
-    if not bits:
-        raise ConfigurationError("bits", "message must be nonempty")
-    return [encrypt_bit(pk, int(b), params, rng) for b in bits]
-
-
-def multibit_decrypt(ciphertexts, s: int, q: int) -> list:
-    """Decrypt a ciphertext sequence to its bit values."""
-    return [decrypt_bit((c.u, c.v), s, q)[1] for c in ciphertexts]
 
 
 def save_dataset(cases, pk: PublicKey, seed: int, path) -> None:

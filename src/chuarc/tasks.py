@@ -133,7 +133,8 @@ class Dataset:
     inputs hold raw (unnormalised) value sequences; teachers is one
     (n_cases, n_outputs) float array; value_max is the normalisation
     ceiling; multi_input marks per-coordinate kernel runs (classification)
-    rather than one time-varying message.
+    rather than one time-varying message; labels holds the circle classes,
+    and is None for every other task.
     """
 
     kind: str
@@ -238,7 +239,6 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
         else:
             inputs = [[float(c.u), float(c.v)] for c in cases]
             teachers = [[float(c.decrypt_value)] for c in cases]
-            labels = [c.phi for c in cases]
         value_max = float(lwe_params.q - 1)
 
     train_idx, val_idx = split_indices(len(inputs), val_fraction, seed)

@@ -575,10 +575,13 @@ MALFORMED_TRACES = {
     "non_utf8": b"t,v_cd\n0.0,\xff\xfe\n1e-6,0.2\n",
 }
 
-#: Well-formed traces whose first two time stamps give no positive sample period.
+#: Well-formed traces whose time stamps lie on no grid of positive sample period.
 BAD_TIME_STAMPS = {
     "equal_times": "t,v_cd,v_l\n0.0,0.1,0.0\n0.0,0.2,0.1\n1e-06,0.15,0.05\n",
     "decreasing_times": "t,v_cd,v_l\n2e-06,0.1,0.0\n1e-06,0.2,0.1\n0.0,0.15,0.05\n",
+    # steps of 1, 4, 1, 1, 13, 1 and 1 us: only the first two stamps are on the 1 us grid
+    "gap_in_times": ("t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.0\n5e-06,0.3,0.0\n6e-06,0.1,0.0\n"
+                     "7e-06,0.2,0.0\n2e-05,0.3,0.0\n2.1e-05,0.1,0.0\n2.2e-05,0.2,0.0\n"),
 }
 
 #: Finite data whose range has no pixel scale.
@@ -616,6 +619,14 @@ class TestMalformedCsv:
         field = "dt" if case in BAD_TIME_STAMPS else f"csv: {csv}"
         assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_spectrum_names_the_first_off_grid_row(self, tmp_path, capsys):
+        csv = tmp_path / "trace.csv"
+        csv.write_text(BAD_TIME_STAMPS["gap_in_times"])
+        assert main(["spectrum", "--trace", str(csv), "--tap", "v_cd",
+                     "--out", str(tmp_path / "out"), "--profile", "desk"]) == 1
+        assert f"error: dt: {csv}: data row 3 has t = 5e-06," in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["nan", "inf"])
     def test_plot_spectrum_csv_non_finite(self, tmp_path, capsys, case):
@@ -1003,6 +1014,9 @@ class TestCli:
         (["simulate", "--t-end", "1", "--dt", "1e-300", "--drive-amplitude", "1"], "t_end"),
         (["bifurcate", "--param", "r_variable", "--start", "1500", "--stop", "1600", "--steps", "2",
           "--t-end", "1", "--dt", "1e-300"], "t_end"),
+        # a scan count above the sweep axes' bound
+        (["bifurcate", "--param", "r_variable", "--start", "1500", "--stop", "1600",
+          "--steps", "10001", "--t-end", "1e-6", "--dt", "1e-6"], "steps"),
     ])
     def test_bad_axis_exits_1(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out"

@@ -11,21 +11,17 @@ import pytest
 from chuarc import lwe
 from chuarc.errors import ConfigurationError, GenerationError
 from chuarc.lwe import (
-    Ciphertext,
     GaussianErrors,
     LweParams,
     LweTestCase,
     PublicKey,
     UniformErrors,
     decrypt_bit,
-    encrypt_bit,
     encrypt_sums,
     error_sample,
     gaussian_sigma,
     generate_testcases,
     keygen,
-    multibit_decrypt,
-    multibit_encrypt,
     save_dataset,
 )
 from chuarc.tasks import TaskSpec, build_dataset
@@ -98,14 +94,6 @@ class TestEncrypt:
         u0, _ = encrypt_sums(a, b, 0, 7)
         u1, _ = encrypt_sums(a, b, 1, 7)
         assert u0 == u1 == sum(a) % 7
-
-    def test_encrypt_bit_uses_distinct_one_based_indices(self):
-        params = LweParams()
-        pk = keygen(params, np.random.default_rng(4))
-        ct = encrypt_bit(pk, 1, params, np.random.default_rng(5))
-        assert len(set(ct.k)) == params.n_samples
-        assert all(1 <= k <= params.m for k in ct.k)
-        assert 0 <= ct.u <= 6 and 0 <= ct.v <= 6
 
 
 class TestDecrypt:
@@ -231,35 +219,6 @@ class TestRoundTripFilter:
         a, b = (generate_testcases(params, 50, rng, keygen(params, rng))
                 for rng in (np.random.default_rng(35), np.random.default_rng(35)))
         assert a == b
-
-
-class TestMultibit:
-    def test_four_bit_message_yields_four_pairs(self):
-        params = LweParams()
-        rng = np.random.default_rng(41)
-        pk = keygen(params, rng)
-        cts = multibit_encrypt([0, 0, 1, 0], pk, params, rng)
-        assert len(cts) == 4
-        assert all(isinstance(c, Ciphertext) for c in cts)
-
-    def test_identical_bits_rarely_collide(self):
-        params = LweParams()
-        rng = np.random.default_rng(42)
-        pk = keygen(params, rng)
-        collisions = 0
-        for _ in range(100):
-            c1, c2 = multibit_encrypt([1, 1], pk, params, rng)
-            if (c1.u, c1.v) == (c2.u, c2.v):
-                collisions += 1
-        assert collisions < 5
-
-    def test_round_trip_on_retained_cases(self):
-        params = LweParams()
-        rng = np.random.default_rng(43)
-        cases = generate_testcases(params, 40, rng, keygen(params, rng))
-        message = [c.phi for c in cases[:8]]
-        cts = [Ciphertext(u=c.u, v=c.v, k=tuple(range(1, 6))) for c in cases[:8]]
-        assert multibit_decrypt(cts, params.s, params.q) == message
 
 
 class TestPersistence:

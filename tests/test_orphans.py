@@ -22,8 +22,6 @@ KEEP = {
     "run_case": "the acceptance tests import it",
     "_passthrough_kernel": "the acceptance tests import it",
     "nrmse": "ROADMAP item 8's baselines give it a caller",
-    "multibit_encrypt": "README API",
-    "multibit_decrypt": "README API",
 }
 
 
