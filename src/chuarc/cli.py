@@ -147,17 +147,20 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     for axis in ("r", "vc"):
         start, stop, step = (getattr(args, f"{axis}_{end}") for end in ("start", "stop", "step"))
-        # finite flags: the quotient is finite unless stop - start overflows
-        if step == 0.0 or not (stop - start) / step < MAX_AXIS_STEPS:
-            raise ConfigurationError(f"{axis}_step", f"must be nonzero and span {start!r} to {stop!r}"
-                                                     f" in fewer than {MAX_AXIS_STEPS} steps, got {step!r}")
+        # finite flags: the quotient is finite unless stop - start overflows;
+        # a whole count may miss its integer by rounding, as 0.8 / 0.2 does
+        n = (stop - start) / step if step else math.nan
+        if not (0.0 <= n < MAX_AXIS_STEPS and abs(n - round(n)) < 1e-9):
+            raise ConfigurationError(f"{axis}_step", f"must be nonzero, have the sign of stop - start"
+                                                     f" and divide it into fewer than {MAX_AXIS_STEPS}"
+                                                     f" whole steps; {start!r} to {stop!r} by {step!r}")
     grid = exp.SweepGrid(
         resistances=exp.axis_values(args.r_start, args.r_stop, args.r_step),
         v_centers=exp.axis_values(args.vc_start, args.vc_stop, args.vc_step),
         range_width=args.range_width,
         n_masks=None if args.n_masks is None else tuple(args.n_masks),
     )
-    if args.svg and len(set(grid.n_masks or ())) > 1:
+    if args.svg and len(grid.n_masks or ()) > 1:
         raise ConfigurationError("sweep.n_masks", f"--svg draws one mask count, got {args.n_masks}")
     out = exp.make_out_dir(cfg.out_dir)
     path = out / "sweep.csv"

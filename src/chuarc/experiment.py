@@ -206,8 +206,10 @@ class SweepGrid:
                 raise ConfigurationError(f"sweep.{name}", "axis values must be monotone")
         if self.range_width <= 0.0:
             raise ConfigurationError("sweep.range_width", "must be positive")
-        if self.n_masks is not None and (not self.n_masks or min(self.n_masks) < 1):
-            raise ConfigurationError("sweep.n_masks", "must list at least one mask count, each >= 1")
+        if self.n_masks is not None and (not self.n_masks or min(self.n_masks) < 1
+                                         or len(set(self.n_masks)) < len(self.n_masks)):
+            raise ConfigurationError("sweep.n_masks", "must list at least one mask count, each >= 1"
+                                                      f" and none twice, got {list(self.n_masks)}")
 
     @property
     def cells(self) -> list:

@@ -224,10 +224,8 @@ def _passthrough_kernel(drive: np.ndarray, circuit: ChuaParams, dt: float) -> np
 #: for host noise).
 LANE_CROSSOVER = 32
 
-#: Byte budget of two buffers: the kept taps that one lockstep kernel call
-#: returns (whole slots of a value's prefixes; at least one slot) and the
-#: readout's blocks of cases (their rows with the bias column, plus the Grams
-#: in train_readout; at least one case).
+#: Byte budget of the kept taps that one lockstep kernel call returns (whole
+#: slots of a value's prefixes; at least one slot).
 BUFFER_BYTES = 1 << 18
 
 
@@ -392,22 +390,15 @@ def _shape(states, field: str) -> tuple:
     return shapes.pop()
 
 
-def _row_blocks(states, case_bytes: int = 0):
-    """States of one shape as (start, rows) blocks of consecutive cases.
-
-    ``rows`` is an (n, n_rows, 1 + n_channels) view of one buffer sized from
-    BUFFER_BYTES: per case and row, the constant 1 and then the channel
-    values, exactly the rows a lone case builds.
-    """
+def _rows(states):
+    """Each of ``states`` (one shape) as its rows, in one reused (n_rows,
+    1 + n_channels) buffer: per row the constant 1, then the channel values."""
     n_rows, n_ch = states[0].shape
-    size = max(1, BUFFER_BYTES // (8 * n_rows * (1 + n_ch) + case_bytes))
-    buf = np.empty((min(size, len(states)), n_rows, 1 + n_ch))
-    buf[:, :, 0] = 1.0
-    for start in range(0, len(states), size):
-        rows = buf[:len(states) - start]
-        for j, sm in enumerate(states[start:start + size]):
-            np.concatenate(sm.blocks, axis=sm.axis, out=rows[j, :, 1:])
-        yield start, rows
+    rows = np.empty((n_rows, 1 + n_ch))
+    rows[:, 0] = 1.0
+    for sm in states:
+        np.concatenate(sm.blocks, axis=sm.axis, out=rows[:, 1:])
+        yield rows
 
 
 def train_readout(cases, seed: int = 0, config_digest: str = "") -> ReadoutWeight:
@@ -415,10 +406,8 @@ def train_readout(cases, seed: int = 0, config_digest: str = "") -> ReadoutWeigh
 
     Every timestep row p (the constant 1, then the channel voltages)
     contributes p p^T to the Gram accumulator and teacher * p^T to the
-    cross accumulator, in fixed case-then-row order. The weight solves
-    XX W^T = YY^T by minimum-norm least squares. The states share one shape;
-    the Grams of a block of cases are formed in one call and added case by
-    case, so the sums have the bits of a case-by-case accumulation.
+    cross accumulator, case by case in the order given. The weight solves
+    XX W^T = YY^T by minimum-norm least squares. The states share one shape.
     """
     cases = list(cases)
     if not cases:
@@ -428,15 +417,10 @@ def train_readout(cases, seed: int = 0, config_digest: str = "") -> ReadoutWeigh
     d, n_out = 1 + _shape(states, "cases")[1], teachers[0].size
     if len({y.size for y in teachers}) != 1:
         raise ConfigurationError("cases", "all teachers must share the output count")
-    xx, yy, grams = np.zeros((d, d)), np.zeros((n_out, d)), None
-    for start, rows in _row_blocks(states, 8 * d * d):
-        if grams is None:  # the first block is the largest
-            grams = np.empty((len(rows), d, d))
-        gram = np.matmul(rows.transpose(0, 2, 1), rows, out=grams[:len(rows)])
-        sums = rows.sum(axis=1)
-        for j in range(len(rows)):
-            xx += gram[j]
-            yy += teachers[start + j][:, None] * sums[j][None, :]
+    xx, yy = np.zeros((d, d)), np.zeros((n_out, d))
+    for rows, teacher in zip(_rows(states), teachers):
+        xx += rows.T @ rows
+        yy += teacher[:, None] * rows.sum(axis=0)[None, :]
     solution, *_ = np.linalg.lstsq(xx, yy.T, rcond=None)
     return ReadoutWeight(matrix=solution.T, seed=seed, config_digest=config_digest)
 
@@ -445,7 +429,7 @@ def predict(w: ReadoutWeight, states) -> np.ndarray:
     """Case estimates: per-row readout outputs averaged over each case's rows.
 
     ``states`` is a sequence of StateMatrix of one shape, giving (n_cases,
-    n_outputs). Each estimate has the bits of its case predicted alone.
+    n_outputs), one case at a time.
     """
     states = list(states)
     estimates = np.empty((len(states), w.n_outputs))
@@ -455,9 +439,8 @@ def predict(w: ReadoutWeight, states) -> np.ndarray:
     if n_ch != w.n_channels:
         raise ConfigurationError(
             "predict", f"state matrix has {n_ch} channels, weight expects {w.n_channels}")
-    for start, rows in _row_blocks(states):
-        outputs = np.matmul(w.matrix, rows.transpose(0, 2, 1))
-        estimates[start:start + len(rows)] = outputs.mean(axis=2)
+    for j, rows in enumerate(_rows(states)):
+        estimates[j] = (w.matrix @ rows.T).mean(axis=1)
     return estimates
 
 

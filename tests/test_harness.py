@@ -428,6 +428,13 @@ class TestSweep:
                          n_masks=(1, 10, 25, 40, 50))
         assert len(grid.cells) == 5
 
+    @pytest.mark.parametrize("n_masks", [(10, 10), (5, 10, 5)])
+    def test_mask_axis_rejects_a_repeated_count(self, n_masks):
+        # a repeated count would run its cells twice and write their rows twice
+        with pytest.raises(ConfigurationError) as err:
+            SweepGrid(resistances=(1800.0,), v_centers=(0.7,), n_masks=n_masks)
+        assert err.value.field == "sweep.n_masks"
+
     @pytest.mark.parametrize("n_masks", [(), (0,), (5, 0), (-1,)])
     def test_mask_axis_rejects_empty_or_below_one(self, n_masks):
         with pytest.raises(ConfigurationError) as err:
@@ -926,6 +933,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: out_dir: {blocker / 'sub'}: ") and "Traceback" not in err
 
+    # axes that end exactly at their stop, to within rounding (0.6 / 0.1 is
+    # 5.999999999999999): they pass the step check and fail only at --out
+    @pytest.mark.parametrize("axes", [
+        [],
+        ["--r-start", "2000", "--r-stop", "1600", "--r-step", "-80"],
+        ["--vc-start", "0.1", "--vc-stop", "0.7", "--vc-step", "0.1"],
+        ["--r-start", "1600", "--r-stop", "1600", "--r-step", "-150"],
+    ], ids=["tune", "descending", "rounded", "one-value"])
+    def test_whole_sweep_axes_pass_the_step_check(self, tmp_path, capsys, axes):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["sweep", "--n-cases", "12", *axes, "--out", str(blocker / "sub")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: out_dir: {blocker / 'sub'}: ")
+
     def test_unwritable_out_svg_exits_1(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path), "--t-end", "0.0002", "--dt", "1e-6"]) == 0
         svg = tmp_path / "missing" / "x.svg"
@@ -946,13 +967,14 @@ class TestCli:
         assert not out.exists()
 
     # --svg draws one mask count
-    @pytest.mark.parametrize("n_masks", [[], ["0"], ["5", "0"], ["5", "10", "--svg"]])
+    @pytest.mark.parametrize("n_masks", [[], ["0"], ["5", "0"], ["5", "10", "--svg"],
+                                         ["10", "10"], ["5", "10", "5"]])
     def test_sweep_bad_mask_axis_exits_1(self, tmp_path, capsys, n_masks):
         out = tmp_path / "out"
         assert main(["sweep", "--out", str(out), "--n-cases", "10", "--n-masks", *n_masks]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: sweep.n_masks: ") and "Traceback" not in err
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
 
     BIFURCATE = ["bifurcate", "--param", "r_variable", "--start", "1900", "--stop", "2000",
                  "--steps", "2", "--t-end", "0.001", "--dt", "1e-6", "--profile", "desk"]
@@ -1017,6 +1039,13 @@ class TestCli:
         # a scan count above the sweep axes' bound
         (["bifurcate", "--param", "r_variable", "--start", "1500", "--stop", "1600",
           "--steps", "10001", "--t-end", "1e-6", "--dt", "1e-6"], "steps"),
+        # a sweep step that overshoots its stop, or points away from it
+        (["sweep", "--r-stop", "2000", "--r-step", "150"], "r_step"),
+        (["sweep", "--vc-stop", "1.2", "--vc-step", "0.3"], "vc_step"),
+        (["sweep", "--r-start", "1600", "--r-stop", "1560", "--r-step", "80"], "r_step"),
+        (["sweep", "--r-stop", "1500"], "r_step"),
+        (["sweep", "--r-stop", "1520"], "r_step"),
+        (["sweep", "--vc-start", "1.2", "--vc-stop", "0.4", "--vc-step", "0.2"], "vc_step"),
     ])
     def test_bad_axis_exits_1(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out"

@@ -1,9 +1,9 @@
-"""Every top-level function and class of chuarc has a caller.
+"""Every top-level function, class and assigned name of chuarc has a reader.
 
 A name that no code in ``src/chuarc`` or ``perfbench`` names outside its own
-definition (the re-exports of ``__init__.py``, strings, comments and
-docstrings do not count) is code that only its tests reach. Delete it, or add
-it to KEEP with the reason it stays.
+definition or assignment (the re-exports of ``__init__.py``, strings,
+comments and docstrings do not count) is code that only its tests reach.
+Delete it, or add it to KEEP with the reason it stays.
 Likewise an error class that no ``except`` clause or ``isinstance`` call of
 the package names is only a second name for its base.
 """
@@ -40,18 +40,22 @@ def orphans() -> set:
     for path in modules:
         elsewhere = {name for p in used if p != path for _, name in used[p]}
         for node in ast.parse(sources[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
                 continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             rest = {name for line, name in used[path] if not first <= line <= node.end_lineno}
-            if node.name not in rest | elsewhere:
-                found.add(node.name)
+            found |= defined - rest - elsewhere
     return found
 
 
 def test_every_top_level_name_has_a_caller():
     found = orphans()
-    assert found - set(KEEP) == set(), "no caller: delete these, or keep them with a reason"
+    assert found - set(KEEP) == set(), "no reader: delete these, or keep them with a reason"
     assert set(KEEP) - found == set(), "these have callers now: take them off KEEP"
 
 

@@ -1,12 +1,13 @@
 """Pipeline tests: normalisation, multiplexing algebra, carrier waves,
 demultiplexing oracle, readout training, and error metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chuarc import pipeline
 from chuarc.circuit import kennedy_circuit
 from chuarc.errors import ConfigurationError
 from chuarc.pipeline import (
@@ -414,31 +415,30 @@ def per_case_nmse(estimate, target):
 
 
 class TestBlockReadout:
-    """Readout blocks of cases against a per-case reference, bit for bit."""
+    """The readout over cases of stacked blocks against a per-case reference,
+    bit for bit."""
 
-    N_CASES = 10  # no multiple of the 3-case blocks below
+    N_CASES = 10
 
     def cases(self, n_out, seed=21):
+        # a case's blocks stack along rows or columns, as run_cases builds them
         rng = np.random.default_rng(seed)
-        return [(make_state(rng.normal(size=(9, 6)) * 0.4),
-                 rng.normal(size=n_out)) for _ in range(self.N_CASES)]
-
-    def block_budgets(self, gram):
-        d = 1 + 6
-        case_bytes = 8 * 9 * d + (8 * d * d if gram else 0)
-        return (1, 3 * case_bytes, pipeline.BUFFER_BYTES)
+        out = []
+        for k in range(self.N_CASES):
+            values = rng.normal(size=(9, 6)) * 0.4
+            sm = (StateMatrix(np.split(values, 3, axis=k % 2), k % 2) if k % 3
+                  else make_state(values))
+            out.append((sm, rng.normal(size=n_out)))
+        return out
 
     @pytest.mark.parametrize("n_out", [1, 2])
-    def test_train_matches_case_by_case(self, monkeypatch, n_out):
+    def test_train_matches_case_by_case(self, n_out):
         cases = self.cases(n_out)
-        want = per_case_train(cases)
-        for budget in self.block_budgets(gram=True):
-            monkeypatch.setattr(pipeline, "BUFFER_BYTES", budget)
-            w = train_readout(cases)
-            assert np.array_equal(bits(w.matrix), bits(want)), budget
+        w = train_readout(cases)
+        assert np.array_equal(bits(w.matrix), bits(per_case_train(cases)))
 
     @pytest.mark.parametrize("n_out", [1, 2])
-    def test_predict_matches_case_by_case(self, monkeypatch, n_out):
+    def test_predict_matches_case_by_case(self, n_out):
         from chuarc.pipeline import ReadoutWeight
 
         states = [sm for sm, _ in self.cases(n_out)]
@@ -446,13 +446,29 @@ class TestBlockReadout:
         w = ReadoutWeight(matrix=rng.normal(size=(n_out, 1 + 6)) * 1e3,
                           seed=0, config_digest="")
         want = np.array([(w.matrix @ per_case_rows(sm).T).mean(axis=1) for sm in states])
-        for budget in self.block_budgets(gram=False):
-            monkeypatch.setattr(pipeline, "BUFFER_BYTES", budget)
-            got = predict(w, states)
-            assert got.shape == (self.N_CASES, n_out)
-            assert np.array_equal(bits(got), bits(want)), budget
-            assert np.array_equal(bits(predict(w, [states[4]])[0]), bits(want[4]))
-            assert predict(w, []).shape == (0, n_out)
+        got = predict(w, states)
+        assert got.shape == (self.N_CASES, n_out)
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(predict(w, [states[4]])[0]), bits(want[4]))
+        assert predict(w, []).shape == (0, n_out)
+
+    def test_peak_memory_does_not_grow_with_the_case_count(self):
+        # desk-lwe's shape: 33 rows and 100 channels per case
+        n_rows, n_ch = 33, 100
+        rng = np.random.default_rng(24)
+        states = [make_state(rng.normal(size=(n_rows, n_ch))) for _ in range(200)]
+        teachers = list(rng.normal(size=(200, 2)))
+        peaks = []
+        for n in (50, 200):
+            cases = list(zip(states[:n], teachers[:n]))
+            tracemalloc.start()
+            try:
+                predict(train_readout(cases), states[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_case = 8 * n_rows * (1 + n_ch) + 8 * (1 + n_ch) ** 2  # its rows and its Gram
+        assert abs(peaks[1] - peaks[0]) < one_case
 
     @pytest.mark.parametrize("n_out", [1, 2, 9])
     def test_nmse_matches_case_by_case(self, n_out):
