@@ -365,17 +365,20 @@ def integrate_lanes(
     levels: np.ndarray,
     carrier: np.ndarray,
     dt: float,
-    keep,
-) -> tuple:
+    lo: int,
+    taps: np.ndarray,
+) -> np.ndarray:
     """Lockstep RK4 over independent lanes that share the circuit and carrier.
 
     ``start`` is (3, n_lanes): each lane's (i_l, v_c2, v_c1) before step 0.
     ``levels`` is (n_levels, n_lanes); each level is held for
     len(carrier) // n_levels steps, and lane k is driven at step s by
-    levels[s // hold, k] * carrier[s]. ``keep`` holds one flag per step.
-    Returns ``(end, taps)``: the (3, n_lanes) state after the last step, in
-    the order of ``start``, and the (n_kept, 2, n_lanes) taps v_cd and v_l of
-    all lanes before each step s with ``keep[s]`` true, in step order.
+    levels[s // hold, k] * carrier[s]. ``taps`` is an (n_levels, n_keep, 2,
+    n_lanes) array of any strides, with 0 <= lo and lo + n_keep <= hold:
+    taps[j, r] receives v_cd and v_l of all lanes before step
+    j * hold + lo + r; another shape or window raises ConfigurationError
+    (taps) before any step. Returns the (3, n_lanes) state after the last
+    step, in the order of ``start``.
 
     Every lane repeats the IEEE operations of ``integrate`` in the same order
     (see the note on the diode's sign below), so each one matches the scalar
@@ -390,6 +393,10 @@ def integrate_lanes(
     if n_levels == 0 or n_steps % n_levels != 0:
         raise ConfigurationError("levels", "carrier length must be a whole number of levels")
     hold = n_steps // n_levels
+    n_keep = taps.shape[1] if taps.ndim == 4 else 0
+    if taps.shape != (n_levels, n_keep, 2, n_lanes) or not 0 <= lo <= hold - n_keep:
+        raise ConfigurationError("taps", f"must be ({n_levels}, n_keep, 2, {n_lanes}) with 0 <= lo"
+                                         f" <= {hold} - n_keep, got {taps.shape} at lo {lo}")
     gi, gm, go, bi, bo, i_bi, i_bo, inv_l, inv_c2, inv_c1, inv_rc2, inv_rc1, rs, h, hh, h6 = (
         _rk4_constants(p, dt))
 
@@ -425,18 +432,18 @@ def integrate_lanes(
                 kj[0:2], kj[2], kj, step)
 
     stages = (stage(y, k[0], hh), stage(ys, k[1], hh), stage(ys, k[2], h), stage(ys, k[3], None))
-    taps = np.empty((sum(keep), 2, n_lanes))
-    kept = iter(taps)
     with np.errstate(all="ignore"):
         for i, c in enumerate(carrier.tolist()):
-            mul(levels[i // hold], c, u)
-            if keep[i]:
-                # v_cd = v1 and v_l = v2 - rs*il - u
-                v_cd, v_l = next(kept)
+            j, r = divmod(i, hold)
+            mul(levels[j], c, u)
+            if 0 <= r - lo < n_keep:
+                # v_cd = v1 and v_l = v2 - rs*il - u, with one write to each
+                # row of a strided taps
+                v_cd, v_l = taps[j, r - lo]
                 copyto(v_cd, y[1])
                 mul(y[2], rs, t1)
-                sub(y[0], t1, v_l)
-                sub(v_l, u, v_l)
+                sub(y[0], t1, t1)
+                sub(t1, u, v_l)
             for v2, v1, il, dv, idio, seg, a, segs, segs3, lhs, rhs, out, out_il, kj, step in stages:
                 # |v1| and a 1/c1 of v1's sign stand in for the scalar `v1 if
                 # v1 >= 0 else -v1` and `if v1 < 0: idio = -idio`: a sign flip
@@ -476,7 +483,7 @@ def integrate_lanes(
             add(acc, k[3], acc)
             mul(acc, h6, acc)
             add(state, acc, state)
-    return state[[2, 0, 1]], taps
+    return state[[2, 0, 1]]
 
 
 def steady_state_extrema(samples: np.ndarray) -> np.ndarray:

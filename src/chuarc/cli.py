@@ -131,7 +131,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    weight = exp.load_weight(args.weight, expected_digest=config_digest(cfg))
+    weight, digest = exp.load_weight(args.weight), config_digest(cfg)
+    if weight.config_digest != digest:
+        # a mismatch leaves the weight usable: one line, not a Python warning
+        print(f"warning: weight was trained under config {weight.config_digest}, active config is"
+              f" {digest}", file=sys.stderr)
     dataset = exp.build_dataset(cfg)
     n_out = dataset.teachers.shape[1]
     if weight.n_outputs != n_out:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -304,9 +303,9 @@ def _field(payload, key, valid, rule):
     return value
 
 
-def load_weight(path, expected_digest: str | None = None) -> ReadoutWeight:
+def load_weight(path) -> ReadoutWeight:
     """Read a weight file of the one readout form (bias true, offset and
-    lambda 0.0); a digest mismatch warns but the weight stays usable.
+    lambda 0.0).
 
     Counts are JSON integers >= 1, the seed a JSON integer, the matrix
     n_outputs * (1 + n_channels) numbers and the digest a string; anything
@@ -335,10 +334,4 @@ def load_weight(path, expected_digest: str | None = None) -> ReadoutWeight:
         raise ConfigurationError("weight_file", f"{path}: {exc.strerror}") from None
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigurationError("weight_file", f"malformed weight file: {exc}") from None
-    if expected_digest and weight.config_digest != expected_digest:
-        warnings.warn(
-            f"weight was trained under config {weight.config_digest}, "
-            f"active config is {expected_digest}",
-            stacklevel=2,
-        )
     return weight

@@ -224,10 +224,6 @@ def _passthrough_kernel(drive: np.ndarray, circuit: ChuaParams, dt: float) -> np
 #: for host noise).
 LANE_CROSSOVER = 32
 
-#: Byte budget of the kept taps that one lockstep kernel call returns (whole
-#: slots of a value's prefixes; at least one slot).
-BUFFER_BYTES = 1 << 18
-
 
 def run_case(raw_values, cfg: ReservoirConfig, circuit: ChuaParams, kernel=None) -> StateMatrix:
     """Full input pipeline for one case: ``run_cases`` with a single lane."""
@@ -251,9 +247,10 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
 
     Groups of at least LANE_CROSSOVER lanes run as lanes of one lockstep
     kernel, value by value: lanes whose messages share a prefix share its
-    states bit for bit, so each value integrates one lane per distinct
-    (prefix, value) pair, from the end state of its prefix, into one stored
-    block per pair that every lane of the prefix holds (``_run_prefixes``).
+    states bit for bit, so each value is one kernel call with one lane per
+    distinct (prefix, value) pair, from the end state of its prefix, which
+    writes the kept taps straight into one stored block per pair that every
+    lane of the prefix holds (``_run_prefixes``).
     Narrower groups and a ``kernel`` override run lane by lane through the
     scalar kernel, one block per lane. Both give the same bits. A
     ``kernel(drive, circuit, dt)`` override receives the 1-D drive of the real
@@ -300,7 +297,7 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
         for lane in range(n_lanes):
             scalar(lane)
     else:
-        finite = _run_prefixes(messages, mask, circuit, carrier, dt, spp, (n_keep, lo), blocks)
+        finite = _run_prefixes(messages, mask, circuit, carrier, dt, (n_keep, lo), blocks)
         if not finite.all():
             lane = int(np.flatnonzero(~finite)[0])
             scalar(lane)
@@ -310,8 +307,8 @@ def run_cases(cases, cfg: ReservoirConfig, circuit: ChuaParams, per_coordinate: 
                         int(per_coordinate)) for c in range(n_cases)]
 
 
-def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float, spp: int,
-                  window: tuple, blocks: list) -> np.ndarray:
+def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float, window: tuple,
+                  blocks: list) -> np.ndarray:
     """The lockstep branch of ``run_cases``: walk the prefix tree of the lanes'
     (lane, value) ``messages`` one value at a time, append each lane's block of
     the value to ``blocks[lane]``, and return which lanes ended finite.
@@ -319,17 +316,15 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
     A prefix is keyed by its parent prefix and the bit pattern of the value's
     normalised level, so the lanes of one prefix hold bit-identical states.
     Each value stores the kept taps of its prefixes once, as a (prefix, kept
-    step, tap, slot) array, which the kernel fills in chunks of whole slots
-    whose taps fit BUFFER_BYTES, each chunk continuing from the end state of
-    the last. Every lane of a prefix then appends the same view object of
-    the prefix's block, so the block is also pickled once with the lanes
-    that share it.
+    step, tap, slot) array, which one kernel call fills through its (slot,
+    kept step, tap, prefix) transpose. Every lane of a prefix then appends
+    the same view object of the prefix's block, so the block is also pickled
+    once with the lanes that share it.
     """
     n_lanes, n_values = messages.shape
     n_mask = len(mask)
     n_keep, lo = window
-    steps = n_mask * spp
-    keep = [lo <= s % spp < lo + n_keep for s in range(steps)]
+    carrier = carrier.reshape(n_values, -1)  # (value, step)
     state = np.array(astuple(DEFAULT_INITIAL_STATE))[:, None]  # (3, prefix)
     prefix = np.zeros(n_lanes, dtype=np.int64)  # lane -> prefix of its values so far
 
@@ -341,15 +336,8 @@ def _run_prefixes(messages, mask: Mask, circuit: ChuaParams, carrier, dt: float,
         parent, prefix, n_prefix = prefix[first], lane_prefix.reshape(-1), first.size
         levels = np.ascontiguousarray(multiplex(messages[first, k, None], mask).T)
         store = np.empty((n_prefix, n_keep, 2, n_mask))
-        state = state[:, parent]
-        # a slot's kept taps take 2 taps x 8 bytes per row and prefix
-        per_chunk = max(1, BUFFER_BYTES // (16 * n_keep * n_prefix))
-        for j0 in range(0, n_mask, per_chunk):
-            j1 = min(j0 + per_chunk, n_mask)
-            s0, s1 = k * steps + j0 * spp, k * steps + j1 * spp
-            state, taps = integrate_lanes(circuit, state, levels[j0:j1], carrier[s0:s1], dt,
-                                          keep[:s1 - s0])
-            store[..., j0:j1] = taps.reshape(j1 - j0, n_keep, 2, n_prefix).transpose(3, 1, 2, 0)
+        state = integrate_lanes(circuit, state[:, parent], levels, carrier[k], dt, lo,
+                                store.transpose(3, 1, 2, 0))
         views = list(store.reshape(n_prefix, n_keep, 2 * n_mask))
         for lane, p in enumerate(prefix.tolist()):
             blocks[lane].append(views[p])

@@ -334,8 +334,10 @@ def test_integrate_matches_the_closure_kernel(init, r, c1, r_series, seed):
     drive = np.repeat(levels, 10)
     # each level drives ten 1 us steps, and the kernel holds the last sample for the final tap
     want = closure_integrate(p, state, np.repeat(levels, 10).tolist() + [levels[-1]], 1e-6)
-    end, lane_taps = integrate_lanes(p, np.array(astuple(state))[:, None], levels[:, None],
-                                     np.ones(300), 1e-6, [True] * 300)
+    lane_taps = np.empty((30, 10, 2, 1))
+    end = integrate_lanes(p, np.array(astuple(state))[:, None], levels[:, None], np.ones(300),
+                          1e-6, 0, lane_taps)
+    lane_taps = lane_taps.reshape(300, 2, 1)
     try:
         got = integrate(p, state, drive, 300e-6, 1e-6).channels
     except IntegrationError as err:

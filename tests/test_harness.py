@@ -496,13 +496,26 @@ class TestWeightPersistence:
                                 "lambda", "seed", "config_digest", "matrix"}
         assert len(payload["matrix"]) == payload["n_outputs"] * (payload["n_channels"] + 1)
 
-    def test_digest_mismatch_warns_but_loads(self, tmp_path):
-        weight, sm = self._weight()
-        path = tmp_path / "w.json"
-        save_weight(weight, path)
-        with pytest.warns(UserWarning):
-            loaded = load_weight(path, expected_digest="different")
-        assert np.array_equal(predict(loaded, [sm]), predict(weight, [sm]))
+    def test_digest_mismatch_warns_but_loads(self, tmp_path, capsys, recwarn):
+        # eval names both digests on one stderr line, raises no Python
+        # warning, and scores the weight as it would under its own config
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"profile": "desk", "reservoir": {"n_mask": 6, "theta": 2},
+                                        "n_cases": 16, "out_dir": str(tmp_path / "run")}))
+        assert main(["train", "--config", str(cfg_path), "--jobs", "1"]) == 0
+        path = tmp_path / "run" / "weight.json"
+        payload = json.loads(path.read_text())
+        outputs = []
+        for digest in (payload["config_digest"], "different"):
+            path.write_text(json.dumps({**payload, "config_digest": digest}))
+            capsys.readouterr()
+            assert main(["eval", "--config", str(cfg_path), "--weight", str(path), "--jobs", "1"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == ""
+        assert outputs[1].err == (f"warning: weight was trained under config different,"
+                                  f" active config is {payload['config_digest']}\n")
+        assert outputs[1].out == outputs[0].out
+        assert len(recwarn) == 0, [str(w.message) for w in recwarn]
 
     def test_corrupted_file_is_structured_error(self, tmp_path):
         path = tmp_path / "w.json"
@@ -1115,7 +1128,7 @@ class TestCli:
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
 
-    def test_train_and_eval(self, tmp_path, capsys):
+    def test_train_and_eval(self, tmp_path, capsys, recwarn):
         cfg = {
             "profile": "desk",
             "reservoir": {"n_mask": 6, "theta": 2},
@@ -1139,7 +1152,9 @@ class TestCli:
             assert "error: weight_file: " in capsys.readouterr().err
         # the polynomial weight has 1 output, lwe-encrypt 2 teachers
         capsys.readouterr()
-        with pytest.warns(UserWarning, match="trained under config"):
-            assert main(["eval", "--config", str(cfg_path), "--task", "lwe-encrypt",
-                         "--weight", str(weight), "--jobs", "1"]) == 1
-        assert "weight_file: weight has 1 outputs, task lwe-encrypt has 2" in capsys.readouterr().err
+        assert main(["eval", "--config", str(cfg_path), "--task", "lwe-encrypt",
+                     "--weight", str(weight), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: weight was trained under config ")
+        assert err[1:] == ["error: weight_file: weight has 1 outputs, task lwe-encrypt has 2"]
+        assert len(recwarn) == 0, [str(w.message) for w in recwarn]

@@ -41,12 +41,26 @@ def lane_start(init, n_lanes):
     return np.repeat(np.array(astuple(init))[:, None], n_lanes, axis=1)
 
 
+def every_step(p, start, levels, carrier, dt):
+    """integrate_lanes keeping every step (lo 0, n_keep = hold): the end
+    state and the taps as (n_steps, 2, n_lanes)."""
+    n_levels, n_lanes = levels.shape
+    taps = np.empty((n_levels, carrier.size // n_levels, 2, n_lanes))
+    end = integrate_lanes(p, start, levels, carrier, dt, 0, taps)
+    return end, taps.reshape(carrier.size, 2, n_lanes)
+
+
 def lane_trace(p, init, levels, carrier, dt):
     """Both taps of every lane at every step, as (2, n_steps, n_lanes), and
     which lanes' end states are finite."""
-    end, taps = integrate_lanes(p, lane_start(init, levels.shape[1]), levels, carrier, dt,
-                                [True] * carrier.size)
+    end, taps = every_step(p, lane_start(init, levels.shape[1]), levels, carrier, dt)
     return taps.transpose(1, 0, 2), np.isfinite(end).all(axis=0)
+
+
+def carrier_of(kind, n_steps, dt):
+    """A 6 kHz square, sine or dc unit carrier of n_steps samples."""
+    wave = np.sin(2.0 * np.pi * 6000.0 * np.arange(n_steps) * dt)
+    return {"square": np.where(wave >= 0.0, 1.0, -1.0), "sine": wave, "dc": np.ones(n_steps)}[kind]
 
 
 class TestIntegrateLanes:
@@ -55,10 +69,7 @@ class TestIntegrateLanes:
         p, dt, hold = kennedy_circuit(1800.0), 1e-6, 3
         rng = np.random.default_rng(4)
         levels = rng.uniform(0.4, 1.0, size=(40, 5))
-        t = np.arange(levels.shape[0] * hold) * dt
-        wave = np.sin(2.0 * np.pi * 6000.0 * t)
-        carrier = {"square": np.where(wave >= 0.0, 1.0, -1.0), "sine": wave,
-                   "dc": np.ones(t.size)}[carrier_kind]
+        carrier = carrier_of(carrier_kind, levels.shape[0] * hold, dt)
         taps, finite = lane_trace(p, DEFAULT_INITIAL_STATE, levels, carrier, dt)
         assert finite.all()
         for lane in range(levels.shape[1]):
@@ -87,7 +98,7 @@ class TestIntegrateLanes:
         start = np.array([[0.0] * len(v_c1), [0.0] * len(v_c1), v_c1])
         levels = np.random.default_rng(6).uniform(0.4, 1.0, size=(20, len(v_c1)))
         carrier = np.where(np.sin(np.arange(levels.shape[0] * hold) * 0.05) >= 0.0, 1.0, -1.0)
-        end, taps = integrate_lanes(p, start, levels, carrier, dt, [True] * carrier.size)
+        end, taps = every_step(p, start, levels, carrier, dt)
         for lane, v in enumerate(v_c1):
             init = CircuitState(v_c1=v)
             drive = np.repeat(levels[:, lane], hold) * carrier
@@ -109,8 +120,8 @@ class TestIntegrateLanes:
         taps = np.empty_like(whole)
         for part in range(3):
             steps = slice(part * 2 * hold, (part + 1) * 2 * hold)
-            state, part_taps = integrate_lanes(p, state, levels[2 * part:2 * part + 2],
-                                               carrier[steps], dt, [True] * (2 * hold))
+            state, part_taps = every_step(p, state, levels[2 * part:2 * part + 2],
+                                          carrier[steps], dt)
             taps[:, steps] = part_taps.transpose(1, 0, 2)
         assert np.array_equal(bits(taps), bits(whole))
 
@@ -119,8 +130,43 @@ class TestIntegrateLanes:
         # a (3, 1) start would broadcast to every lane
         levels, carrier = np.full((1, 4), 0.5), np.ones(10)
         with pytest.raises(ConfigurationError) as err:
-            integrate_lanes(kennedy_circuit(), np.zeros(shape), levels, carrier, 1e-6, [True] * 10)
+            every_step(kennedy_circuit(), np.zeros(shape), levels, carrier, 1e-6)
         assert err.value.field == "start"
+
+    @pytest.mark.parametrize("carrier_kind", ["square", "sine", "dc"])
+    def test_kept_rows_fill_a_strided_store(self, carrier_kind):
+        # the (lane, kept step, tap, level) store of the prefix walk, filled
+        # through its transpose: every kept row is written, and holds the
+        # scalar taps of step j * hold + lo + r
+        p, dt, hold, lo, n_keep = kennedy_circuit(1800.0), 1e-6, 7, 2, 4
+        levels = np.random.default_rng(7).uniform(0.4, 1.0, size=(30, 5))
+        carrier = carrier_of(carrier_kind, levels.shape[0] * hold, dt)
+        store = np.full((levels.shape[1], n_keep, 2, levels.shape[0]), np.nan)
+        end = integrate_lanes(p, lane_start(DEFAULT_INITIAL_STATE, levels.shape[1]), levels,
+                              carrier, dt, lo, store.transpose(3, 1, 2, 0))
+        assert not np.isnan(store).any()
+        steps = (np.arange(levels.shape[0])[:, None] * hold + lo + np.arange(n_keep)).reshape(-1)
+        for lane in range(levels.shape[1]):
+            drive = np.repeat(levels[:, lane], hold) * carrier
+            trace = integrate(p, DEFAULT_INITIAL_STATE, drive, carrier.size * dt, dt)
+            kept = store[lane].transpose(1, 2, 0).reshape(2, -1)  # (tap, level-major step)
+            assert np.array_equal(bits(kept), bits(trace.channels[:, steps]))
+        assert np.isfinite(end).all()
+
+    @pytest.mark.parametrize("shape, lo", [
+        ((3, 2, 2, 4), 0), ((2, 2, 3, 4), 0), ((2, 2, 2, 5), 0), ((2, 2, 2), 0),
+        ((2, 2, 2, 4), -1), ((2, 2, 2, 4), 4), ((2, 6, 2, 4), 0),
+    ], ids=["levels", "taps", "lanes", "ndim", "negative-lo", "past-the-slot", "longer-than-the-slot"])
+    def test_a_store_of_another_shape_or_window_is_rejected(self, shape, lo):
+        # 2 levels of 5 steps over 4 lanes; a row the kernel skipped would
+        # keep np.empty garbage, so it raises before any step
+        levels, carrier = np.full((2, 4), 0.5), np.ones(10)
+        taps = np.full(shape, np.nan)
+        with pytest.raises(ConfigurationError) as err:
+            integrate_lanes(kennedy_circuit(), lane_start(DEFAULT_INITIAL_STATE, 4), levels,
+                            carrier, 1e-6, lo, taps)
+        assert err.value.field == "taps"
+        assert np.isnan(taps).all()
 
     def test_divergence_is_reported_per_lane(self):
         p = replace(kennedy_circuit(1800.0), c1=1e-14)
@@ -265,7 +311,7 @@ class TestSimulateCases:
 
 
 def count_lane_steps(monkeypatch):
-    """Patch pipeline.integrate_lanes to add up the lane-steps it integrates."""
+    """Patch pipeline.integrate_lanes to list the lane-steps of each call."""
     counted = []
 
     def counting(p, start, levels, carrier, *args):
@@ -278,8 +324,8 @@ def count_lane_steps(monkeypatch):
 
 class TestSharedPrefixes:
     def lane_steps(self, cfg, monkeypatch):
-        """(counted lane-steps, distinct prefixes per value, steps per value)
-        of one lockstep group of the config's dataset."""
+        """(lane-steps of each kernel call, distinct prefixes per value, steps
+        per value) of one lockstep group of the config's dataset."""
         dataset = experiment.build_dataset(cfg)
         reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         counted = count_lane_steps(monkeypatch)
@@ -289,7 +335,7 @@ class TestSharedPrefixes:
         spp = reservoir.theta * samples_per_envelope_point(
             (n_values + 1) * reservoir.n_mask * reservoir.theta, reservoir)
         distinct = [len({tuple(raw[:k + 1]) for raw in dataset.inputs}) for k in range(n_values)]
-        return sum(counted), distinct, reservoir.n_mask * spp
+        return counted, distinct, reservoir.n_mask * spp
 
     def test_each_distinct_prefix_is_integrated_once(self, monkeypatch):
         # the desk-lwe benchmark's dataset (seed 0)
@@ -297,7 +343,9 @@ class TestSharedPrefixes:
                       master_seed=0)
         counted, distinct, steps = self.lane_steps(cfg, monkeypatch)
         assert distinct == [7, 47, 164, 236, 257, 257, 258, 258, 258, 258, 516]
-        assert counted == sum(distinct) * steps == 503_200
+        # one kernel call per value, over that value's distinct prefixes
+        assert counted == [n * steps for n in distinct]
+        assert sum(counted) == 503_200
         assert 520 * len(distinct) * steps == 1_144_000
 
     def test_each_distinct_prefix_is_stored_once(self):
@@ -338,22 +386,36 @@ class TestSharedPrefixes:
         cfg = replace(default_config(profile="desk", task_kind="polynomial"), n_cases=40)
         counted, distinct, steps = self.lane_steps(cfg, monkeypatch)
         assert distinct == [40]
-        assert counted == 40 * steps
+        assert counted == [40 * steps]
 
-    # a slot of lwe-encrypt's 10 lanes keeps 2 steps, at 16 bytes per lane and
-    # step: one slot per kernel call, 3 + 3 + 2 slots per value at 10
-    # prefixes, and one call per value
     @pytest.mark.parametrize("name", ["lwe-encrypt", "circles"])
-    @pytest.mark.parametrize("budget", [1, 3 * 16 * 2 * 10, 1 << 30])
-    def test_any_slab_budget_gives_the_same_bits(self, name, budget, monkeypatch):
+    def test_one_call_per_value_gives_the_same_bits(self, name, monkeypatch):
+        # shared prefixes, and one lane per coordinate
         cfg = CONFIGS[name]
         dataset = experiment.build_dataset(cfg)
         reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
         monkeypatch.setattr(pipeline, "LANE_CROSSOVER", 1)
-        monkeypatch.setattr(pipeline, "BUFFER_BYTES", budget)
         got = run_cases(dataset.inputs, reservoir, cfg.circuit,
                         per_coordinate=dataset.multi_input)
-        assert_same_states(got, per_case_states(cfg, dataset), budget)
+        assert_same_states(got, per_case_states(cfg, dataset), name)
+
+    def test_the_kernel_fills_the_store_without_a_copy(self):
+        # 64 desk polynomial cases: one lockstep group of 64 prefixes, whose
+        # store is all the group retains; a store-sized temporary of kept taps
+        # would peak at least one store above that
+        cfg = replace(default_config(profile="desk", task_kind="polynomial"), n_cases=64)
+        dataset = experiment.build_dataset(cfg)
+        reservoir = experiment._effective_reservoir(cfg, dataset.value_max)
+        assert dataset.n_cases >= pipeline.LANE_CROSSOVER
+        tracemalloc.start()
+        try:
+            states = run_cases(dataset.inputs, reservoir, cfg.circuit)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len({id(sm.blocks[0]) for sm in states}) == 64
+        store_bytes = 64 * states[0].blocks[0].nbytes
+        assert peak - retained < store_bytes / 2, (peak - retained, store_bytes)
 
     def test_a_diverging_shared_prefix_names_the_lower_case(self, monkeypatch):
         cfg = diverging_config()
