@@ -109,7 +109,7 @@ def _cmd_dataset(args) -> int:
         pk, cases = tasks.lwe_cases(cfg.lwe, cfg.n_cases, seed)
         out = exp.make_out_dir(cfg.out_dir)
         path = out / "lwe_cases.json"
-        lwe_mod.save_dataset(cases, pk, seed, path)
+        lwe_mod.save_dataset(cases, cfg.lwe, pk, seed, path)
         lwe_mod.save_keypair(cfg.lwe, pk, out / "lwe_key.json", out / "lwe_secret.json")
     else:
         dataset = exp.build_dataset(cfg)

@@ -130,7 +130,7 @@ def run_experiment(
     accuracy = None
     confusion = None
     if dataset.kind == "circles":
-        true = [dataset.labels[i] for i in val_idx]
+        true = [tasks.classify(t) for t in dataset.teachers[val_idx, 0]]
         predicted = [tasks.classify(float(e[0])) for e in estimates[val_idx]]
         confusion = tasks.confusion_matrix(true, predicted)
         accuracy = float(np.trace(confusion) / max(1, confusion.sum()))

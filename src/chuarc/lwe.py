@@ -85,10 +85,6 @@ class LweTestCase:
     v: int
     a_samples: tuple
     b_samples: tuple
-    q: int
-    s: int
-    m: int
-    n_samples: int
 
 
 def gaussian_sigma(alpha: float) -> float:
@@ -161,35 +157,23 @@ def generate_testcases(params: LweParams, n_cases: int, rng: np.random.Generator
             if bit != phi:
                 ok = False
                 break
-            records.append(
-                LweTestCase(
-                    phi=phi,
-                    decrypt_value=raw,
-                    u=u,
-                    v=v,
-                    a_samples=a_samples,
-                    b_samples=b_samples,
-                    q=params.q,
-                    s=params.s,
-                    m=params.m,
-                    n_samples=params.n_samples,
-                )
-            )
+            records.append(LweTestCase(phi=phi, decrypt_value=raw, u=u, v=v,
+                                       a_samples=a_samples, b_samples=b_samples))
         if ok:
             cases.extend(records[: n_cases - len(cases)])
     return cases
 
 
-def save_dataset(cases, pk: PublicKey, seed: int, path) -> None:
-    """Write test cases as a JSON array with the public key repeated per record."""
+def save_dataset(cases, params: LweParams, pk: PublicKey, seed: int, path) -> None:
+    """Write test cases as a JSON array; each record repeats q, s, m and
+    n_samples of params, the public key and the seed after its own fields."""
     rows = []
     for c in cases:
         row = asdict(c)
         row["a_samples"] = list(c.a_samples)
         row["b_samples"] = list(c.b_samples)
-        row["public_a"] = list(pk.a)
-        row["public_b"] = list(pk.b)
-        row["seed"] = seed
+        row.update(q=params.q, s=params.s, m=params.m, n_samples=params.n_samples,
+                   public_a=list(pk.a), public_b=list(pk.b), seed=seed)
         rows.append(row)
     with open(path, "w") as fh:
         json.dump(rows, fh, indent=1)

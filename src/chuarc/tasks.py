@@ -115,11 +115,6 @@ def concentric_circles(n_points: int, seed: int, inner_radius: float = 1.0,
     return points, labels
 
 
-def class_teacher(label: int) -> float:
-    """Teacher value for a class label (label + 1)."""
-    return CLASS_TEACHERS[int(label)]
-
-
 def classify(estimate: float) -> int:
     """Nearest-teacher-value rule mapped back to the class label."""
     teachers = np.asarray(CLASS_TEACHERS)
@@ -131,10 +126,8 @@ class Dataset:
     """Task inputs and teachers with a train/validation split.
 
     inputs hold raw (unnormalised) value sequences; teachers is one
-    (n_cases, n_outputs) float array; value_max is the normalisation
-    ceiling; multi_input marks per-coordinate kernel runs (classification)
-    rather than one time-varying message; labels holds the circle classes,
-    and is None for every other task.
+    (n_cases, n_outputs) float array, from which ``classify`` reads a
+    circle's class; value_max is the normalisation ceiling.
     """
 
     kind: str
@@ -143,10 +136,10 @@ class Dataset:
     value_max: float
     train_idx: np.ndarray
     val_idx: np.ndarray
-    multi_input: bool = False
-    labels: list | None = None
 
     def __post_init__(self):
+        if self.kind not in FAMILIES:
+            raise ConfigurationError("dataset.kind", f"{self.kind!r} is not one of {TASK_KINDS}")
         if self.teachers.ndim != 2 or len(self.teachers) != len(self.inputs):
             raise ConfigurationError("dataset", "teachers must be one (n_cases, n_outputs) array")
         train = set(int(i) for i in self.train_idx)
@@ -161,6 +154,12 @@ class Dataset:
     @property
     def n_cases(self) -> int:
         return len(self.inputs)
+
+    @property
+    def multi_input(self) -> bool:
+        """Whether each input coordinate is its own kernel run (classification)
+        rather than one value of a time-varying message."""
+        return FAMILIES[self.kind] == "circles"
 
 
 def check_split(n: int, val_fraction: float) -> int:
@@ -200,17 +199,19 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
     """Generate n_cases inputs and teachers for one task kind, reproducibly from the seed."""
     spec.check_n_cases(n_cases)
     kind, family = spec.kind, FAMILIES[spec.kind]
-    labels, multi_input = None, False
 
     if family == "line":
-        xs = np.linspace(spec.x_range[0], spec.x_range[1], n_cases)
-        inputs = [[float(x)] for x in xs]
+        xs = [float(x) for x in np.linspace(spec.x_range[0], spec.x_range[1], n_cases)]
+        inputs = [[x] for x in xs]
+        # before poly-mod takes the modulo: math.floor of an infinity raises OverflowError
+        if kind != "modulo" and not all(math.isfinite(polynomial_teacher(x)) for x in xs):
+            raise ConfigurationError("task.x_range", f"the polynomial teacher overflows on {spec.x_range}")
         if kind == "polynomial":
             teachers = [[polynomial_teacher(x)] for x in xs]
         elif kind == "modulo":
-            teachers = [[modulo_teacher(float(x), spec.modulo_base)] for x in xs]
+            teachers = [[modulo_teacher(x, spec.modulo_base)] for x in xs]
         else:
-            teachers = [[poly_mod_teacher(float(x), spec.poly_mod_base)] for x in xs]
+            teachers = [[poly_mod_teacher(x, spec.poly_mod_base)] for x in xs]
         value_max = float(spec.x_range[1])
     elif family == "pair":
         rng = np.random.default_rng([seed, 0x70616972])
@@ -225,10 +226,8 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
         points, point_labels = concentric_circles(n_cases, seed, spec.inner_radius, spec.outer_radii)
         shift = spec.outer_radii[1]
         inputs = [[float(p[0] + shift), float(p[1] + shift)] for p in points]
-        teachers = [[class_teacher(l)] for l in point_labels]
-        labels = [int(l) for l in point_labels]
+        teachers = [[CLASS_TEACHERS[l]] for l in point_labels]
         value_max = 2.0 * shift
-        multi_input = True
     else:
         if lwe_params is None:
             raise ConfigurationError("lwe", f"required for {kind}")
@@ -242,10 +241,8 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
         value_max = float(lwe_params.q - 1)
 
     train_idx, val_idx = split_indices(len(inputs), val_fraction, seed)
-    return Dataset(
-        kind=kind, inputs=inputs, teachers=np.array(teachers, dtype=float), value_max=value_max,
-        train_idx=train_idx, val_idx=val_idx, multi_input=multi_input, labels=labels,
-    )
+    return Dataset(kind=kind, inputs=inputs, teachers=np.array(teachers, dtype=float),
+                   value_max=value_max, train_idx=train_idx, val_idx=val_idx)
 
 
 def confusion_matrix(true_labels, predicted_labels) -> np.ndarray:
@@ -271,7 +268,8 @@ def dataset_to_csv(dataset: Dataset, path, config_digest: str | None = None) -> 
         columns = (inputs[0], inputs[1], *targets)
     elif family == "circles":
         header = ("x", "y", "class")
-        columns = (inputs[0], inputs[1], [str(label).encode("ascii") for label in dataset.labels])
+        classes = [str(classify(t)).encode("ascii") for t in dataset.teachers[:, 0]]
+        columns = (inputs[0], inputs[1], classes)
         render = (repr_cells, repr_cells, text_cells)
     else:
         raise ConfigurationError("task.kind", f"no CSV schema for {dataset.kind} (use the JSON dataset)")

@@ -15,6 +15,7 @@ recorded with.
 
 import hashlib
 import math
+import re
 import struct
 from dataclasses import astuple
 
@@ -72,6 +73,15 @@ GOLDEN = {
     "lwe-decrypt-40/weight.json": "4ec4288985388fafaa0335c4f10d368c0dbc7ea90a2894ef010673fc83ef98b1",
     "pair-sum-40/cases.csv": "d1fdb8f446b1f6350dec765c20f5532d70acb6fd41c6ab750fc2394134338104",
     "pair-sum-40/weight.json": "1870f6cf09fe3ddb74afe21313bda87a3e8093378434a941cc491fcfc94b8197",
+    # the circles run's report.json without its "runtime_s" line
+    "circles/report.json": "9cc468bc45a93c8e6c91a68635240ebae7758567bac890d39ca21749478f8267",
+    # `chuarc dataset --profile desk --n-cases 40 --seed 5`, one task each
+    "dataset-40/lwe_cases.json": "804535c81733dad555dfa5879bdb339af3f8c53662c59a5b224be8323f7be22d",
+    "dataset-40/lwe_key.json": "1bbed2155706164e940cffa54fe14b7455d3b0f933b91016b21483f4c79d2d6f",
+    "dataset-40/lwe_secret.json": "60c8169753f5178afa1119428cdee5bf67602f766ffed54f3572f832aa101fb6",
+    "dataset-40/dataset_circles.csv": "5155c493c3e52641de290efd34812c2d436f2af498b08c1c79d16d1dfaeddaed",
+    "dataset-40/dataset_pair-sum.csv": "30d28b4bad3a8237c3bd59a852ec1854f994a04a934116f2ec60a0ad7f95bc4b",
+    "dataset-40/dataset_polynomial.csv": "266ece6647384241dc3420a1efd2585ae636b79409ed7587d0f4016703eac7cf",
 }
 
 #: GOLDEN prefix -> (task, case count) of its `chuarc train` run
@@ -80,9 +90,19 @@ TRAIN_RUNS = {"polynomial": ("polynomial", 24), "lwe-encrypt": ("lwe-encrypt", 2
               "lwe-encrypt-40": ("lwe-encrypt", 40), "lwe-decrypt-40": ("lwe-decrypt", 40),
               "pair-sum-40": ("pair-sum", 40)}
 
+#: task -> the files its `chuarc dataset` run writes, each a "dataset-40/" GOLDEN entry
+DATASET_RUNS = {"lwe-encrypt": ("lwe_cases.json", "lwe_key.json", "lwe_secret.json"),
+                "circles": ("dataset_circles.csv",), "pair-sum": ("dataset_pair-sum.csv",),
+                "polynomial": ("dataset_polynomial.csv",)}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def report_bytes(path) -> bytes:
+    """report.json's bytes without its "runtime_s" line, the one that varies run to run."""
+    return re.sub(rb'\n "runtime_s": [^\n]*', b"", path.read_bytes())
 
 
 def trace_chain(out):
@@ -180,6 +200,18 @@ def test_train_artefact_bytes(tmp_path, run):
                  "--seed", "3", "--jobs", "1", "--out", str(tmp_path)]) == 0
     for name in ("cases.csv", "weight.json"):
         assert sha256((tmp_path / name).read_bytes()) == GOLDEN[f"{run}/{name}"], name
+    if f"{run}/report.json" in GOLDEN:
+        assert sha256(report_bytes(tmp_path / "report.json")) == GOLDEN[f"{run}/report.json"]
+
+
+@pytest.mark.parametrize("task", list(DATASET_RUNS))
+def test_dataset_artefact_bytes(tmp_path, task):
+    if np.__version__ != FFT_NUMPY:
+        pytest.skip(f"dataset digests were recorded with numpy {FFT_NUMPY}")
+    assert main(["dataset", "--profile", "desk", "--task", task, "--n-cases", "40",
+                 "--seed", "5", "--out", str(tmp_path)]) == 0
+    for name in DATASET_RUNS[task]:
+        assert sha256((tmp_path / name).read_bytes()) == GOLDEN[f"dataset-40/{name}"], name
 
 
 @pytest.mark.parametrize("name", ["integrate.undriven", "integrate.driven"])

@@ -915,6 +915,22 @@ class TestCli:
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["polynomial", "poly-mod"])
+    def test_overflowing_teacher_fails_before_any_simulation(self, tmp_path, task):
+        # the degree-9 polynomial overflows far below 1e308; a subprocess, so
+        # that a numpy warning printed on the way shows on stderr
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": "desk", "task": {"kind": task, "x_range": [0, 1e308]},
+                                   "n_cases": 40}))
+        out = tmp_path / "out"
+        run = subprocess.run([sys.executable, "-m", "chuarc.cli", "train", "--config", str(cfg),
+                              "--out", str(out)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: task.x_range: ")
+        assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+        assert not (out / "weight.json").exists()
+
     @pytest.mark.parametrize("argv, field", [
         (["simulate", "--t-end", "-1"], "t_end"),
         (["spectrum", "--trace", "nope.csv"], "csv"),

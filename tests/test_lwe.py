@@ -4,6 +4,7 @@ error-sum enumeration oracle."""
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -154,8 +155,7 @@ def _table_candidate_cases():
         u, v = encrypt_sums(a, b, phi, 7)
         raw, bit = decrypt_bit((u, v), 2, 7)
         assert bit == phi
-        out.append(LweTestCase(phi=phi, decrypt_value=raw, u=u, v=v, a_samples=a,
-                               b_samples=b, q=7, s=2, m=20, n_samples=5))
+        out.append(LweTestCase(phi=phi, decrypt_value=raw, u=u, v=v, a_samples=a, b_samples=b))
     return out
 
 
@@ -222,16 +222,23 @@ class TestRoundTripFilter:
 
 
 class TestPersistence:
+    def test_a_record_holds_only_its_own_fields(self):
+        # q, s, m and n_samples belong to the run's LweParams, not to each record
+        assert [f.name for f in fields(LweTestCase)] == [
+            "phi", "decrypt_value", "u", "v", "a_samples", "b_samples"]
+
     def test_dataset_json_round_trip(self, tmp_path):
         params = LweParams()
         rng = np.random.default_rng(51)
         pk = keygen(params, rng)
         cases = generate_testcases(params, 12, rng, pk=pk)
         path = tmp_path / "cases.json"
-        save_dataset(cases, pk, seed=51, path=path)
+        save_dataset(cases, params, pk, seed=51, path=path)
         rows = json.loads(path.read_text())
         assert len(rows) == len(cases)
         for row, case in zip(rows, cases):
+            assert [row.pop(k) for k in ("q", "s", "m", "n_samples")] == [
+                params.q, params.s, params.m, params.n_samples]
             assert (row.pop("public_a"), row.pop("public_b"), row.pop("seed")) == (
                 list(pk.a), list(pk.b), 51)
             row["a_samples"], row["b_samples"] = tuple(row["a_samples"]), tuple(row["b_samples"])

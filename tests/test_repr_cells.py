@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from chuarc import cells
 from chuarc.circuit import BifurcationPoint, bifurcation_to_csv, spectrum_to_csv
 from chuarc.experiment import SweepCell, sweep_to_csv
-from chuarc.tasks import TASK_KINDS, TaskSpec, build_dataset, dataset_to_csv, pair_teachers
+from chuarc.tasks import (
+    TASK_KINDS,
+    TaskSpec,
+    build_dataset,
+    concentric_circles,
+    dataset_to_csv,
+    pair_teachers,
+)
 
 
 def reprs(values):
@@ -221,8 +228,9 @@ def test_sweep_csv_matches_row_by_row_writer(tmp_path, monkeypatch, chunk, masks
     assert (tmp_path / "sweep.csv").read_text() == reference_sweep_csv(sweep, "beef")
 
 
-def reference_dataset_csv(dataset, digest):
-    """The row-by-row dataset writer the shared one replaced."""
+def reference_dataset_csv(dataset, digest, seed):
+    """The row-by-row dataset writer the shared one replaced; a circle's class
+    comes from the generator, not from the dataset."""
     out = [f"# config_digest={digest}\n" if digest else ""]
     if dataset.kind in ("polynomial", "modulo", "poly-mod"):
         out.append("x,y_teacher\n")
@@ -235,7 +243,8 @@ def reference_dataset_csv(dataset, digest):
             out.append(f"{repr(inp[0])},{repr(inp[1])},{repr(s)},{repr(p)},{repr(m)}\n")
     else:
         out.append("x,y,class\n")
-        for inp, label in zip(dataset.inputs, dataset.labels):
+        _, labels = concentric_circles(dataset.n_cases, seed)
+        for inp, label in zip(dataset.inputs, labels):
             out.append(f"{repr(inp[0])},{repr(inp[1])},{label}\n")
     return "".join(out)
 
@@ -246,4 +255,4 @@ def test_dataset_csv_matches_row_by_row_writer(tmp_path, monkeypatch, chunk, kin
     monkeypatch.setattr(cells, "CSV_CHUNK", chunk)
     dataset = build_dataset(TaskSpec(kind=kind), n_cases=37, seed=5)
     dataset_to_csv(dataset, tmp_path / "d.csv", "f00d")
-    assert (tmp_path / "d.csv").read_text() == reference_dataset_csv(dataset, "f00d")
+    assert (tmp_path / "d.csv").read_text() == reference_dataset_csv(dataset, "f00d", seed=5)

@@ -2,6 +2,7 @@
 classification scoring."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,8 +127,14 @@ class TestCircles:
 
     def test_teacher_encoding(self):
         ds = build_dataset(TaskSpec(kind="circles"), n_cases=50, seed=6)
-        for label, teacher in zip(ds.labels, ds.teachers):
+        _, labels = concentric_circles(50, seed=6)
+        for label, teacher in zip(labels, ds.teachers):
             assert teacher[0] == label + 1.0
+
+    def test_classify_reads_the_class_back_from_the_teacher(self):
+        ds = build_dataset(TaskSpec(kind="circles"), n_cases=50, seed=6)
+        _, labels = concentric_circles(50, seed=6)
+        assert [classify(t) for t in ds.teachers[:, 0]] == labels.tolist()
 
     def test_same_seed_identical(self):
         a = concentric_circles(64, seed=7)
@@ -200,7 +207,21 @@ class TestBuildDataset:
         ds = build_dataset(TaskSpec(kind="lwe-decrypt"), n_cases=20, seed=18,
                            lwe_params=LweParams())
         assert all(len(i) == 2 for i in ds.inputs)
-        assert ds.labels is None
+
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_multi_input_exactly_for_circles(self, kind):
+        ds = build_dataset(TaskSpec(kind=kind), n_cases=10, seed=19, lwe_params=LweParams())
+        assert ds.multi_input is (kind == "circles")
+
+    def test_dataset_of_unknown_kind_rejected(self):
+        ds = build_dataset(TaskSpec(kind="polynomial"), n_cases=10, seed=19)
+        with pytest.raises(ConfigurationError) as err:
+            replace(ds, kind="narma")
+        assert err.value.field == "dataset.kind"
+
+    def test_modulo_takes_the_range_the_polynomial_overflows_on(self):
+        ds = build_dataset(TaskSpec(kind="modulo", x_range=(0.0, 1e308)), n_cases=40, seed=19)
+        assert np.isfinite(ds.teachers).all()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
