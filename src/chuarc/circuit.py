@@ -247,6 +247,7 @@ def integrate(
 
     gi, gm, go, bi, bo, i_bi, i_bo, inv_l, inv_c2, inv_c1, inv_rc2, inv_rc1, rs, h, hh, h6 = (
         _rk4_constants(p, dt))
+    nbi, nbo = -bi, -bo
     isfinite = math.isfinite
     il, v2, v1 = init.i_l, init.v_c2, init.v_c1
     # array('d') appends cost what list appends do and keep 8 bytes per
@@ -255,91 +256,57 @@ def integrate(
     tap_cd, tap_l = v_cd.append, v_l.append
     # The four RK4 stages are written out, with no call per stage: stage j
     # takes the rates (a, b, d) of (i_l, v_c2, v_c1) at the point (x, y, z),
-    # with w the diode current (negated from the segment at -v for v < 0, as
-    # diode_current does; a NaN takes that branch and the step then raises).
-    # Every IEEE operation keeps the order that integrate_lanes repeats per
-    # lane; the golden digests and a per-stage reference kernel in the tests
-    # pin it bit for bit.
+    # with w the diode current from one segment chain on the signed voltage:
+    # below -bi it is negated from the segment at -v, as in diode_current
+    # (not gm*(v + bi) - i_bi, whose zero can take the other sign), and gi*v
+    # has the bits of -(gi*(-v)). A NaN takes the last branch; the step then
+    # raises. Every IEEE operation keeps the order that integrate_lanes
+    # repeats per lane; the golden digests and a per-stage reference kernel
+    # in the tests pin it bit for bit.
     for u in vin:
         rsil = rs * il
         tap_cd(v1)
         tap_l(v2 - rsil - u)
         dv = v2 - v1
-        if v1 >= 0.0:
-            if v1 <= bi:
-                w = gi * v1
-            elif v1 <= bo:
-                w = i_bi + gm * (v1 - bi)
-            else:
-                w = i_bo + go * (v1 - bo)
+        if v1 > bi:
+            w = i_bi + gm * (v1 - bi) if v1 <= bo else i_bo + go * (v1 - bo)
+        elif v1 >= nbi:
+            w = gi * v1
         else:
-            w = -v1
-            if w <= bi:
-                w = -(gi * w)
-            elif w <= bo:
-                w = -(i_bi + gm * (w - bi))
-            else:
-                w = -(i_bo + go * (w - bo))
+            w = -(i_bi + gm * (-v1 - bi)) if v1 >= nbo else -(i_bo + go * (-v1 - bo))
         a1 = (-v2 - rsil - u) * inv_l
         b1 = il * inv_c2 - dv * inv_rc2
         d1 = dv * inv_rc1 - w * inv_c1
         x, y, z = il + hh * a1, v2 + hh * b1, v1 + hh * d1
         dv = y - z
-        if z >= 0.0:
-            if z <= bi:
-                w = gi * z
-            elif z <= bo:
-                w = i_bi + gm * (z - bi)
-            else:
-                w = i_bo + go * (z - bo)
+        if z > bi:
+            w = i_bi + gm * (z - bi) if z <= bo else i_bo + go * (z - bo)
+        elif z >= nbi:
+            w = gi * z
         else:
-            w = -z
-            if w <= bi:
-                w = -(gi * w)
-            elif w <= bo:
-                w = -(i_bi + gm * (w - bi))
-            else:
-                w = -(i_bo + go * (w - bo))
+            w = -(i_bi + gm * (-z - bi)) if z >= nbo else -(i_bo + go * (-z - bo))
         a2 = (-y - rs * x - u) * inv_l
         b2 = x * inv_c2 - dv * inv_rc2
         d2 = dv * inv_rc1 - w * inv_c1
         x, y, z = il + hh * a2, v2 + hh * b2, v1 + hh * d2
         dv = y - z
-        if z >= 0.0:
-            if z <= bi:
-                w = gi * z
-            elif z <= bo:
-                w = i_bi + gm * (z - bi)
-            else:
-                w = i_bo + go * (z - bo)
+        if z > bi:
+            w = i_bi + gm * (z - bi) if z <= bo else i_bo + go * (z - bo)
+        elif z >= nbi:
+            w = gi * z
         else:
-            w = -z
-            if w <= bi:
-                w = -(gi * w)
-            elif w <= bo:
-                w = -(i_bi + gm * (w - bi))
-            else:
-                w = -(i_bo + go * (w - bo))
+            w = -(i_bi + gm * (-z - bi)) if z >= nbo else -(i_bo + go * (-z - bo))
         a3 = (-y - rs * x - u) * inv_l
         b3 = x * inv_c2 - dv * inv_rc2
         d3 = dv * inv_rc1 - w * inv_c1
         x, y, z = il + h * a3, v2 + h * b3, v1 + h * d3
         dv = y - z
-        if z >= 0.0:
-            if z <= bi:
-                w = gi * z
-            elif z <= bo:
-                w = i_bi + gm * (z - bi)
-            else:
-                w = i_bo + go * (z - bo)
+        if z > bi:
+            w = i_bi + gm * (z - bi) if z <= bo else i_bo + go * (z - bo)
+        elif z >= nbi:
+            w = gi * z
         else:
-            w = -z
-            if w <= bi:
-                w = -(gi * w)
-            elif w <= bo:
-                w = -(i_bi + gm * (w - bi))
-            else:
-                w = -(i_bo + go * (w - bo))
+            w = -(i_bi + gm * (-z - bi)) if z >= nbo else -(i_bo + go * (-z - bo))
         il += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + (-y - rs * x - u) * inv_l)
         v2 += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + (x * inv_c2 - dv * inv_rc2))
         v1 += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (dv * inv_rc1 - w * inv_c1))
@@ -445,11 +412,11 @@ def integrate_lanes(
                 sub(y[0], t1, t1)
                 sub(t1, u, v_l)
             for v2, v1, il, dv, idio, seg, a, segs, segs3, lhs, rhs, out, out_il, kj, step in stages:
-                # |v1| and a 1/c1 of v1's sign stand in for the scalar `v1 if
-                # v1 >= 0 else -v1` and `if v1 < 0: idio = -idio`: a sign flip
-                # commutes with rounding. Only a differs, at v1 = -0.0: the
-                # scalar takes a = -0.0 and keeps the sign, this takes a = +0.0
-                # and flips it, so gi*a/c1 is the same signed zero either way
+                # the segment at |v1| over a 1/c1 of v1's sign stands in for
+                # the scalar's chain on the signed v1 (negated from -v1 below
+                # -bi, gi*v1 within ±bi): a sign flip commutes with rounding.
+                # At v1 = -0.0 the scalar takes gi*(-0.0)/c1 and this
+                # gi*(+0.0)/(-c1), the same signed zero
                 np.abs(v1, a)
                 le(a, bi, inner)
                 le(a, bo, mid)

@@ -108,15 +108,15 @@ def run_experiment(
     started = time.perf_counter()
     digest = config_digest(cfg)
 
-    out_dir = make_out_dir(cfg.out_dir) if write_artifacts else None
     try:
         dataset = build_dataset(cfg)
+        out_dir = make_out_dir(cfg.out_dir) if write_artifacts else None
         states = simulate_cases(cfg, dataset, jobs=jobs)
     except (IntegrationError, GenerationError) as exc:
         if write_artifacts:
             manifest = {"config_digest": digest, "task": cfg.task.kind,
                         "n_cases": cfg.n_cases, "error": str(exc)}
-            (out_dir / "failure_manifest.json").write_text(json.dumps(manifest, indent=1))
+            (make_out_dir(cfg.out_dir) / "failure_manifest.json").write_text(json.dumps(manifest, indent=1))
         raise
 
     train_cases = [(states[i], dataset.teachers[i]) for i in dataset.train_idx]

@@ -21,7 +21,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chuarc import plots
@@ -351,6 +351,15 @@ _volts = st.one_of(st.sampled_from([0.0, -0.0, 1.0833, -1.0833, 7.5454, -7.5454,
                    st.floats(-12.0, 12.0))
 
 
+def _every_boundary(test):
+    """Explicit examples that start v_c1 on, and beside, each diode boundary
+    and on both signed zeros, plus one diverging circuit, on every run."""
+    for v1 in [*_BREAKS, 0.0, -0.0]:
+        test = example(init=(1e-4, 0.5, v1), r=1800.0, c1=1e-9, r_series=17.0, seed=1)(test)
+    return example(init=(1e-4, 0.5, 1.0833), r=1800.0, c1=1e-11, r_series=0.0, seed=1)(test)
+
+
+@_every_boundary
 @settings(max_examples=60, deadline=None)
 @given(init=st.tuples(st.floats(-2e-3, 2e-3), _volts, _volts),
        r=st.floats(1000.0, 2500.0), c1=st.sampled_from([1e-11, 1e-10, 1e-9, 1e-8]),

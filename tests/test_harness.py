@@ -929,7 +929,7 @@ class TestCli:
         assert run.returncode == 1
         assert run.stderr.startswith("error: task.x_range: ")
         assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
-        assert not (out / "weight.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, field", [
         (["simulate", "--t-end", "-1"], "t_end"),
