@@ -7,6 +7,7 @@ No numeric transformation beyond axis scaling.
 
 from __future__ import annotations
 
+import lzma
 import math
 import warnings
 from contextlib import contextmanager
@@ -22,25 +23,22 @@ MARGIN = 60
 PLOT_W, PLOT_H = WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN
 
 
-def _open_csv(path):
-    """The text file at ``path``, open for reading; one that cannot be opened
-    raises ConfigurationError naming it."""
-    try:
-        return open(path)
-    except OSError as exc:
-        raise ConfigurationError("csv", f"{path}: {exc.strerror}") from None
-
-
-def _read_header(fh, path):
-    """Skip comment and blank lines up to the header; returns (header, digest)."""
+def _read_header(path):
+    """(header, digest, n): the first line of the CSV at ``path`` that is
+    neither a comment nor blank, split at commas, is line n; ``digest`` is the
+    ``config_digest=`` of a comment line before it. An unreadable file or one
+    without a header raises ConfigurationError naming it."""
     digest = None
     try:
-        for line in iter(fh.readline, ""):
-            if line.startswith("#"):
-                if "config_digest=" in line:
-                    digest = line.split("config_digest=", 1)[1].strip()
-            elif line.strip():
-                return line.rstrip("\n").split(","), digest
+        with open(path) as fh:
+            for n, line in enumerate(fh, 1):
+                if line.startswith("#"):
+                    if "config_digest=" in line:
+                        digest = line.split("config_digest=", 1)[1].strip()
+                elif line.strip():
+                    return line.rstrip("\n").split(","), digest, n
+    except OSError as exc:
+        raise ConfigurationError("csv", f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError("csv", f"{path}: {exc}") from None
     raise ConfigurationError("csv", f"{path}: no header row")
@@ -54,19 +52,21 @@ def _read_csv(path, columns=None, nan_column=None):
     short row, no data rows, or a NaN or infinity (other than a NaN in
     ``nan_column``) raises ConfigurationError naming the file.
     """
-    with _open_csv(path) as fh:
-        header, digest = _read_header(fh, path)
-        names = header if columns is None else columns
-        missing = [c for c in names if c not in header]
-        if missing:
-            raise ConfigurationError("csv", f"{path}: no column {missing[0]!r} in {header}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            try:
-                table = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2,
-                                   usecols=[header.index(c) for c in names])
-            except ValueError as exc:
-                raise ConfigurationError("csv", f"{path}: {exc}") from None
+    header, digest, n = _read_header(path)
+    names = header if columns is None else columns
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise ConfigurationError("csv", f"{path}: no column {missing[0]!r} in {header}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            # skiprows counts comment and blank lines too, so parsing starts
+            # after the header
+            table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, skiprows=n,
+                               usecols=[header.index(c) for c in names])
+        # numpy opens a name ending .gz, .bz2, .xz or .lzma as compressed
+        except (OSError, ValueError, lzma.LZMAError) as exc:
+            raise ConfigurationError("csv", f"{path}: {exc}") from None
     if table.shape[0] == 0:
         raise ConfigurationError("csv", f"{path}: no data rows")
     finite = np.isfinite(table)
@@ -287,9 +287,7 @@ def render_plot(csv_path, out_path) -> str:
     histogram (any header with an `nmse` column), and multi-channel traces
     (`t,...`).
     """
-    with _open_csv(csv_path) as fh:
-        header, _ = _read_header(fh, csv_path)
-    kind = _detect_kind(header, csv_path)
+    kind = _detect_kind(_read_header(csv_path)[0], csv_path)
     # a histogram reads only its nmse column, every other kind all columns;
     # plots need finite data to scale, and only a failed sweep cell has a NaN
     # mean_nmse, which the heatmap draws grey

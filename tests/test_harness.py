@@ -593,6 +593,9 @@ MALFORMED_TRACES = {
     "inf": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,-inf,0.05\n",
     "missing": None,  # no file at the path
     "non_utf8": b"t,v_cd\n0.0,\xff\xfe\n1e-6,0.2\n",
+    # the first bad byte lies 72 000 bytes in, past the buffered read that
+    # finds the header: only the table's parse meets it
+    "non_utf8_late": ("t,v_cd,v_l\n" + "0.0,0.1,0.0\n" * 6000).encode() + b"1e-06,\xff\n",
 }
 
 #: Well-formed traces whose time stamps lie on no grid of positive sample period.
@@ -707,6 +710,51 @@ class TestMalformedCsv:
         err = capsys.readouterr().err
         assert f"csv: {csv}:" in err and "cannot be scaled" in err
         assert not (tmp_path / "u.svg").exists()
+
+
+#: Well-formed traces of three rows with something besides a digest line
+#: before, among or after them
+PREAMBLES = {
+    "blank_and_comment_lines_first": "\n# written by simulate\n\n# config_digest=ab12\n\n"
+                                     "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,0.15,0.05\n",
+    "comment_among_rows": "t,v_cd,v_l\n0.0,0.1,0.0\n# resumed\n1e-06,0.2,0.1\n2e-06,0.15,0.05\n",
+    "blank_line_after_header": "t,v_cd,v_l\n\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,0.15,0.05\n",
+    "crlf": "# config_digest=ab12\r\nt,v_cd,v_l\r\n0.0,0.1,0.0\r\n1e-06,0.2,0.1\r\n2e-06,0.15,0.05\r\n",
+    "trailing_blank_line": "t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,0.15,0.05\n\n",
+    "spaces_around_cells": "t,v_cd,v_l\n 0.0 ,0.1, 0.0\n1e-06 , 0.2,0.1 \n  2e-06,0.15 ,0.05\n",
+}
+
+
+class TestCsvPreamble:
+    """Comment and blank lines before the header are skipped to reach it, and
+    numpy skips as many lines again to reach the first data row."""
+
+    @pytest.mark.parametrize("case", sorted(PREAMBLES))
+    def test_read_csv(self, tmp_path, case):
+        csv = tmp_path / "trace.csv"
+        csv.write_bytes(PREAMBLES[case].encode())
+        header, table, digest = plots._read_csv(csv)
+        assert header == ["t", "v_cd", "v_l"]
+        assert digest == ("ab12" if "config_digest" in PREAMBLES[case] else None)
+        assert table.tolist() == [[0.0, 0.1, 0.0], [1e-06, 0.2, 0.1], [2e-06, 0.15, 0.05]]
+
+    @pytest.mark.parametrize("case", sorted(PREAMBLES))
+    def test_plot_and_spectrum(self, tmp_path, case):
+        csv = tmp_path / "trace.csv"
+        csv.write_bytes(PREAMBLES[case].encode())
+        assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "t.svg")]) == 0
+        assert main(["spectrum", "--trace", str(csv), "--tap", "v_cd",
+                     "--out", str(tmp_path), "--profile", "desk"]) == 0
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_an_error_not_a_traceback(self, tmp_path, capsys, suffix):
+        # numpy opens a name with a compression suffix as compressed, so a
+        # plain-text trace under such a name fails to decompress
+        csv = tmp_path / f"trace{suffix}"
+        csv.write_text(PREAMBLES["crlf"])
+        assert main(["plot", "--csv", str(csv), "--out-svg", str(tmp_path / "t.svg")]) == 1
+        assert f"error: csv: {csv}:" in capsys.readouterr().err
+        assert not (tmp_path / "t.svg").exists()
 
 
 class TestCli:

@@ -6,9 +6,11 @@ comments and docstrings do not count) is code that only its tests reach.
 Delete it, or add it to KEEP with the reason it stays.
 Likewise an error class that no ``except`` clause or ``isinstance`` call of
 the package names is only a second name for its base.
+And every name that the benchmark's tracer wraps is still there to wrap.
 """
 
 import ast
+import importlib.util
 import io
 import tokenize
 from pathlib import Path
@@ -76,3 +78,17 @@ def test_every_error_type_is_told_apart():
             elif isinstance(node, ast.Call) and _names(node.func) == {"isinstance"}:
                 told |= _names(node.args[1])
     assert classes - told == set(), "caught nowhere: fold these into their base"
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # a wrapped name that is renamed or deleted silently zeroes the metrics
+    # recorded under it; run_case is a dead wrap the benchmark still lists
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+    finally:
+        tracer.uninstall()
+    assert set(tracer.missing) <= {"chuarc.experiment.run_case"}
