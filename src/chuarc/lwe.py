@@ -2,7 +2,7 @@
 
 Public key tuples satisfy b_i = (a_i*s + e_i) mod q. One bit phi encrypts to
 (u, v) with u the modular sum of a sampled key subset and v the matching b
-sum shifted by q/2*phi, floored to an integer once at encryption time.
+sum shifted by phi*floor(q/2), mod q. Every value is an exact Python int.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ class GaussianErrors:
         if not self.alpha > 0.0:
             raise ConfigurationError("lwe.error_mode.alpha", "must be a real value > 0")
 
+    def draw(self, rng: np.random.Generator) -> int:
+        """One error: a normal draw of sigma gaussian_sigma(alpha), rounded."""
+        return int(round(rng.normal(0.0, gaussian_sigma(self.alpha))))
+
 
 @dataclass(frozen=True)
 class UniformErrors:
@@ -37,8 +41,15 @@ class UniformErrors:
     hi: int
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ConfigurationError("lwe.error_mode.lo", "lo must not exceed hi")
+        # numpy draws int64 errors
+        if not -2**63 <= self.lo <= self.hi:
+            raise ConfigurationError("lwe.error_mode.lo", "must satisfy -2**63 <= lo <= hi")
+        if self.hi > 2**63 - 1:
+            raise ConfigurationError("lwe.error_mode.hi", "must be <= 2**63 - 1")
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One error, uniform on [lo, hi]."""
+        return int(rng.integers(self.lo, self.hi + 1))
 
 
 @dataclass(frozen=True)
@@ -55,8 +66,9 @@ class LweParams:
     error_mode: UniformErrors | GaussianErrors = field(default_factory=lambda: UniformErrors(0, 3))
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ConfigurationError("lwe.q", "modulus must be >= 2")
+        # numpy draws the key's a_i as int64, below q
+        if not 2 <= self.q <= 2**63:
+            raise ConfigurationError("lwe.q", "modulus must lie in [2, 2**63]")
         if self.n != 1:
             raise ConfigurationError("lwe.n", "only the scalar secret (n=1) is supported")
         if not 1 <= self.n_samples <= self.m:
@@ -92,37 +104,25 @@ def gaussian_sigma(alpha: float) -> float:
     return alpha / math.sqrt(2.0 * math.pi)
 
 
-def error_sample(mode, rng: np.random.Generator) -> int:
-    """Draw one integer error from the configured distribution."""
-    if isinstance(mode, GaussianErrors):
-        return int(round(rng.normal(0.0, gaussian_sigma(mode.alpha))))
-    if isinstance(mode, UniformErrors):
-        return int(rng.integers(mode.lo, mode.hi + 1))
-    raise ConfigurationError("lwe.error_mode", f"unknown error mode {mode!r}")
-
-
 def keygen(params: LweParams, rng: np.random.Generator) -> PublicKey:
     """Generate a public key: a_i uniform in [0, q-1], b_i = (a_i*s + e_i) mod q."""
-    a = rng.integers(0, params.q, params.m)
-    e = np.array([error_sample(params.error_mode, rng) for _ in range(params.m)])
-    b = (a * params.s + e) % params.q
-    return PublicKey(a=tuple(int(x) for x in a), b=tuple(int(x) for x in b))
+    a = rng.integers(0, params.q, params.m).tolist()
+    b = [(x * params.s + params.error_mode.draw(rng)) % params.q for x in a]
+    return PublicKey(a=tuple(a), b=tuple(b))
 
 
 def encrypt_sums(a_samples, b_samples, phi: int, q: int) -> tuple:
     """(u, v) from explicit key samples: u = sum(a) mod q,
-    v = floor((sum(b) + q/2*phi) mod q)."""
-    u = int(sum(a_samples) % q)
-    v = int(math.floor((sum(b_samples) + (q / 2.0) * phi) % q))
-    return u, v
+    v = (sum(b) + phi*floor(q/2)) mod q."""
+    return sum(a_samples) % q, (sum(b_samples) + phi * (q // 2)) % q
 
 
 def decrypt_bit(ciphertext, s: int, q: int) -> tuple:
     """Decrypt the pair (u, v) to (raw value, bit): raw = (v - u*s) mod q,
     bit set when raw exceeds q/2."""
     u, v = ciphertext
-    raw = int((v - u * s) % q)
-    return raw, 1 if raw > q / 2.0 else 0
+    raw = (v - u * s) % q
+    return raw, int(2 * raw > q)
 
 
 def generate_testcases(params: LweParams, n_cases: int, rng: np.random.Generator,
@@ -137,31 +137,25 @@ def generate_testcases(params: LweParams, n_cases: int, rng: np.random.Generator
     if n_cases < 1:
         raise ConfigurationError("n_cases", "must be >= 1")
     cases: list = []
-    attempts = 0
     budget = 10 * n_cases
-    while len(cases) < n_cases:
-        if attempts >= budget:
-            raise GenerationError(
-                retention_rate=len(cases) / max(1, attempts),
-                message=f"exhausted {budget} candidate draws before reaching {n_cases} cases",
-            )
-        attempts += 1
+    for _ in range(budget):
         idx = rng.choice(params.m, size=params.n_samples, replace=False)
         a_samples = tuple(pk.a[i] for i in idx)
         b_samples = tuple(pk.b[i] for i in idx)
         records = []
-        ok = True
         for phi in (0, 1):
             u, v = encrypt_sums(a_samples, b_samples, phi, params.q)
             raw, bit = decrypt_bit((u, v), params.s, params.q)
             if bit != phi:
-                ok = False
                 break
             records.append(LweTestCase(phi=phi, decrypt_value=raw, u=u, v=v,
                                        a_samples=a_samples, b_samples=b_samples))
-        if ok:
+        else:
             cases.extend(records[: n_cases - len(cases)])
-    return cases
+            if len(cases) == n_cases:
+                return cases
+    raise GenerationError(retention_rate=len(cases) / budget,
+                          message=f"exhausted {budget} candidate draws before reaching {n_cases} cases")
 
 
 def save_dataset(cases, params: LweParams, pk: PublicKey, seed: int, path) -> None:
@@ -170,8 +164,6 @@ def save_dataset(cases, params: LweParams, pk: PublicKey, seed: int, path) -> No
     rows = []
     for c in cases:
         row = asdict(c)
-        row["a_samples"] = list(c.a_samples)
-        row["b_samples"] = list(c.b_samples)
         row.update(q=params.q, s=params.s, m=params.m, n_samples=params.n_samples,
                    public_a=list(pk.a), public_b=list(pk.b), seed=seed)
         rows.append(row)

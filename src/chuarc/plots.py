@@ -220,17 +220,20 @@ def _heatmap_svg(out_path, xs, ys, values, x_label, y_label, title, digest):
     finite = [v for v in values if math.isfinite(v)]
     vmin = min(finite) if finite else 0.0
     vmax = max(finite) if finite else 1.0
-    span = (vmax - vmin) or 1.0
     cw = PLOT_W / len(ux)
     ch = PLOT_H / len(uy)
     cells = []
-    for x, y, v in zip(xs, ys, values):
-        ix = ux.index(x)
-        iy = uy.index(y)
-        color = _heat_color((v - vmin) / span) if math.isfinite(v) else "gray"
-        cx = MARGIN + ix * cw
-        cy = HEIGHT - MARGIN - (iy + 1) * ch
-        cells.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="{color}"/>')
+    # the columns' numpy floats, warnings off, give the IEEE results of Python
+    # floats: a span beyond the float range is inf, and its shades are 0 or NaN
+    with np.errstate(all="ignore"):
+        span = (vmax - vmin) or 1.0
+        for x, y, v in zip(xs, ys, values):
+            ix = ux.index(x)
+            iy = uy.index(y)
+            color = _heat_color((v - vmin) / span) if math.isfinite(v) else "gray"
+            cx = MARGIN + ix * cw
+            cy = HEIGHT - MARGIN - (iy + 1) * ch
+            cells.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="{color}"/>')
     with _output(out_path) as fh:
         fh.write((_svg_header(title, digest)
                   + _axes(x_label, y_label, ux[0], ux[-1], uy[0], uy[-1])
@@ -239,8 +242,8 @@ def _heatmap_svg(out_path, xs, ys, values, x_label, y_label, title, digest):
 
 def _histogram_svg(out_path, values, x_label, title, digest):
     n_bins = 20
-    vmin = min(values)
-    vmax, width = _span(vmin, max(values), n_bins)
+    vmin, vmax = _first_range([values])
+    vmax, width = _span(vmin, vmax, n_bins)
     edges = [vmin + i * width for i in range(n_bins + 1)]
     counts = [0] * n_bins
     for v in values:
@@ -293,10 +296,8 @@ def render_plot(csv_path, out_path) -> str:
     # mean_nmse, which the heatmap draws grey
     header, table, digest = _read_csv(csv_path, ["nmse"] if kind == "histogram" else None,
                                       nan_column="mean_nmse" if kind == "sweep" else None)
-    # line and scatter plots stream arrays; the heatmap and the histogram
-    # take lists, so their min/max follow Python's
-    cols = table.T.tolist() if kind in ("sweep", "histogram") else list(table.T)
-    masks = set(cols[header.index("n_mask")]) if kind == "sweep" and "n_mask" in header else ()
+    cols = list(table.T)
+    masks = set(cols[header.index("n_mask")].tolist()) if kind == "sweep" and "n_mask" in header else ()
     if len(masks) > 1:
         # one heatmap cell per (r_ohms, v_center): a second mask count would overdraw the first
         raise ConfigurationError("csv", f"{csv_path}: column 'n_mask' holds {sorted(masks)};"

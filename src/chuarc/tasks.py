@@ -29,6 +29,9 @@ TASK_KINDS = tuple(FAMILIES)
 #: targets away from zero so the error metric stays finite)
 CLASS_TEACHERS = (1.0, 2.0)
 
+#: the largest pair_max: numpy draws the (pair_max + 1)**2 pair indices as int64
+PAIR_MAX_LIMIT = math.isqrt(2**63 - 1) - 1
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -47,8 +50,8 @@ class TaskSpec:
             raise ConfigurationError("task.kind", f"must be one of {TASK_KINDS}")
         if not 0.0 <= self.x_range[0] < self.x_range[1]:
             raise ConfigurationError("task.x_range", "must be an increasing interval from 0 or above")
-        if self.pair_max < 1:
-            raise ConfigurationError("task.pair_max", "must be >= 1")
+        if not 1 <= self.pair_max <= PAIR_MAX_LIMIT:
+            raise ConfigurationError("task.pair_max", f"must lie in [1, {PAIR_MAX_LIMIT}]")
         for name in ("modulo_base", "poly_mod_base"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"task.{name}", "modulo bases must be positive")
@@ -83,11 +86,6 @@ def modulo_teacher(x: float, base: float) -> float:
     if base <= 0.0:
         raise ConfigurationError("base", "must be positive")
     return x - base * math.floor(x / base)
-
-
-def poly_mod_teacher(x: float, base: float = 50.0) -> float:
-    """Benchmark polynomial folded into [0, base)."""
-    return modulo_teacher(polynomial_teacher(x), base)
 
 
 def pair_teachers(x1: float, x2: float, pair_max: int = 40) -> tuple:
@@ -203,15 +201,17 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
     if family == "line":
         xs = [float(x) for x in np.linspace(spec.x_range[0], spec.x_range[1], n_cases)]
         inputs = [[x] for x in xs]
-        # before poly-mod takes the modulo: math.floor of an infinity raises OverflowError
-        if kind != "modulo" and not all(math.isfinite(polynomial_teacher(x)) for x in xs):
+        ys = xs if kind == "modulo" else [polynomial_teacher(x) for x in xs]
+        if not all(map(math.isfinite, ys)):
             raise ConfigurationError("task.x_range", f"the polynomial teacher overflows on {spec.x_range}")
-        if kind == "polynomial":
-            teachers = [[polynomial_teacher(x)] for x in xs]
-        elif kind == "modulo":
-            teachers = [[modulo_teacher(x, spec.modulo_base)] for x in xs]
-        else:
-            teachers = [[poly_mod_teacher(x, spec.poly_mod_base)] for x in xs]
+        if kind != "polynomial":
+            name = "modulo_base" if kind == "modulo" else "poly_mod_base"
+            base = getattr(spec, name)
+            # math.floor of an infinite quotient raises OverflowError
+            if not all(math.isfinite(y / base) for y in ys):
+                raise ConfigurationError(f"task.{name}", f"{base!r} is too small a base for {spec.x_range}")
+            ys = [modulo_teacher(y, base) for y in ys]
+        teachers = [[y] for y in ys]
         value_max = float(spec.x_range[1])
     elif family == "pair":
         rng = np.random.default_rng([seed, 0x70616972])
@@ -223,8 +223,11 @@ def build_dataset(spec: TaskSpec, n_cases: int, seed: int, val_fraction: float =
         teachers = [[pair_teachers(a, b, spec.pair_max)[col]] for a, b in pairs]
         value_max = float(spec.pair_max)
     elif family == "circles":
-        points, point_labels = concentric_circles(n_cases, seed, spec.inner_radius, spec.outer_radii)
         shift = spec.outer_radii[1]
+        # each shifted coordinate, and the normalisation ceiling, lies in [0, 2 * shift]
+        if not math.isfinite(2.0 * shift):
+            raise ConfigurationError("task.outer_radii", f"{shift!r} overflows the input range [0, 2 * radius]")
+        points, point_labels = concentric_circles(n_cases, seed, spec.inner_radius, spec.outer_radii)
         inputs = [[float(p[0] + shift), float(p[1] + shift)] for p in points]
         teachers = [[CLASS_TEACHERS[l]] for l in point_labels]
         value_max = 2.0 * shift

@@ -577,6 +577,21 @@ class TestPlots:
         csv.write_text("t,v_cd,v_l\n0.0,0.1,0.0\n1e-06,0.2,0.1\n2e-06,0.15,0.05\n")
         assert render_plot(csv, tmp_path / "trace.svg") == "trace"
 
+    def test_sweep_with_two_mask_counts_names_them(self, tmp_path):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("n_mask,r_ohms,v_center,mean_nmse\n10,1600.0,0.4,0.1\n20,1600.0,0.6,0.2\n")
+        with pytest.raises(ConfigurationError) as err:
+            render_plot(csv, tmp_path / "sweep.svg")
+        assert str(err.value) == (f"csv: {csv}: column 'n_mask' holds [10.0, 20.0];"
+                                  " the heatmap draws one mask count")
+
+    def test_sweep_heatmap_of_a_range_beyond_the_floats(self, tmp_path):
+        # the colour scale's span overflows to inf, without a warning
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("r_ohms,v_center,mean_nmse\n1600.0,0.4,-1e308\n1600.0,0.6,nan\n"
+                       "1700.0,0.4,1e308\n1700.0,0.6,0.5\n")
+        assert render_plot(csv, tmp_path / "sweep.svg") == "sweep"
+
     def test_unknown_schema_rejected(self, tmp_path):
         csv = tmp_path / "odd.csv"
         csv.write_text("alpha,beta\n1,2\n")
@@ -978,6 +993,54 @@ class TestCli:
         assert run.stderr.startswith("error: task.x_range: ")
         assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("task, field", [
+        ({"kind": "poly-mod", "x_range": [0, 100], "poly_mod_base": 1e-300}, "task.poly_mod_base"),
+        ({"kind": "modulo", "x_range": [0, 1e308], "modulo_base": 1e-300}, "task.modulo_base"),
+        ({"kind": "circles", "outer_radii": [2e307, 1e308]}, "task.outer_radii"),
+    ], ids=["poly-mod", "modulo", "circles"])
+    def test_overflowing_value_fails_at_dataset_build(self, tmp_path, task, field):
+        # a value over a 1e-300 base, or circles shifted by a 1e308 radius,
+        # overflows; a subprocess, so that a numpy warning shows on stderr
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": "desk", "task": task, "n_cases": 40}))
+        out = tmp_path / "out"
+        run = subprocess.run([sys.executable, "-m", "chuarc.cli", "train", "--config", str(cfg),
+                              "--out", str(out)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert run.returncode == 1
+        assert run.stderr.startswith(f"error: {field}: ")
+        assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, field", [
+        ({"lwe": {"q": 2**63 + 1}}, "lwe.q"),
+        ({"lwe": {"error_mode": {"kind": "uniform", "lo": -2**63 - 1, "hi": 0}}}, "lwe.error_mode.lo"),
+        ({"lwe": {"error_mode": {"kind": "uniform", "lo": 0, "hi": 2**63}}}, "lwe.error_mode.hi"),
+        ({"task": {"kind": "pair-sum", "pair_max": 3037000499}}, "task.pair_max"),
+    ], ids=["q", "lo", "hi", "pair_max"])
+    def test_value_numpy_cannot_draw_fails_at_parse(self, tmp_path, capsys, section, field):
+        # numpy draws the key, the uniform errors and the pair indices as int64
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": "desk", "task": LWE_TASK, "n_cases": 4, **section}))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", [
+        {"task": LWE_TASK, "lwe": {"q": 2**63, "s": 2**63 - 1}},
+        {"task": LWE_TASK, "lwe": {"error_mode": {"kind": "uniform", "lo": -2**63, "hi": 2**63 - 1}}},
+        {"task": {"kind": "pair-sum", "pair_max": 3037000498}},
+    ], ids=["q", "lo-hi", "pair_max"])
+    def test_int64_draw_bounds_parse(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": "desk", "n_cases": 4, **section}))
+        assert main(["show-config", "--config", str(cfg)]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        for key, value in section.items():  # the section's values, as given
+            assert shown[key] == {**shown[key], **value}
 
     @pytest.mark.parametrize("argv, field", [
         (["simulate", "--t-end", "-1"], "t_end"),

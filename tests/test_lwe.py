@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chuarc import lwe
 from chuarc.errors import ConfigurationError, GenerationError
@@ -19,7 +21,6 @@ from chuarc.lwe import (
     UniformErrors,
     decrypt_bit,
     encrypt_sums,
-    error_sample,
     gaussian_sigma,
     generate_testcases,
     keygen,
@@ -34,14 +35,14 @@ class TestErrorDistribution:
 
     def test_uniform_support_and_frequencies(self):
         rng = np.random.default_rng(21)
-        draws = [error_sample(UniformErrors(0, 3), rng) for _ in range(10_000)]
+        draws = [UniformErrors(0, 3).draw(rng) for _ in range(10_000)]
         values, counts = np.unique(draws, return_counts=True)
         assert set(values) == {0, 1, 2, 3}
         assert np.all(np.abs(counts / 10_000 - 0.25) < 0.03)
 
     def test_gaussian_mode_rounds_to_integers(self):
         rng = np.random.default_rng(22)
-        draws = [error_sample(GaussianErrors(alpha=2.0), rng) for _ in range(1000)]
+        draws = [GaussianErrors(alpha=2.0).draw(rng) for _ in range(1000)]
         assert all(isinstance(d, int) for d in draws)
         assert np.std(draws) == pytest.approx(gaussian_sigma(2.0), abs=0.2)
 
@@ -221,6 +222,64 @@ class TestRoundTripFilter:
         assert a == b
 
 
+#: a modulus past which a_i * s, for a secret near q, overflows int64
+WIDE_Q = 4294967311
+
+
+def float_encrypt_sums(a_samples, b_samples, phi, q):
+    """encrypt_sums in floats, v = floor((sum(b) + q/2*phi) mod q): exact while
+    sum(b) + q/2 stays below 2**52, where a float still holds the half."""
+    return int(sum(a_samples) % q), int(math.floor((sum(b_samples) + (q / 2.0) * phi) % q))
+
+
+def float_decrypt_bit(ciphertext, s, q):
+    """decrypt_bit with the bit set when raw exceeds the float q/2."""
+    u, v = ciphertext
+    raw = int((v - u * s) % q)
+    return raw, 1 if raw > q / 2.0 else 0
+
+
+@st.composite
+def _encryptions(draw):
+    """(a_samples, b_samples, phi, q, s) with q < 2**50 and at most three
+    samples, so that 3 * q + q/2 < 2**52 keeps the float forms exact."""
+    q = draw(st.integers(2, 2**50 - 1))
+    residues = st.lists(st.integers(0, q - 1), min_size=1, max_size=3)
+    return draw(residues), draw(residues), draw(st.integers(0, 1)), q, draw(st.integers(0, q - 1))
+
+
+class TestExactIntegers:
+    """The scheme runs in Python ints: a modulus whose key products pass
+    int64 still gives the key equation and round-trip-correct records."""
+
+    def test_key_equation_past_int64(self):
+        params = LweParams(q=WIDE_Q, s=WIDE_Q - 5)
+        pk = keygen(params, np.random.default_rng(0))
+        for a, b in zip(pk.a, pk.b):
+            assert any(b == (a * params.s + e) % params.q for e in range(4))
+
+    @pytest.mark.parametrize("q", [WIDE_Q, 2**63])
+    def test_cases_round_trip_past_int64(self, q):
+        params = LweParams(q=q, s=q - 5)
+        rng = np.random.default_rng(0)
+        cases = generate_testcases(params, 40, rng, keygen(params, rng))
+        assert len(cases) == 40
+        for c in cases:
+            assert (c.u, c.v) == encrypt_sums(c.a_samples, c.b_samples, c.phi, q)
+            assert decrypt_bit((c.u, c.v), params.s, q) == (c.decrypt_value, c.phi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_encryptions())
+    @example(([2**50 - 3] * 3, [2**50 - 3] * 3, 1, 2**50 - 2, 7))
+    @example(([2**49 + 2] * 3, [2**49 + 2] * 3, 1, 2**49 + 3, 2**49))
+    @example(([5, 6], [6, 6], 1, 7, 2))
+    def test_integer_forms_equal_the_float_ones(self, encryption):
+        a, b, phi, q, s = encryption
+        ciphertext = encrypt_sums(a, b, phi, q)
+        assert ciphertext == float_encrypt_sums(a, b, phi, q)
+        assert decrypt_bit(ciphertext, s, q) == float_decrypt_bit(ciphertext, s, q)
+
+
 class TestPersistence:
     def test_a_record_holds_only_its_own_fields(self):
         # q, s, m and n_samples belong to the run's LweParams, not to each record
@@ -267,6 +326,10 @@ class TestParams:
             LweParams(s=9, q=7)
         with pytest.raises(ConfigurationError):
             LweParams(n=2)
+
+    def test_uniform_errors_draw_at_the_int64_bounds(self):
+        draw = UniformErrors(-2**63, 2**63 - 1).draw(np.random.default_rng(0))
+        assert isinstance(draw, int) and -2**63 <= draw <= 2**63 - 1
 
     def test_public_key_lengths_must_match(self):
         with pytest.raises(ConfigurationError):

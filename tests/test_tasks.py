@@ -19,7 +19,6 @@ from chuarc.tasks import (
     confusion_matrix,
     modulo_teacher,
     pair_teachers,
-    poly_mod_teacher,
     polynomial_teacher,
     split_indices,
 )
@@ -50,7 +49,7 @@ class TestModulo:
         assert modulo_teacher(2.0, 1.3) == pytest.approx(0.7, abs=1e-12)
 
     def test_poly_mod_reference_value(self):
-        assert poly_mod_teacher(0.5) == pytest.approx(2.197265625, abs=1e-9)
+        assert modulo_teacher(polynomial_teacher(0.5), 50.0) == pytest.approx(2.197265625, abs=1e-9)
 
     def test_always_in_range(self):
         for x in np.linspace(-20.0, 20.0, 401):
@@ -113,6 +112,11 @@ class TestPairs:
         with pytest.raises(ConfigurationError) as err:
             build_dataset(spec, n_cases=n_cases, seed=3)
         assert err.value.field == "n_cases"
+
+    def test_largest_pair_max_draws(self):
+        # numpy draws the pair indices below (pair_max + 1)**2 as int64
+        ds = build_dataset(TaskSpec(kind="pair-sum", pair_max=3037000498), n_cases=4, seed=3)
+        assert all(0 <= x <= 3037000498 for pair in ds.inputs for x in pair)
 
     def test_domain_enforced(self):
         with pytest.raises(ConfigurationError, match="^pair: "):
