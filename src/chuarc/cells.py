@@ -9,12 +9,20 @@ over n values at once. The text is the one Python gives: ``repr(x)``
 by Python, one call each. join_rows interleaves such matrices with literal
 separators and drops the 0s in one pass, so no Python object is made per
 cell; write_rows streams that text to a file chunk by chunk, for the CSV
-artefacts (write_csv) and the SVG plots.
+artefacts (write_csv) and the SVG plots. Every artefact file, JSON
+(write_json) too, is opened by artefact, which names a path it cannot open
+and removes a file whose writing fails.
 """
 
 from __future__ import annotations
 
+import json
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
+
+from .errors import ConfigurationError
 
 #: 10**k and 5**k for k = 0..22, every one an exact double
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -332,18 +340,41 @@ def write_rows(fh, pieces, columns, render) -> None:
         fh.write(join_rows(pieces, [r(c[start:stop]) for r, c in zip(render, columns)]))
 
 
-def write_csv(path, header, columns, config_digest: str | None = None, render=None) -> None:
-    """Stream a CSV artefact: an optional `# config_digest=` line, the header,
-    then one comma-separated row per row of ``columns``.
+@contextmanager
+def artefact(path, field: str):
+    """The binary file at ``path``, removed again if writing it fails; one
+    that cannot be opened raises ConfigurationError naming ``field``, the
+    setting the path came from."""
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise ConfigurationError(field, f"{path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
-    ``render`` gives each column's renderer (write_rows); by default every
-    column is a float array written as repr_cells. A column of byte strings
-    goes with text_cells.
+
+def write_json(path, payload, indent=1) -> None:
+    """Write ``json.dumps(payload, indent=indent)`` as a JSON artefact (out_dir)."""
+    with artefact(path, "out_dir") as fh:
+        fh.write(json.dumps(payload, indent=indent).encode("ascii"))
+
+
+def write_csv(path, header, columns, config_digest: str | None = None, render=None) -> None:
+    """Stream a CSV artefact (out_dir): an optional `# config_digest=` line,
+    the header, then one comma-separated row per row of ``columns``.
+
+    ``render`` gives each column's renderer (write_rows); by default a column
+    of byte strings (dtype ``S``) is written as text_cells, any other as the
+    repr_cells of its floats.
     """
     columns = [np.asarray(c) for c in columns]
-    render = render or (repr_cells,) * len(columns)
+    render = render or [text_cells if c.dtype.kind == "S" else repr_cells for c in columns]
     pieces = ("",) + (",",) * (len(columns) - 1) + ("\n",)
-    with open(path, "wb") as fh:
+    with artefact(path, "out_dir") as fh:
         if config_digest:
             fh.write(f"# config_digest={config_digest}\n".encode("ascii"))
         fh.write((",".join(header) + "\n").encode("ascii"))

@@ -196,8 +196,10 @@ def read_config(source) -> dict:
     else:
         try:
             text = Path(source).read_bytes()
-        except OSError:
+        except FileNotFoundError:
             raise ConfigurationError("<config>", f"no such file: {source}") from None
+        except OSError as exc:
+            raise ConfigurationError("<config>", f"{source}: {exc.strerror}") from None
         try:
             raw = json.loads(text)
         except ValueError as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tasks
-from .cells import repr_cells, text_cells, write_csv
+from .cells import write_csv, write_json
 from .circuit import _map
 from .config import ExperimentConfig, carrier_frequency, config_digest, seed_for
 from .errors import ChuaRcError, ConfigurationError, GenerationError, IntegrationError
@@ -114,9 +114,9 @@ def run_experiment(
         states = simulate_cases(cfg, dataset, jobs=jobs)
     except (IntegrationError, GenerationError) as exc:
         if write_artifacts:
-            manifest = {"config_digest": digest, "task": cfg.task.kind,
-                        "n_cases": cfg.n_cases, "error": str(exc)}
-            (make_out_dir(cfg.out_dir) / "failure_manifest.json").write_text(json.dumps(manifest, indent=1))
+            write_json(make_out_dir(cfg.out_dir) / "failure_manifest.json",
+                       {"config_digest": digest, "task": cfg.task.kind, "n_cases": cfg.n_cases,
+                        "error": str(exc)})
         raise
 
     train_cases = [(states[i], dataset.teachers[i]) for i in dataset.train_idx]
@@ -161,18 +161,15 @@ def _write_case_csv(path, dataset, estimates, scores, digest):
     n_cases, n_out = dataset.teachers.shape
     is_val = np.zeros(n_cases, dtype=bool)
     is_val[dataset.val_idx] = True
-    header = ["case", "split"]
-    header += [f"target_{j}" for j in range(n_out)]
-    header += [f"estimate_{j}" for j in range(n_out)]
-    header.append("nmse")
+    header = ["case", "split", *(f"target_{j}" for j in range(n_out)),
+              *(f"estimate_{j}" for j in range(n_out)), "nmse"]
     columns = [np.arange(n_cases).astype(bytes), np.where(is_val, b"val", b"train"),
                *dataset.teachers.T, *estimates.T, scores]
-    write_csv(path, header, columns, digest,
-              (text_cells, text_cells) + (repr_cells,) * (2 * n_out + 1))
+    write_csv(path, header, columns, digest)
 
 
 def _write_report_json(path, report: MetricsReport) -> None:
-    payload = {
+    write_json(path, {
         "config_digest": report.config_digest,
         "mean_nmse": report.mean_nmse,
         "median_nmse": report.median_nmse,
@@ -182,8 +179,7 @@ def _write_report_json(path, report: MetricsReport) -> None:
         "n_val": int(report.val_idx.size),
         "runtime_s": report.runtime_s,
         "per_case_nmse": [float(x) for x in report.per_case_nmse],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    })
 
 
 @dataclass(frozen=True)
@@ -270,19 +266,17 @@ def sweep_to_csv(cells, path, digest: str | None = None) -> None:
     header = ["r_ohms", "v_center", "mean_nmse"]
     columns = [[c.r_ohms for c in cells], [c.v_center for c in cells],
                [c.mean_nmse for c in cells]]
-    render = [repr_cells] * 3
     if any(c.n_mask is not None for c in cells):
         header.insert(0, "n_mask")
         columns.insert(0, [str(c.n_mask).encode("ascii") for c in cells])
-        render.insert(0, text_cells)
-    write_csv(path, header, columns, digest, render)
+    write_csv(path, header, columns, digest)
 
 
 def save_weight(weight: ReadoutWeight, path) -> None:
     """Lossless JSON persistence of a trained readout. ``bias``, ``offset`` and
     ``lambda`` record the one readout form: a bias column, unshifted voltages
     and no ridge term."""
-    payload = {
+    write_json(path, {
         "n_outputs": weight.n_outputs,
         "n_channels": weight.n_channels,
         "bias": True,
@@ -291,8 +285,7 @@ def save_weight(weight: ReadoutWeight, path) -> None:
         "seed": weight.seed,
         "config_digest": weight.config_digest,
         "matrix": [float(x) for x in weight.matrix.reshape(-1)],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    })
 
 
 def _field(payload, key, valid, rule):

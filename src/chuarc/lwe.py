@@ -7,13 +7,16 @@ sum shifted by phi*floor(q/2), mod q. Every value is an exact Python int.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .cells import write_json
 from .errors import ConfigurationError, GenerationError
+
+#: The longest public key m: keygen draws all of it at once (~2 s at 10**6)
+MAX_M = 10**6
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class LweParams:
             raise ConfigurationError("lwe.q", "modulus must lie in [2, 2**63]")
         if self.n != 1:
             raise ConfigurationError("lwe.n", "only the scalar secret (n=1) is supported")
+        if self.m > MAX_M:
+            raise ConfigurationError("lwe.m", f"must be <= {MAX_M}, got {self.m}")
         if not 1 <= self.n_samples <= self.m:
             raise ConfigurationError("lwe.n_samples", "must satisfy 1 <= n_samples <= m")
         if not 0 <= self.s <= self.q - 1:
@@ -161,21 +166,13 @@ def generate_testcases(params: LweParams, n_cases: int, rng: np.random.Generator
 def save_dataset(cases, params: LweParams, pk: PublicKey, seed: int, path) -> None:
     """Write test cases as a JSON array; each record repeats q, s, m and
     n_samples of params, the public key and the seed after its own fields."""
-    rows = []
-    for c in cases:
-        row = asdict(c)
-        row.update(q=params.q, s=params.s, m=params.m, n_samples=params.n_samples,
-                   public_a=list(pk.a), public_b=list(pk.b), seed=seed)
-        rows.append(row)
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=1)
+    shared = {"q": params.q, "s": params.s, "m": params.m, "n_samples": params.n_samples,
+              "public_a": pk.a, "public_b": pk.b, "seed": seed}
+    write_json(path, [{**asdict(c), **shared} for c in cases])
 
 
 def save_keypair(params: LweParams, pk: PublicKey, key_path, secret_path) -> None:
     """Key file holds the public data; the secret goes to a separate file."""
-    public = asdict(params)
-    public.pop("s")
-    with open(key_path, "w") as fh:
-        json.dump({"params": public, "public_a": list(pk.a), "public_b": list(pk.b)}, fh, indent=1)
-    with open(secret_path, "w") as fh:
-        json.dump({"s": params.s}, fh)
+    public = {key: value for key, value in asdict(params).items() if key != "s"}
+    write_json(key_path, {"params": public, "public_a": pk.a, "public_b": pk.b})
+    write_json(secret_path, {"s": params.s}, indent=None)

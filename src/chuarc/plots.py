@@ -11,11 +11,10 @@ import lzma
 import math
 import warnings
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
-from .cells import fixed2_cells, write_rows
+from .cells import artefact, fixed2_cells, write_rows
 from .errors import ConfigurationError
 
 WIDTH, HEIGHT = 720, 480
@@ -126,22 +125,6 @@ def _axis(columns, lo_px, hi_px):
     return vmin, vmax, lambda values: fixed2_cells(_pixels(values, vmin, span, lo_px, hi_px))
 
 
-@contextmanager
-def _output(path):
-    """The binary file at ``path``, removed again if writing it fails; one
-    that cannot be opened raises ConfigurationError (out_svg)."""
-    try:
-        fh = open(path, "wb")
-    except OSError as exc:
-        raise ConfigurationError("out_svg", f"{path}: {exc.strerror}") from None
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
-
-
 def _svg_header(title, digest):
     """The SVG start tag, metadata, background and title; ``digest`` is the
     metadata text after ``config_digest=``."""
@@ -169,17 +152,23 @@ def _axes(x_label, y_label, xmin, xmax, ymin, ymax):
     return "".join(parts)
 
 
+@contextmanager
+def _svg(path, title, digest, axes):
+    """The SVG artefact at ``path`` (out_svg): header and ``_axes(*axes)``, body, end tag."""
+    with artefact(path, "out_svg") as fh:
+        fh.write((_svg_header(title, digest) + _axes(*axes)).encode())
+        yield fh
+        fh.write(b"</svg>")
+
+
 def _scatter_svg(out_path, xs, ys, x_label, y_label, title, digest):
     """Write the scatter plot of the NaN-free arrays ``xs``, ``ys``, one
     chunk of points at a time."""
     xmin, xmax, x_cells = _axis([xs], MARGIN, WIDTH - MARGIN)
     ymin, ymax, y_cells = _axis([ys], HEIGHT - MARGIN, MARGIN)
-    with _output(out_path) as fh:
-        fh.write((_svg_header(title, digest)
-                  + _axes(x_label, y_label, xmin, xmax, ymin, ymax)).encode())
+    with _svg(out_path, title, digest, (x_label, y_label, xmin, xmax, ymin, ymax)) as fh:
         write_rows(fh, ('<circle cx="', '" cy="', '" r="1.4" fill="steelblue"/>'),
                    (xs, ys), (x_cells, y_cells))
-        fh.write(b"</svg>")
 
 
 def _line_svg(out_path, xs, series, x_label, y_label, title, digest):
@@ -189,9 +178,7 @@ def _line_svg(out_path, xs, series, x_label, y_label, title, digest):
     xmin, xmax, x_cells = _axis([xs], MARGIN, WIDTH - MARGIN)
     ymin, ymax, y_cells = _axis(series.values(), HEIGHT - MARGIN, MARGIN)
     colors = ("steelblue", "firebrick", "seagreen", "darkorange")
-    with _output(out_path) as fh:
-        fh.write((_svg_header(title, digest)
-                  + _axes(x_label, y_label, xmin, xmax, ymin, ymax)).encode())
+    with _svg(out_path, title, digest, (x_label, y_label, xmin, xmax, ymin, ymax)) as fh:
         for i, (name, ys) in enumerate(series.items()):
             color = colors[i % len(colors)]
             fh.write(b'<polyline points="')
@@ -201,7 +188,6 @@ def _line_svg(out_path, xs, series, x_label, y_label, title, digest):
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1"/>'
                      f'<text x="{WIDTH-MARGIN}" y="{MARGIN+14*(i+1)}" text-anchor="end" '
                      f'font-size="12" fill="{color}">{name}</text>'.encode())
-        fh.write(b"</svg>")
 
 
 def _heat_color(t):
@@ -228,16 +214,12 @@ def _heatmap_svg(out_path, xs, ys, values, x_label, y_label, title, digest):
     with np.errstate(all="ignore"):
         span = (vmax - vmin) or 1.0
         for x, y, v in zip(xs, ys, values):
-            ix = ux.index(x)
-            iy = uy.index(y)
             color = _heat_color((v - vmin) / span) if math.isfinite(v) else "gray"
-            cx = MARGIN + ix * cw
-            cy = HEIGHT - MARGIN - (iy + 1) * ch
+            cx = MARGIN + ux.index(x) * cw
+            cy = HEIGHT - MARGIN - (uy.index(y) + 1) * ch
             cells.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="{color}"/>')
-    with _output(out_path) as fh:
-        fh.write((_svg_header(title, digest)
-                  + _axes(x_label, y_label, ux[0], ux[-1], uy[0], uy[-1])
-                  + "".join(cells) + "</svg>").encode())
+    with _svg(out_path, title, digest, (x_label, y_label, ux[0], ux[-1], uy[0], uy[-1])) as fh:
+        fh.write("".join(cells).encode())
 
 
 def _histogram_svg(out_path, values, x_label, title, digest):
@@ -253,18 +235,15 @@ def _histogram_svg(out_path, values, x_label, title, digest):
     ex = _pixels(edges, edges[0], _span(edges[0], edges[-1])[1], MARGIN, WIDTH - MARGIN).tolist()
     peak = max(counts) or 1
     bars = []
-    for i, c in enumerate(counts):
-        x0 = ex[i]
-        x1 = ex[i + 1]
+    for x0, x1, c in zip(ex, ex[1:], counts):
         h = PLOT_H * c / peak
         bars.append(
             f'<rect x="{x0:.2f}" y="{HEIGHT-MARGIN-h:.2f}" width="{x1-x0:.2f}" '
             f'height="{h:.2f}" fill="steelblue" stroke="white" stroke-width="0.5"/>'
         )
-    header = _svg_header(title, f"{digest or 'unknown'};bin_edges={edges}")
-    with _output(out_path) as fh:
-        fh.write((header + _axes(x_label, "count", vmin, vmax, 0, peak)
-                  + "".join(bars) + "</svg>").encode())
+    digest = f"{digest or 'unknown'};bin_edges={edges}"
+    with _svg(out_path, title, digest, (x_label, "count", vmin, vmax, 0, peak)) as fh:
+        fh.write("".join(bars).encode())
 
 
 def _detect_kind(header, path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lwe
-from .cells import repr_cells, text_cells, write_csv
+from .cells import write_csv
 from .errors import ConfigurationError
 
 #: The family of each task kind: its inputs, teachers, case bounds and CSV schema.
@@ -260,7 +260,6 @@ def dataset_to_csv(dataset: Dataset, path, config_digest: str | None = None) -> 
     """Write a task dataset with per-kind headers."""
     family = FAMILIES[dataset.kind]
     inputs = list(zip(*dataset.inputs))
-    render = None
     if family == "line":
         header = ("x", "y_teacher")
         columns = (inputs[0], dataset.teachers[:, 0])
@@ -273,7 +272,6 @@ def dataset_to_csv(dataset: Dataset, path, config_digest: str | None = None) -> 
         header = ("x", "y", "class")
         classes = [str(classify(t)).encode("ascii") for t in dataset.teachers[:, 0]]
         columns = (inputs[0], inputs[1], classes)
-        render = (repr_cells, repr_cells, text_cells)
     else:
         raise ConfigurationError("task.kind", f"no CSV schema for {dataset.kind} (use the JSON dataset)")
-    write_csv(path, header, columns, config_digest, render)
+    write_csv(path, header, columns, config_digest)

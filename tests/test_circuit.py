@@ -404,6 +404,18 @@ class TestTypeInvariants:
 #: not cancel, the bound is far below the relative 1e-12 it replaces.
 RATE_ERROR_C = 16
 
+#: Near zero a rounded product or quotient can underflow, and the model then
+#: has an absolute term as well: fl(x op y) = (x op y)(1 + d) + h, with |h|
+#: at most one subnormal step (Higham, eq. 2.8, gradual underflow); sums and
+#: differences stay exact there. Of a rate's C roundings, each may carry h,
+#: scaled by the coefficient its result is then multiplied by: 1/l for
+#: r_series * il, 1/c1 for the diode current, 1 where the rounding is the
+#: rate's last. A diode current that underflows on both sides, as at
+#: |v1| ~ 1e-307, differs by one step times 1/c1 = 1e8, which the relative
+#: term alone, 16 eps |terms| ~ 1e-316 there, does not cover.
+def rate_underflow(p):
+    return RATE_ERROR_C * np.finfo(float).smallest_subnormal * np.array([1.0 / p.l, 1.0, 1.0 / p.c1])
+
 
 def rate_terms(il, v2, v1, p):
     """sum(|term_i|) of each rate: the terms of the reference equations, the
@@ -424,9 +436,12 @@ def rate_terms(il, v2, v1, p):
        st.floats(min_value=-9.0, max_value=9.0, allow_nan=False))
 # d_v1 cancels here: the two sides differ by 8.7e-11 on 40.69
 @example(il_mA=0.0, v2=8.30078125, v1=8.3)
+# the diode current underflows: the sides differ by 4.95e-316 on d_v1
+@example(il_mA=0.0, v2=0.0, v1=1.1917781913920333e-307)
 def test_derivative_oracle_property(il_mA, v2, v1):
     p = ChuaParams(r_variable=1920.0, c1=10e-9, c2=100e-9, l=18e-3, r_series=0.0)
     got = np.array(derivatives(CircuitState(il_mA * 1e-3, v2, v1), p))
     want = reference_rates(il_mA * 1e-3, v2, v1, p)
-    bound = RATE_ERROR_C * np.finfo(float).eps * rate_terms(il_mA * 1e-3, v2, v1, p)
+    bound = (RATE_ERROR_C * np.finfo(float).eps * rate_terms(il_mA * 1e-3, v2, v1, p)
+             + rate_underflow(p))
     assert np.all(np.abs(got - want) <= bound)

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chuarc import experiment, plots
+from chuarc import circuit, experiment, lwe, plots
+from chuarc.cells import e12_cells
 from chuarc.cli import build_parser, main
 from chuarc.config import (
     ExperimentConfig,
@@ -127,6 +128,10 @@ class TestConfig:
                 assert f"no such file: {source}" in err
                 assert "malformed JSON" not in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+        # any other read error is named as it is
+        assert main(["show-config", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: <config>: {tmp_path}: ") and "no such file" not in err
 
     @settings(max_examples=60, deadline=None)
     @given(_raw_configs())
@@ -1042,6 +1047,17 @@ class TestCli:
         for key, value in section.items():  # the section's values, as given
             assert shown[key] == {**shown[key], **value}
 
+    def test_lwe_key_length_is_bounded_at_parse_time(self, tmp_path, capsys):
+        # 1e14 entries would be a 728 TiB key
+        cfg = tmp_path / "cfg.json"
+        for m, code in ((lwe.MAX_M, 0), (lwe.MAX_M + 1, 1), (1e14, 1)):
+            cfg.write_text(json.dumps({"profile": "desk", "task": LWE_TASK, "lwe": {"m": m}}))
+            assert main(["show-config", "--config", str(cfg)]) == code
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lwe.m: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, field", [
         (["simulate", "--t-end", "-1"], "t_end"),
         (["spectrum", "--trace", "nope.csv"], "csv"),
@@ -1072,6 +1088,57 @@ class TestCli:
         assert main([*argv, "--out", str(blocker / "sub")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: out_dir: {blocker / 'sub'}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--t-end", "0.0002", "--dt", "1e-6"], "trace.csv"),
+        (["spectrum", "--trace", "trace.csv"], "spectrum.csv"),
+        (["bifurcate", "--param", "r_variable", "--start", "1500", "--stop", "2000", "--steps", "2"],
+         "bifurcation_r_variable.csv"),
+        (["dataset", "--n-cases", "12", "--task", "polynomial"], "dataset_polynomial.csv"),
+        (["dataset", "--n-cases", "12", "--task", "lwe-encrypt"], "lwe_cases.json"),
+        (["dataset", "--n-cases", "12", "--task", "lwe-encrypt"], "lwe_key.json"),
+        (["dataset", "--n-cases", "12", "--task", "lwe-encrypt"], "lwe_secret.json"),
+        (["train", "--n-cases", "12"], "cases.csv"),
+        (["train", "--n-cases", "12"], "weight.json"),
+        (["train", "--n-cases", "12"], "report.json"),
+        (["sweep", "--n-cases", "12", "--r-start", "1600", "--r-stop", "1600"], "sweep.csv"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_artefact_path_that_is_a_directory_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                        argv, name):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "spectrum":
+            assert main(["simulate", "--t-end", "0.0002", "--dt", "1e-6", "--out", "."]) == 0
+        blocker = tmp_path / "out" / name
+        blocker.mkdir(parents=True)
+        assert main([*argv, "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out_dir: {Path('out') / name}: ") and "Traceback" not in err
+
+    def test_svg_path_that_is_a_directory_names_out_svg(self, tmp_path, capsys):
+        (tmp_path / "sweep.svg").mkdir()
+        argv = ["sweep", "--n-cases", "12", "--r-start", "1600", "--r-stop", "1600", "--svg"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: out_svg: {tmp_path / 'sweep.svg'}: ")
+        assert main(["plot", "--csv", str(tmp_path / "sweep.csv"), "--out-svg", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out_svg: {tmp_path}: ") and "Traceback" not in err
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # the time column's renderer fails on the second chunk, after the
+        # first is on disk
+        path = tmp_path / "trace.csv"
+        calls = []
+
+        def failing(values):
+            calls.append(path.stat().st_size)
+            if len(calls) == 2:
+                raise RuntimeError("renderer failed")
+            return e12_cells(values)
+
+        monkeypatch.setattr(circuit, "e12_cells", failing)
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            main(["simulate", "--t-end", "0.02", "--dt", "1e-6", "--out", str(tmp_path)])
+        assert calls[1] > 0 and not path.exists()
 
     # axes that end exactly at their stop, to within rounding (0.6 / 0.1 is
     # 5.999999999999999): they pass the step check and fail only at --out

@@ -8,7 +8,9 @@ Calls are matched to a function by its name (a class's name for
 ``__init__``), so a name shared by two functions counts the calls of both.
 
 The package reads no environment variable: a run's settings come from its
-arguments and its config only.
+arguments and its config only. It opens files for writing in one place,
+``cells.artefact``, so every artefact names a path it cannot open and leaves
+no partial file behind.
 """
 
 import ast
@@ -99,3 +101,33 @@ def test_no_module_reads_the_environment():
         tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
         named = {tok.string for tok in tokens if tok.type == tokenize.NAME}
         assert named & {"environ", "getenv"} == set(), f"{path.name} reads the environment"
+
+
+def _writes(tree) -> list:
+    """Line numbers of the calls in ``tree`` that write a file: ``open`` or
+    ``.open`` with a mode holding w, a, x or + (or a mode that is not a
+    literal), ``.write_text``, ``.write_bytes`` and ``json.dump``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes):
+                lines.append(node.lineno)
+        elif name in ("write_text", "write_bytes") or (
+                name == "dump" and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_cells_opens_a_file_for_writing():
+    assert _writes(ast.parse((PACKAGE / "cells.py").read_text())), "cells.artefact opens no file"
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "cells.py":
+            lines = _writes(ast.parse(path.read_text()))
+            assert lines == [], f"{path.name} writes a file at lines {lines}: open it with cells.artefact"

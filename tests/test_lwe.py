@@ -70,6 +70,13 @@ class TestKeygen:
         assert all(0 <= a <= 28 for a in pk.a)
         assert all(0 <= b <= 28 for b in pk.b)
 
+    def test_key_length_is_bounded(self):
+        # checked at construction, before keygen could allocate the key
+        assert LweParams(m=lwe.MAX_M).m == lwe.MAX_M
+        with pytest.raises(ConfigurationError) as err:
+            LweParams(m=lwe.MAX_M + 1)
+        assert err.value.field == "lwe.m"
+
 
 class TestEncrypt:
     def test_worked_record_q29_bit1(self):
